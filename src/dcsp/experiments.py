@@ -8,10 +8,13 @@ gnuplot-style ``.dat`` twin; plotting is left to external tools.
 
 Reproducibility: the seed of trial ``i`` at sweep value ``v`` is
 ``base_seed XOR splitmix64-chain(v, i, attempt)``, so any point can be
-re-run in isolation.  Trials aborted by a rank-deficient draw are redrawn
-with the attempt counter bumped and reported in the ``aborted`` column.
-Workers return per-trial records that are merged in trial order, so
-parallel and serial runs produce identical tables.
+re-run in isolation.  Each trial draws one instance and runs every
+algorithm on it.  If any algorithm hits a rank-deficient projection, the
+trial is redrawn for all algorithms together with the attempt counter
+bumped, so the algorithms of a trial always share one draw and report the
+same count in their ``aborted`` columns.  Workers return per-trial records
+that are merged in trial order, so parallel and serial runs produce
+identical tables.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +24,7 @@ import numpy as np
 
 from .costs import CostParams, cost_dcsp, cost_ssp, cost_table1
 from .errors import RankDeficientError
-from .network import ring_topology
+from .network import full_topology, ring_topology
 from .problems import ProblemConfig, generate, success
 from .pursuit import dcsp_run, ssp_run
 
@@ -81,6 +84,13 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - set(SIMULATED_ALGORITHMS)
         if unknown:
             raise ValueError(f"cannot simulate {sorted(unknown)}")
+        for value in self.values:
+            _, M, K, _ = self.point_dims(value)
+            if M < 2 * K:
+                # candidate sets reach 2K columns, which M rows cannot fit
+                raise ValueError(
+                    f"{self.sweep}={value}: need M >= 2K, got M={M} and K={K}"
+                )
 
     def point_dims(self, value):
         """(N, M, K, L) at one sweep point."""
@@ -120,44 +130,48 @@ def default_l_grid():
     return tuple(range(5, 41, 5))
 
 
-def _run_one(config: ExperimentConfig, value, trial):
-    """One trial at one sweep point: both algorithms on the same draw.
+def _topologies(config: ExperimentConfig, value):
+    """Each simulated algorithm's topology at one sweep point."""
+    L = config.point_dims(value)[3]
+    return {"ssp": full_topology(L), "dcsp": ring_topology(L, config.point_g(value))}
+
+
+def _run_one(config: ExperimentConfig, value, trial, topologies):
+    """One trial at one sweep point: every algorithm on the same draw.
 
     Returns {algorithm: (success, iterations, messages, redraws)}.
     """
     N, M, K, L = config.point_dims(value)
-    g = config.point_g(value)
-    record = {}
-    for algorithm in config.algorithms:
-        attempt = 0
-        while True:
-            seed = derive_trial_seed(config.seed, value, trial, attempt)
-            instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
-            try:
-                if algorithm == "ssp":
-                    result = ssp_run(instance, max_iters=config.max_iters)
-                else:
-                    result = dcsp_run(
-                        instance, ring_topology(L, g), max_iters=config.max_iters
-                    )
-            except RankDeficientError:
-                attempt += 1
-                if attempt > _MAX_REDRAWS:
-                    raise
-                continue
-            break
-        record[algorithm] = (
+    attempt = 0
+    while True:
+        seed = derive_trial_seed(config.seed, value, trial, attempt)
+        instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
+        try:
+            results = {
+                algorithm: (ssp_run if algorithm == "ssp" else dcsp_run)(
+                    instance, topologies[algorithm], max_iters=config.max_iters
+                )
+                for algorithm in config.algorithms
+            }
+        except RankDeficientError:
+            attempt += 1
+            if attempt > _MAX_REDRAWS:
+                raise
+            continue
+        break
+    return {
+        algorithm: (
             bool(success(result.support, instance)),
             result.iterations,
             result.wire.total,
             attempt,
         )
-    return record
+        for algorithm, result in results.items()
+    }
 
 
 def _task(args):
-    config, value, trial = args
-    return _run_one(config, value, trial)
+    return _run_one(*args)
 
 
 def _analytic_for(algorithm, N, K, L, g, T):
@@ -167,7 +181,11 @@ def _analytic_for(algorithm, N, K, L, g, T):
 
 def run_sweep(config: ExperimentConfig):
     """Execute the sweep and aggregate one :class:`SweepRow` per point."""
-    tasks = [(config, v, t) for v in config.values for t in range(config.trials)]
+    # topologies are built once per point and shared by its trials
+    tasks = []
+    for v in config.values:
+        topologies = _topologies(config, v)
+        tasks += [(config, v, t, topologies) for t in range(config.trials)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             records = list(pool.map(_task, tasks, chunksize=8))

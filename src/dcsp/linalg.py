@@ -14,7 +14,6 @@ Conventions used throughout the library:
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import IndexOutOfRangeError, InsufficientDistinctError, RankDeficientError
 
@@ -36,57 +35,78 @@ def as_index_set(indices):
     return s
 
 
+def _stack(A, y):
+    """``A`` and ``y`` as float64 stacks ``(n, M, k)`` and ``(n, M)``.
+
+    A 2-d ``A`` (with 1-d ``y``) is a stack of one.  Also returns whether
+    the input was unstacked, so callers can hand back the same form.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if A.ndim not in (2, 3):
+        raise ValueError("A must be 2-d or a stack of 2-d matrices")
+    single = A.ndim == 2
+    if single:
+        A, y = A[None], y[None]
+    return A, y, single
+
+
 def lstsq(A, y):
     """Least-squares coefficients of ``y`` against the columns of ``A``.
 
     Solves ``min_c ||y - A c||_2`` through a reduced QR factorization
-    (never by inverting the Gram matrix).
+    (never by inverting the Gram matrix).  A leading stack axis solves one
+    independent problem per slice, each bit-identical to the 2-d call on
+    that slice.
 
     Parameters
     ----------
-    A : ndarray, shape (M, k)
+    A : ndarray, shape (M, k) or (n, M, k)
         Column dictionary, k <= M.
-    y : ndarray, shape (M,)
+    y : ndarray, shape (M,) or (n, M)
 
     Returns
     -------
-    c : ndarray, shape (k,)
+    c : ndarray, shape (k,) or (n, k)
 
     Raises
     ------
     RankDeficientError
-        If the smallest diagonal magnitude of the triangular factor falls
-        below ``RANK_TOL`` relative to the largest.
+        If, in any slice, the smallest diagonal magnitude of the triangular
+        factor falls below ``RANK_TOL`` relative to the largest.
     """
-    A = np.asarray(A, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("A must be 2-d")
-    m, k = A.shape
-    if k == 0:
-        return np.zeros(0)
+    A, y, single = _stack(A, y)
+    n, m, k = A.shape
     if k > m:
         raise ValueError(f"need k <= M, got {k} columns and {m} rows")
-    q, r = np.linalg.qr(A, mode="reduced")
-    diag = np.abs(np.diag(r))
-    dmax = diag.max()
-    if dmax == 0.0 or diag.min() < RANK_TOL * dmax:
-        raise RankDeficientError(
-            f"effective rank < {k} (diag ratio {diag.min():.3e} / {dmax:.3e})"
-        )
-    return solve_triangular(r, q.T @ y, lower=False)
+    if k == 0:
+        c = np.zeros((n, 0))
+    else:
+        q, r = np.linalg.qr(A, mode="reduced")
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        dmin, dmax = diag.min(axis=1), diag.max(axis=1)
+        deficient = (dmax == 0.0) | (dmin < RANK_TOL * dmax)
+        if deficient.any():
+            i = int(np.argmax(deficient))
+            raise RankDeficientError(
+                f"effective rank < {k} in slice {i} "
+                f"(diag ratio {dmin[i]:.3e} / {dmax[i]:.3e})"
+            )
+        # r is upper triangular with a nonzero diagonal, so the LU inside
+        # solve pivots nothing and reduces to back substitution
+        c = np.linalg.solve(r, np.matmul(q.transpose(0, 2, 1), y[..., None]))[..., 0]
+    return c[0] if single else c
 
 
 def resid(y, A):
     """Residual of ``y`` after projecting onto the column space of ``A``.
 
-    Returns ``y - A @ lstsq(A, y)``; propagates RankDeficientError.
+    Returns ``y - A @ lstsq(A, y)``, slice by slice for a stacked ``A``;
+    propagates RankDeficientError.
     """
-    A = np.asarray(A, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if A.shape[1] == 0:
-        return y.copy()
-    return y - A @ lstsq(A, y)
+    A, y, single = _stack(A, y)
+    r = y - np.matmul(A, lstsq(A, y)[..., None])[..., 0]
+    return r[0] if single else r
 
 
 def max_ind(v, K):
@@ -124,18 +144,25 @@ def max_occ(m, K):
 
 
 def column_submatrix(A, S):
-    """Columns of ``A`` selected by the 1-based index set ``S``, in order."""
+    """Columns of ``A`` selected by the 1-based index set ``S``, in order.
+
+    A stacked ``A`` of shape (n, M, N) is selected slice by slice.
+    """
     A = np.asarray(A)
     S = np.asarray(S, dtype=np.int64)
-    if S.size and (S.min() < 1 or S.max() > A.shape[1]):
+    if S.size and (S.min() < 1 or S.max() > A.shape[-1]):
         raise IndexOutOfRangeError(
-            f"indices must lie in [1, {A.shape[1]}], got [{S.min()}, {S.max()}]"
+            f"indices must lie in [1, {A.shape[-1]}], got [{S.min()}, {S.max()}]"
         )
-    return A[:, S - 1]
+    return A[..., S - 1]
 
 
 def correlate(A, r):
-    """Entrywise magnitudes of the correlations ``|A.T @ r|``."""
-    A = np.asarray(A, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    return np.abs(A.T @ r)
+    """Entrywise magnitudes of the correlations ``|A.T @ r|``.
+
+    ``A`` of shape (n, M, N) with ``r`` of shape (n, M) correlates each
+    slice with its own residual and returns shape (n, N).
+    """
+    A, r, single = _stack(A, r)
+    c = np.abs(np.matmul(A.transpose(0, 2, 1), r[..., None])[..., 0])
+    return c[0] if single else c

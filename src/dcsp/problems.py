@@ -61,15 +61,29 @@ class ProblemConfig:
 class ProblemInstance:
     """One generated problem: data for all L nodes plus the ground truth.
 
-    Treated as immutable after generation; safe to share across parallel
-    trial workers.
+    The node data are stacked along a leading node axis, so that node l
+    (1-based) owns row ``l - 1`` of each array and the pursuit drivers can
+    run one stacked linear-algebra call over all nodes:
+
+    * ``dictionaries``: float64 array of shape (L, M, N);
+    * ``signals``: float64 array of shape (L, N);
+    * ``measurements``: float64 array of shape (L, M).
+
+    Per-node sequences (e.g. lists of matrices) are stacked on
+    construction.  Treated as immutable after generation; safe to share
+    across parallel trial workers.
     """
 
     config: ProblemConfig
-    dictionaries: list  # L arrays of shape (M, N)
-    signals: list  # L arrays of shape (N,)
-    measurements: list  # L arrays of shape (M,)
+    dictionaries: np.ndarray
+    signals: np.ndarray
+    measurements: np.ndarray
     true_support: np.ndarray = field(default=None)  # index set, size K
+
+    def __post_init__(self):
+        self.dictionaries = np.asarray(self.dictionaries, dtype=np.float64)
+        self.signals = np.asarray(self.signals, dtype=np.float64)
+        self.measurements = np.asarray(self.measurements, dtype=np.float64)
 
 
 def _stream(seed, class_id, node_id):
@@ -90,9 +104,12 @@ def generate(config: ProblemConfig) -> ProblemInstance:
     support_rng = _stream(config.seed, 0, 0)
     support = np.sort(support_rng.choice(N, size=K, replace=False).astype(np.int64) + 1)
 
-    dictionaries, signals, measurements = [], [], []
+    dictionaries = np.empty((L, M, N))
+    signals = np.zeros((L, N))
+    measurements = np.empty((L, M))
     for l in range(1, L + 1):
-        A = _stream(config.seed, 1, l).standard_normal((M, N))
+        A = dictionaries[l - 1]
+        _stream(config.seed, 1, l).standard_normal(out=A)
         sig_rng = _stream(config.seed, 2, l)
         values = sig_rng.standard_normal(K)
         for _ in range(_ZERO_RETRIES):
@@ -102,11 +119,8 @@ def generate(config: ProblemConfig) -> ProblemInstance:
             values[zero] = sig_rng.standard_normal(int(zero.sum()))
         else:
             raise DegenerateSignalError(f"node {l}: could not draw nonzero entries")
-        x = np.zeros(N)
-        x[support - 1] = values
-        dictionaries.append(A)
-        signals.append(x)
-        measurements.append(A @ x)
+        signals[l - 1, support - 1] = values
+        np.matmul(A, signals[l - 1], out=measurements[l - 1])
 
     return ProblemInstance(config, dictionaries, signals, measurements, support)
 

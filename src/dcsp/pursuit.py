@@ -20,6 +20,11 @@ scattered coefficient magnitudes, residual-energy sums) are accumulated
 sequentially in ascending node order.  With full collaboration every node
 then computes bit-identical aggregates, which is what makes dcsp_run with
 g = L coincide with ssp_run support-for-support.
+
+Node batching: the per-node steps of a round (correlation, projection onto
+candidate columns, residual update) run as one stacked :mod:`dcsp.linalg`
+call over the instance's (L, M, N) dictionary stack; stacked calls are
+bit-identical per slice to the per-node ones.
 """
 
 from dataclasses import dataclass, field
@@ -103,10 +108,34 @@ def _scatter_magnitudes(N, pairs):
 
 
 def _update_residuals(states, instance, support):
-    for state, A, y in zip(states, instance.dictionaries, instance.measurements):
+    """Every node's residual against ``support``, as one (L, M) stack."""
+    residuals = resid(
+        instance.measurements, column_submatrix(instance.dictionaries, support)
+    )
+    for state, r in zip(states, residuals):
         state.support = support
-        state.residual = resid(y, column_submatrix(A, support))
-        state.residual_sq_norm = float(state.residual @ state.residual)
+        state.residual = r
+        state.residual_sq_norm = float(r @ r)
+    return residuals
+
+
+def _project_candidates(instance, candidates):
+    """Each node's least-squares coefficients on its own candidate set.
+
+    Nodes whose candidate sets have the same size share one stacked
+    :func:`lstsq` call, each slice holding its own node's columns.
+    """
+    D, Y = instance.dictionaries, instance.measurements
+    rows = np.arange(D.shape[1])[:, None]
+    sizes = np.array([cand.size for cand in candidates])
+    coeffs = [None] * len(candidates)
+    for size in np.unique(sizes):
+        nodes = np.flatnonzero(sizes == size)
+        cols = np.stack([candidates[l] for l in nodes])[:, None, :] - 1
+        sub = D[nodes[:, None, None], rows, cols]  # (nodes, M, size)
+        for l, c in zip(nodes, lstsq(sub, Y[nodes])):
+            coeffs[l] = c
+    return coeffs
 
 
 def ssp_run(instance: ProblemInstance, topology: Topology = None,
@@ -149,11 +178,11 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
     states = [NodeState(l) for l in range(1, L + 1)]
 
     # initialization: share measurement correlations, pick the K strongest
-    c0 = [correlate(A, y) for A, y in zip(instance.dictionaries, instance.measurements)]
+    c0 = list(correlate(instance.dictionaries, instance.measurements))
     inboxes = broadcast_all(c0, topology, counter, N, "correlation")
     csum = _ordered_sum(_gather(1, inboxes, c0, topology))
     support = max_ind(csum, K)
-    _update_residuals(states, instance, support)
+    residuals = _update_residuals(states, instance, support)
 
     trace = [sum(s.residual_sq_norm for s in states)]
     support_trace = [support]
@@ -163,22 +192,20 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
 
     for t in range(1, max_iters + 1):
         # share residual correlations, merge the K strongest into a candidate
-        c = [correlate(A, s.residual) for A, s in zip(instance.dictionaries, states)]
+        c = list(correlate(instance.dictionaries, residuals))
         inboxes = broadcast_all(c, topology, counter, N, "correlation")
         csum = _ordered_sum(_gather(1, inboxes, c, topology))
         candidate = np.union1d(support, max_ind(csum, K))
 
-        # project every node's data onto the candidate columns
-        d = [
-            lstsq(column_submatrix(A, candidate), y)
-            for A, y in zip(instance.dictionaries, instance.measurements)
-        ]
+        # project every node's data onto the shared candidate columns
+        sub = column_submatrix(instance.dictionaries, candidate)
+        d = list(lstsq(sub, instance.measurements))
         inboxes = broadcast_all(d, topology, counter, 2 * K, "projection")
         gathered = _gather(1, inboxes, d, topology)
         acc = _scatter_magnitudes(N, [(candidate, dj) for dj in gathered])
         new_support = max_ind(acc, K)
 
-        _update_residuals(states, instance, new_support)
+        residuals = _update_residuals(states, instance, new_support)
         norms = [s.residual_sq_norm for s in states]
         broadcast_all(norms, topology, counter, 1, "residual norm")
         new_sum = sum(norms)  # left-to-right, ascending node order
@@ -231,21 +258,20 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
 
     counter = WireCounter()
     states = [NodeState(l) for l in range(1, L + 1)]
-    full = full_topology(L)  # broadcast rounds reach the whole network
 
-    # initialization: neighborhood correlation vote, then network-wide fusion
-    c0 = [correlate(A, y) for A, y in zip(instance.dictionaries, instance.measurements)]
+    # initialization: neighborhood correlation vote, then network-wide fusion;
+    # a broadcast round hands every node all L local supports in node order
+    c0 = list(correlate(instance.dictionaries, instance.measurements))
     inboxes = exchange_neighbors(c0, topology, counter, N, "correlation")
     locals0 = []
     for l in range(1, L + 1):
         csum = _ordered_sum(_gather(l, inboxes, c0, topology))
         locals0.append(max_ind(csum, K))
-    inboxes = broadcast_all(locals0, topology, counter, K, "local support")
-    pooled = np.concatenate(_gather(1, inboxes, locals0, full))
-    support = max_occ(pooled, K)
+    broadcast_all(locals0, topology, counter, K, "local support")
+    support = max_occ(np.concatenate(locals0), K)
     for state, g in zip(states, locals0):
         state.local_support = g
-    _update_residuals(states, instance, support)
+    residuals = _update_residuals(states, instance, support)
 
     trace = [sum(s.residual_sq_norm for s in states)]
     support_trace = [support]
@@ -255,19 +281,13 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
 
     for t in range(1, max_iters + 1):
         # neighborhood correlation exchange and per-node candidate sets
-        c = [correlate(A, s.residual) for A, s in zip(instance.dictionaries, states)]
+        c = list(correlate(instance.dictionaries, residuals))
         inboxes = exchange_neighbors(c, topology, counter, N, "correlation")
-        candidates, coeffs = [], []
+        candidates = []
         for l in range(1, L + 1):
             csum = _ordered_sum(_gather(l, inboxes, c, topology))
-            cand = np.union1d(support, max_ind(csum, K))
-            candidates.append(cand)
-            coeffs.append(
-                lstsq(
-                    column_submatrix(instance.dictionaries[l - 1], cand),
-                    instance.measurements[l - 1],
-                )
-            )
+            candidates.append(np.union1d(support, max_ind(csum, K)))
+        coeffs = _project_candidates(instance, candidates)
 
         # share (candidate set, coefficients) with neighbors; re-rank locally
         packets = list(zip(candidates, coeffs))
@@ -278,13 +298,12 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
             locals_t.append(max_ind(_scatter_magnitudes(N, pairs), K))
 
         # network-wide majority fusion of the local K-sets
-        inboxes = broadcast_all(locals_t, topology, counter, K, "local support")
-        pooled = np.concatenate(_gather(1, inboxes, locals_t, full))
-        new_support = max_occ(pooled, K)
+        broadcast_all(locals_t, topology, counter, K, "local support")
+        new_support = max_occ(np.concatenate(locals_t), K)
         for state, g in zip(states, locals_t):
             state.local_support = g
 
-        _update_residuals(states, instance, new_support)
+        residuals = _update_residuals(states, instance, new_support)
         norms = [s.residual_sq_norm for s in states]
         broadcast_all(norms, topology, counter, 1, "residual norm")
         new_sum = sum(norms)  # left-to-right, ascending node order
@@ -334,8 +353,7 @@ def exhaustive_decoder(instance: ProblemInstance, cap: int = EXHAUSTIVE_CAP):
     for combo in combinations(range(1, N + 1), K):
         s = np.array(combo, dtype=np.int64)
         value = 0.0
-        for A, y in zip(instance.dictionaries, instance.measurements):
-            r = resid(y, column_submatrix(A, s))
+        for r in resid(instance.measurements, column_submatrix(instance.dictionaries, s)):
             value += float(r @ r)
         if value < best_value:
             best_support, best_value = s, value

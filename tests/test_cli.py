@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dcsp
 from dcsp.cli import main, parse_values, read_config_file
 
 
@@ -146,3 +152,26 @@ class TestFigureCommands:
     def test_validation_error_exit_code(self, capsys):
         code = main(["fig1", "--M", "0:0:0", "--trials", "1"])
         assert code == 2
+
+    def test_sweep_below_2k_rejected(self, capsys):
+        code = main([
+            "fig1", "--M", "15", "--N", "50", "--K", "10", "--L", "4", "--trials", "1",
+        ])
+        assert code == 2
+        assert "M=15: need M >= 2K" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    # keeps package import, and with it sweep start-up, free of scipy
+    src = str(Path(dcsp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys, dcsp, dcsp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dcsp import experiments
+from dcsp.errors import RankDeficientError
 from dcsp.experiments import (
     ExperimentConfig,
     TrialResult,
@@ -60,6 +62,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(sweep="M", values=(30,), algorithms=("somp",))
 
+    def test_m_below_2k_rejected(self):
+        with pytest.raises(ValueError, match="M=15: need M >= 2K"):
+            ExperimentConfig(sweep="M", values=(30, 15), N=50, K=10, L=4)
+        with pytest.raises(ValueError, match="L=4: need M >= 2K, got M=15"):
+            ExperimentConfig(sweep="L", values=(4,), N=50, K=10, M=15)
+        ExperimentConfig(sweep="M", values=(20,), N=50, K=10, L=4)  # M = 2K runs
+
     def test_default_grids(self):
         assert default_m_grid()[0] == 22 and default_m_grid()[-1] == 50
         assert default_l_grid() == (5, 10, 15, 20, 25, 30, 35, 40)
@@ -107,6 +116,31 @@ class TestRunSweep:
         rows = run_sweep(small_l_config(values=(2,), trials=2))
         for s in rows[0].stats.values():
             assert s.mean_messages > 0
+
+
+@pytest.mark.parametrize("failing", ["ssp", "dcsp"])
+def test_redraw_is_shared_by_all_algorithms(monkeypatch, failing):
+    # one driver fails on the trial's first draw: both must move to the redraw
+    seeds = {"ssp": [], "dcsp": []}
+
+    def recording(name, driver):
+        def run(instance, *args, **kwargs):
+            seeds[name].append(instance.config.seed)
+            if name == failing and len(seeds[name]) == 1:
+                raise RankDeficientError("forced on the first draw")
+            return driver(instance, *args, **kwargs)
+
+        return run
+
+    for name in ("ssp", "dcsp"):
+        driver = getattr(experiments, f"{name}_run")
+        monkeypatch.setattr(experiments, f"{name}_run", recording(name, driver))
+    config = small_m_config(values=(20,), trials=1)
+    rows = run_sweep(config)
+
+    redrawn = derive_trial_seed(config.seed, 20, 0, attempt=1)
+    assert seeds["ssp"][-1] == seeds["dcsp"][-1] == redrawn
+    assert rows[0].stats["ssp"].aborted == rows[0].stats["dcsp"].aborted == 1
 
 
 class TestFigureWrappers:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcsp.errors import IndexOutOfRangeError, InsufficientDistinctError, RankDeficientError
 from dcsp.linalg import (
@@ -207,3 +207,76 @@ def test_correlate_nonnegative(seed):
     A = rng.standard_normal((5, 7))
     r = rng.standard_normal(5)
     assert np.all(correlate(A, r) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked calls: a leading axis of independent slices
+
+
+def stacked_system_of(seed, n, m, k, N=7):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal((n, m, k)),
+        rng.standard_normal((n, m)),
+        rng.standard_normal((n, m, N)),
+    )
+
+
+@st.composite
+def stacked_system(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(0, m))
+    return stacked_system_of(seed, n, m, k)
+
+
+def _raises_rank(fn, *args):
+    try:
+        return False, fn(*args)
+    except RankDeficientError:
+        return True, None
+
+
+@given(stacked_system())
+@example(stacked_system_of(1, 1, 5, 3))  # a stack of one
+@example(stacked_system_of(2, 4, 5, 0))  # no columns
+@example(stacked_system_of(3, 4, 5, 5))  # square slices, k = M
+@settings(max_examples=150, deadline=None)
+def test_stacked_calls_match_each_slice(system):
+    A, y, D = system
+    per_slice = [_raises_rank(lstsq, A[i], y[i]) for i in range(A.shape[0])]
+    stacked_failed, c = _raises_rank(lstsq, A, y)
+    assert stacked_failed == any(failed for failed, _ in per_slice)
+    if not stacked_failed:
+        r = resid(y, A)
+        assert c.shape == A.shape[::2] and r.shape == y.shape
+        for i, (_, ci) in enumerate(per_slice):
+            assert np.array_equal(c[i], ci)
+            assert np.array_equal(r[i], resid(y[i], A[i]))
+    corr = correlate(D, y)
+    assert corr.shape == (D.shape[0], D.shape[2])
+    for i in range(D.shape[0]):
+        assert np.array_equal(corr[i], correlate(D[i], y[i]))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(2, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_deficient_slice_fails_the_stack(seed, n, m, data):
+    k = data.draw(st.integers(2, m))
+    bad = data.draw(st.integers(0, n - 1))
+    A, y, _ = stacked_system_of(seed, n, m, k)
+    A[bad][:, -1] = 2.0 * A[bad][:, 0]  # repeated direction in one slice only
+    with pytest.raises(RankDeficientError, match=f"slice {bad} "):
+        lstsq(A, y)
+    with pytest.raises(RankDeficientError):
+        resid(y, A)
+
+
+def test_stacked_column_submatrix():
+    D = np.arange(24.0).reshape(2, 3, 4)
+    sub = column_submatrix(D, [2, 4])
+    for i in range(2):
+        assert np.array_equal(sub[i], column_submatrix(D[i], [2, 4]))
+    with pytest.raises(IndexOutOfRangeError):
+        column_submatrix(D, [5])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dcsp.errors import RankDeficientError, TooLargeError
 from dcsp.linalg import column_submatrix, resid
@@ -108,6 +109,34 @@ class TestDcspRun:
         assert np.array_equal(a.support, b.support)
         assert a.residual_trace == b.residual_trace
         assert a.wire.total == b.wire.total
+
+
+@given(
+    K=st.integers(1, 4),
+    extra_m=st.integers(0, 8),
+    extra_n=st.integers(1, 20),
+    L=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(K=1, extra_m=0, extra_n=1, L=2, seed=0)  # M = 2K, K = 1, L = 2
+@example(K=3, extra_m=0, extra_n=10, L=2, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_full_collaboration_bit_identical_to_ssp(K, extra_m, extra_n, L, seed):
+    M = 2 * K + extra_m
+    inst = generate(ProblemConfig(N=M + extra_n, M=M, K=K, L=L, seed=seed))
+    try:
+        a = ssp_run(inst)
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            dcsp_run(inst, ring_topology(L, L))
+        return
+    b = dcsp_run(inst, ring_topology(L, L))
+    assert np.array_equal(a.support, b.support)
+    assert a.iterations == b.iterations
+    assert a.residual_trace == b.residual_trace  # exact float equality
+    assert len(a.support_trace) == len(b.support_trace)
+    for sa, sb in zip(a.support_trace, b.support_trace):
+        assert np.array_equal(sa, sb)
 
 
 class TestStoppingRule:
