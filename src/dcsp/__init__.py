@@ -48,7 +48,6 @@ from .linalg import (
     resid,
 )
 from .network import (
-    Message,
     Topology,
     WireCounter,
     broadcast_all,
@@ -65,7 +64,7 @@ from .problems import (
     load_instance,
     success,
 )
-from .pursuit import NodeState, RunResult, dcsp_run, exhaustive_decoder, ssp_run
+from .pursuit import RunResult, dcsp_run, exhaustive_decoder, ssp_run
 
 __version__ = "0.1.0"
 
@@ -78,8 +77,6 @@ __all__ = [
     "IndexOutOfRangeError",
     "InsufficientDistinctError",
     "InvalidDegreeError",
-    "Message",
-    "NodeState",
     "ProblemConfig",
     "ProblemInstance",
     "RankDeficientError",

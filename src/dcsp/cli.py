@@ -16,6 +16,7 @@ from .errors import DcspError
 from .network import topology_from_listing
 from .experiments import (
     ExperimentConfig,
+    require_2k,
     run_fig1,
     run_fig2,
     run_fig3,
@@ -158,6 +159,7 @@ def _cmd_fig3(args):
 def _cmd_trial(args):
     defaults = dict(N=200, M=50, K=10, L=6, g=None, seed=1, max_iters=None, topology=None)
     merged = _settle(args, defaults)
+    require_2k(merged["M"], merged["K"], "trial")  # before ProblemConfig warns
     config = ProblemConfig(
         N=merged["N"], M=merged["M"], K=merged["K"], L=merged["L"], seed=merged["seed"]
     )

@@ -52,6 +52,15 @@ def derive_trial_seed(base_seed, sweep_value, trial_index, attempt=0):
     return (base_seed ^ h) & _MASK64
 
 
+def require_2k(M, K, where):
+    """Reject M < 2K, naming ``where`` in the message.
+
+    Candidate sets reach 2K columns, which M rows cannot fit.
+    """
+    if M < 2 * K:
+        raise ValueError(f"{where}: need M >= 2K, got M={M} and K={K}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: which variable moves, what stays fixed, how many trials."""
@@ -86,11 +95,7 @@ class ExperimentConfig:
             raise ValueError(f"cannot simulate {sorted(unknown)}")
         for value in self.values:
             _, M, K, _ = self.point_dims(value)
-            if M < 2 * K:
-                # candidate sets reach 2K columns, which M rows cannot fit
-                raise ValueError(
-                    f"{self.sweep}={value}: need M >= 2K, got M={M} and K={K}"
-                )
+            require_2k(M, K, f"{self.sweep}={value}")
 
     def point_dims(self, value):
         """(N, M, K, L) at one sweep point."""
@@ -356,6 +361,7 @@ def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
     """
     if algorithm not in SIMULATED_ALGORITHMS:
         raise ValueError(f"cannot simulate {algorithm!r}")
+    require_2k(config.M, config.K, "trial")
     instance = generate(config)
     if algorithm == "ssp":
         g_used = config.L

@@ -113,14 +113,16 @@ def max_ind(v, K):
     """1-based indices of the ``K`` largest-magnitude entries of ``v``.
 
     Ties are broken in favor of the smaller index, so the result is a
-    deterministic function of the input.
+    deterministic function of the input.  A stack ``v`` of shape (n, N)
+    selects row by row and returns shape (n, K), each row equal to the
+    1-d call on that row.
     """
     v = np.asarray(v, dtype=np.float64)
-    if K > v.size:
-        raise ValueError(f"K={K} exceeds vector length {v.size}")
+    if K > v.shape[-1]:
+        raise ValueError(f"K={K} exceeds vector length {v.shape[-1]}")
     # stable sort on descending magnitude keeps equal entries in index order
-    order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:K].astype(np.int64) + 1)
+    order = np.argsort(-np.abs(v), axis=-1, kind="stable")
+    return np.sort(order[..., :K].astype(np.int64) + 1, axis=-1)
 
 
 def max_occ(m, K):

@@ -8,9 +8,13 @@ the full frame.  This makes the empirical tallies match the closed-form
 cost expressions with strict integer equality.
 
 Node ids are 1-based.  A node's neighborhood ``G_l`` always contains the
-node itself; neighbor exchange delivers to node ``l`` the payload of every
-``j`` in ``G_l`` minus itself, which is exactly what the per-neighborhood
-sums in the pursuit algorithms consume.
+node itself.  A round takes the nodes' payloads stacked along a leading
+node axis and returns every node's view of the round at once, with no
+per-message objects: neighbor exchange gathers each node's ``G_l`` rows in
+ascending order into an (L, g_max, ...) array (shorter neighborhoods are
+padded with zero rows), and a broadcast hands every node the whole stack.
+The charge for a neighbor round comes from the topology's links,
+``sum_l (|G_l| - 1)`` times the frame.
 """
 
 from dataclasses import dataclass, field
@@ -22,37 +26,45 @@ from .errors import InvalidDegreeError
 
 @dataclass
 class Topology:
-    """Node count and per-node neighbor sets over ids {1..L}."""
+    """Node count and per-node neighbor sets over ids {1..L}.
+
+    ``index`` is built with the topology: an (L, g_max) array whose row
+    l-1 lists node l's neighbors as 0-based rows in ascending order,
+    padded with the sentinel row L (which :func:`exchange_neighbors`
+    reads as a zero payload).
+    """
 
     L: int
     neighbors: list  # per node, sorted 1-based array containing the node itself
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.neighbors) != self.L:
             raise ValueError("need one neighbor set per node")
+        self.index = np.full((self.L, max(map(len, self.neighbors), default=0)), self.L)
         for l, g in enumerate(self.neighbors, start=1):
-            g = np.asarray(g, dtype=np.int64)
+            g = np.sort(np.asarray(g, dtype=np.int64))
             if l not in g:
                 raise ValueError(f"node {l} missing from its own neighborhood")
             if g.min() < 1 or g.max() > self.L:
                 raise ValueError("neighbor ids must lie in [1, L]")
             if np.unique(g).size != g.size:
                 raise ValueError("neighbor ids must be distinct")
-            self.neighbors[l - 1] = np.sort(g)
+            self.neighbors[l - 1] = g
+            self.index[l - 1, : g.size] = g - 1
 
     @property
     def neighbor_link_count(self):
         """Total directed neighbor links, sum over nodes of (|G_l| - 1)."""
-        return sum(len(g) - 1 for g in self.neighbors)
+        return int(np.count_nonzero(self.index < self.L)) - self.L
 
     def is_full(self):
-        return all(len(g) == self.L for g in self.neighbors)
+        return self.neighbor_link_count == self.L * (self.L - 1)
 
 
 def full_topology(L: int) -> Topology:
     """Full collaboration: every node neighbors every other."""
-    everyone = np.arange(1, L + 1, dtype=np.int64)
-    return Topology(L, [everyone.copy() for _ in range(L)])
+    return Topology(L, list(np.tile(np.arange(1, L + 1), (L, 1))))
 
 
 def ring_topology(L: int, g: int) -> Topology:
@@ -67,11 +79,8 @@ def ring_topology(L: int, g: int) -> Topology:
         raise InvalidDegreeError(f"need 2 <= g <= L, got g={g}, L={L}")
     if g == L:
         return full_topology(L)
-    neighbors = []
-    for l in range(1, L + 1):
-        others = [(l + i) % L + 1 for i in range(1, g)]
-        neighbors.append(np.sort(np.array([l] + others, dtype=np.int64)))
-    return Topology(L, neighbors)
+    l = np.arange(1, L + 1)[:, None]
+    return Topology(L, list(np.hstack([l, (l + np.arange(1, g)) % L + 1])))
 
 
 def topology_from_listing(text) -> Topology:
@@ -110,56 +119,35 @@ class WireCounter:
         self.rounds.append((label, kind, scalars))
 
 
-@dataclass
-class Message:
-    """One framed transmission; ``declared_length`` scalars on the wire."""
-
-    sender: int
-    recipient: int
-    payload: object
-    declared_length: int
-
-
 def exchange_neighbors(payloads, topology: Topology, counter: WireCounter,
                        declared_length: int, label: str = "neighbor"):
     """Neighborhood exchange: node l receives from every j in G_l \\ {l}.
 
-    ``payloads`` holds one payload per node (index l-1 for node l).  Adds
-    sum over nodes of (|G_l| - 1) * declared_length scalars to ``counter``.
-    Returns per-node inboxes as dicts keyed by sender id.
+    ``payloads`` stacks one payload per node along its first axis (row
+    l-1 for node l).  Adds ``topology.neighbor_link_count *
+    declared_length`` scalars to ``counter`` and returns every node's view
+    as one array of shape (L, g_max, ...): row k of node l's view is the
+    payload of its k-th neighbor in ascending order (its own payload
+    included), and pad rows past |G_l| are zero.
     """
-    if len(payloads) != topology.L:
+    payloads = np.asarray(payloads)
+    if payloads.shape[0] != topology.L:
         raise ValueError("need one payload per node")
-    inboxes = []
-    scalars = 0
-    for l in range(1, topology.L + 1):
-        box = {}
-        for j in topology.neighbors[l - 1]:
-            if j == int(l):
-                continue
-            box[int(j)] = Message(int(j), l, payloads[j - 1], declared_length)
-            scalars += declared_length
-        inboxes.append(box)
-    counter._add("neighbor", label, scalars)
-    return inboxes
+    pad = np.zeros((1,) + payloads.shape[1:], dtype=payloads.dtype)
+    counter._add("neighbor", label, topology.neighbor_link_count * declared_length)
+    return np.concatenate([payloads, pad])[topology.index]
 
 
 def broadcast_all(payloads, topology: Topology, counter: WireCounter,
                   declared_length: int, label: str = "broadcast"):
     """Network-wide exchange: node l receives from every other node.
 
-    Adds (L - 1) * L * declared_length scalars to ``counter``.
+    Adds (L - 1) * L * declared_length scalars to ``counter``.  Every
+    node's view is all L payloads in node order, so the stack is returned
+    as it is.
     """
     if len(payloads) != topology.L:
         raise ValueError("need one payload per node")
     L = topology.L
-    inboxes = []
-    for l in range(1, L + 1):
-        box = {
-            j: Message(j, l, payloads[j - 1], declared_length)
-            for j in range(1, L + 1)
-            if j != l
-        }
-        inboxes.append(box)
     counter._add("broadcast", label, (L - 1) * L * declared_length)
-    return inboxes
+    return payloads

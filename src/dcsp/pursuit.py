@@ -22,9 +22,14 @@ then computes bit-identical aggregates, which is what makes dcsp_run with
 g = L coincide with ssp_run support-for-support.
 
 Node batching: the per-node steps of a round (correlation, projection onto
-candidate columns, residual update) run as one stacked :mod:`dcsp.linalg`
-call over the instance's (L, M, N) dictionary stack; stacked calls are
-bit-identical per slice to the per-node ones.
+candidate columns, residual update, top-K selection) run as one stacked
+:mod:`dcsp.linalg` call over the instance's (L, M, N) dictionary stack;
+stacked calls are bit-identical per slice to the per-node ones.  The
+fabric hands back every node's view of a round as one array, so a
+neighborhood sum is one sequential sum over the view's sender axis.
+Projection coefficients travel as their magnitudes scattered into an
+(L, N) stack; the charge stays at the 2K frame, since a node still
+transmits its candidate set and coefficients.
 """
 
 from dataclasses import dataclass, field
@@ -48,17 +53,6 @@ EXHAUSTIVE_CAP = 10**6
 
 
 @dataclass
-class NodeState:
-    """One node's iterate."""
-
-    node_id: int
-    support: np.ndarray = None  # current global support estimate
-    residual: np.ndarray = None
-    residual_sq_norm: float = 0.0
-    local_support: np.ndarray = None  # per-neighborhood estimate (collaborative runs)
-
-
-@dataclass
 class RunResult:
     """Outcome of one simulated run.
 
@@ -78,64 +72,48 @@ class RunResult:
     hit_max_iters: bool = False
 
 
-def _ordered_sum(rows):
-    # sequential reduction in the (ascending) order the caller assembled
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
+def _ordered_sum(view):
+    """Sum a view over its sender axis (-2), sequentially in sender order.
+
+    Every summand is a non-negative magnitude, so the zero pad rows of a
+    neighbor view and the zeros off a node's candidate set add ``+0.0``
+    exactly; the first addend is always a real row, since every node is in
+    its own neighborhood.
+    """
+    total = view[..., 0, :].copy()
+    for k in range(1, view.shape[-2]):
+        total += view[..., k, :]
     return total
 
 
-def _gather(l, inboxes, payloads, topology):
-    """Node l's view of a round: payloads of G_l in ascending sender order."""
-    rows = []
-    for j in topology.neighbors[l - 1]:
-        rows.append(payloads[l - 1] if j == l else inboxes[l - 1][j].payload)
-    return rows
-
-
-def _scatter_magnitudes(N, pairs):
-    """Accumulate |coefficients| at their ambient positions.
-
-    ``pairs`` is a sequence of (index_set, coefficient_vector) in ascending
-    sender order; coefficients live on their own candidate set and are
-    scattered back to ambient coordinates before summation.
-    """
-    acc = np.zeros(N)
-    for index_set, coeffs in pairs:
-        acc[index_set - 1] += np.abs(coeffs)
-    return acc
-
-
-def _update_residuals(states, instance, support):
-    """Every node's residual against ``support``, as one (L, M) stack."""
+def _residuals(instance, support):
+    """Every node's residual against ``support`` as one (L, M) stack, and
+    the per-node residual energies in node order."""
     residuals = resid(
         instance.measurements, column_submatrix(instance.dictionaries, support)
     )
-    for state, r in zip(states, residuals):
-        state.support = support
-        state.residual = r
-        state.residual_sq_norm = float(r @ r)
-    return residuals
+    return residuals, [float(r @ r) for r in residuals]
 
 
 def _project_candidates(instance, candidates):
-    """Each node's least-squares coefficients on its own candidate set.
+    """Magnitudes of each node's least-squares coefficients on its own
+    candidate set, scattered into an (L, N) stack.
 
-    Nodes whose candidate sets have the same size share one stacked
-    :func:`lstsq` call, each slice holding its own node's columns.
+    ``candidates`` is an (L, N) boolean mask with one candidate set per
+    row.  Nodes whose candidate sets have the same size share one stacked
+    :func:`lstsq` call, each slice holding its own node's columns.  Also
+    returns the candidate sizes.
     """
     D, Y = instance.dictionaries, instance.measurements
     rows = np.arange(D.shape[1])[:, None]
-    sizes = np.array([cand.size for cand in candidates])
-    coeffs = [None] * len(candidates)
+    sizes = np.count_nonzero(candidates, axis=1)
+    magnitudes = np.zeros(candidates.shape)
     for size in np.unique(sizes):
         nodes = np.flatnonzero(sizes == size)
-        cols = np.stack([candidates[l] for l in nodes])[:, None, :] - 1
-        sub = D[nodes[:, None, None], rows, cols]  # (nodes, M, size)
-        for l, c in zip(nodes, lstsq(sub, Y[nodes])):
-            coeffs[l] = c
-    return coeffs
+        cols = np.nonzero(candidates[nodes])[1].reshape(nodes.size, size)
+        sub = D[nodes[:, None, None], rows, cols[:, None, :]]  # (nodes, M, size)
+        magnitudes[nodes[:, None], cols] = np.abs(lstsq(sub, Y[nodes]))
+    return magnitudes, sizes
 
 
 def ssp_run(instance: ProblemInstance, topology: Topology = None,
@@ -175,16 +153,15 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
         raise ValueError("max_iters must be >= 1")
 
     counter = WireCounter()
-    states = [NodeState(l) for l in range(1, L + 1)]
+    D = instance.dictionaries
 
     # initialization: share measurement correlations, pick the K strongest
-    c0 = list(correlate(instance.dictionaries, instance.measurements))
-    inboxes = broadcast_all(c0, topology, counter, N, "correlation")
-    csum = _ordered_sum(_gather(1, inboxes, c0, topology))
-    support = max_ind(csum, K)
-    residuals = _update_residuals(states, instance, support)
+    c0 = broadcast_all(correlate(D, instance.measurements), topology, counter, N,
+                       "correlation")
+    support = max_ind(_ordered_sum(c0), K)
+    residuals, norms = _residuals(instance, support)
 
-    trace = [sum(s.residual_sq_norm for s in states)]
+    trace = [sum(norms)]
     support_trace = [support]
     candidate_sizes = []
     result_support = support
@@ -192,21 +169,17 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
 
     for t in range(1, max_iters + 1):
         # share residual correlations, merge the K strongest into a candidate
-        c = list(correlate(instance.dictionaries, residuals))
-        inboxes = broadcast_all(c, topology, counter, N, "correlation")
-        csum = _ordered_sum(_gather(1, inboxes, c, topology))
-        candidate = np.union1d(support, max_ind(csum, K))
+        c = broadcast_all(correlate(D, residuals), topology, counter, N, "correlation")
+        candidate = np.union1d(support, max_ind(_ordered_sum(c), K))
 
         # project every node's data onto the shared candidate columns
-        sub = column_submatrix(instance.dictionaries, candidate)
-        d = list(lstsq(sub, instance.measurements))
-        inboxes = broadcast_all(d, topology, counter, 2 * K, "projection")
-        gathered = _gather(1, inboxes, d, topology)
-        acc = _scatter_magnitudes(N, [(candidate, dj) for dj in gathered])
+        d = lstsq(column_submatrix(D, candidate), instance.measurements)
+        d = broadcast_all(d, topology, counter, 2 * K, "projection")
+        acc = np.zeros(N)
+        acc[candidate - 1] = _ordered_sum(np.abs(d))
         new_support = max_ind(acc, K)
 
-        residuals = _update_residuals(states, instance, new_support)
-        norms = [s.residual_sq_norm for s in states]
+        residuals, norms = _residuals(instance, new_support)
         broadcast_all(norms, topology, counter, 1, "residual norm")
         new_sum = sum(norms)  # left-to-right, ascending node order
 
@@ -257,23 +230,19 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
         raise ValueError("max_iters must be >= 1")
 
     counter = WireCounter()
-    states = [NodeState(l) for l in range(1, L + 1)]
+    D = instance.dictionaries
+    nodes = np.arange(L)[:, None]
 
     # initialization: neighborhood correlation vote, then network-wide fusion;
     # a broadcast round hands every node all L local supports in node order
-    c0 = list(correlate(instance.dictionaries, instance.measurements))
-    inboxes = exchange_neighbors(c0, topology, counter, N, "correlation")
-    locals0 = []
-    for l in range(1, L + 1):
-        csum = _ordered_sum(_gather(l, inboxes, c0, topology))
-        locals0.append(max_ind(csum, K))
-    broadcast_all(locals0, topology, counter, K, "local support")
-    support = max_occ(np.concatenate(locals0), K)
-    for state, g in zip(states, locals0):
-        state.local_support = g
-    residuals = _update_residuals(states, instance, support)
+    c0 = exchange_neighbors(correlate(D, instance.measurements), topology, counter,
+                            N, "correlation")
+    local = max_ind(_ordered_sum(c0), K)
+    local = broadcast_all(local, topology, counter, K, "local support")
+    support = max_occ(local.ravel(), K)
+    residuals, norms = _residuals(instance, support)
 
-    trace = [sum(s.residual_sq_norm for s in states)]
+    trace = [sum(norms)]
     support_trace = [support]
     candidate_sizes = []
     result_support = support
@@ -281,36 +250,29 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
 
     for t in range(1, max_iters + 1):
         # neighborhood correlation exchange and per-node candidate sets
-        c = list(correlate(instance.dictionaries, residuals))
-        inboxes = exchange_neighbors(c, topology, counter, N, "correlation")
-        candidates = []
-        for l in range(1, L + 1):
-            csum = _ordered_sum(_gather(l, inboxes, c, topology))
-            candidates.append(np.union1d(support, max_ind(csum, K)))
-        coeffs = _project_candidates(instance, candidates)
+        c = exchange_neighbors(correlate(D, residuals), topology, counter, N,
+                               "correlation")
+        candidates = np.zeros((L, N), dtype=bool)
+        candidates[:, support - 1] = True
+        candidates[nodes, max_ind(_ordered_sum(c), K) - 1] = True
+        magnitudes, sizes = _project_candidates(instance, candidates)
 
         # share (candidate set, coefficients) with neighbors; re-rank locally
-        packets = list(zip(candidates, coeffs))
-        inboxes = exchange_neighbors(packets, topology, counter, 2 * K, "projection")
-        locals_t = []
-        for l in range(1, L + 1):
-            pairs = _gather(l, inboxes, packets, topology)
-            locals_t.append(max_ind(_scatter_magnitudes(N, pairs), K))
+        magnitudes = exchange_neighbors(magnitudes, topology, counter, 2 * K,
+                                        "projection")
+        local = max_ind(_ordered_sum(magnitudes), K)
 
         # network-wide majority fusion of the local K-sets
-        broadcast_all(locals_t, topology, counter, K, "local support")
-        new_support = max_occ(np.concatenate(locals_t), K)
-        for state, g in zip(states, locals_t):
-            state.local_support = g
+        local = broadcast_all(local, topology, counter, K, "local support")
+        new_support = max_occ(local.ravel(), K)
 
-        residuals = _update_residuals(states, instance, new_support)
-        norms = [s.residual_sq_norm for s in states]
+        residuals, norms = _residuals(instance, new_support)
         broadcast_all(norms, topology, counter, 1, "residual norm")
         new_sum = sum(norms)  # left-to-right, ascending node order
 
         trace.append(new_sum)
         support_trace.append(new_support)
-        candidate_sizes.append([int(cand.size) for cand in candidates])
+        candidate_sizes.append(sizes.tolist())
 
         if new_sum >= trace[-2]:
             result_support = support

@@ -86,6 +86,13 @@ class TestTrialCommand:
         assert code == 0
         assert "topology=explicit" in out
 
+    def test_m_below_2k_rejected(self, capsys):
+        code = main(["trial", "--N", "50", "--M", "15", "--K", "10", "--L", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "trial: need M >= 2K, got M=15 and K=10" in captured.err
+
     def test_topology_via_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "topo.cfg"
         cfg.write_text("N=40\nM=20\nK=3\nL=4\nseed=5\ntopology=1,2;2,3;3,4;4,1\n")

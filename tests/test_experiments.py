@@ -215,6 +215,16 @@ class TestRunSingleTrial:
         assert "true support:" in text
         assert "t=0:" in text
 
+    def test_rejects_m_below_2k_before_running(self, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(experiments, "generate", no_draw)
+        with pytest.warns(UserWarning):
+            cfg = ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
+        with pytest.raises(ValueError, match="trial: need M >= 2K, got M=15 and K=10"):
+            run_single_trial(cfg, "dcsp", verbose=False)
+
     def test_rejects_unknown_algorithm(self):
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
         with pytest.raises(ValueError):

@@ -80,6 +80,14 @@ class TestMaxInd:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             max_ind([1.0, 2.0], 3)
+        with pytest.raises(ValueError):
+            max_ind(np.ones((2, 2)), 3)
+
+    def test_stacked_ties_and_extremes(self):
+        v = np.array([[1.0, -1.0, 1.0], [0.0, 2.0, -2.0]])
+        assert max_ind(v, 1).tolist() == [[1], [2]]
+        assert max_ind(v, 2).tolist() == [[1, 2], [2, 3]]
+        assert max_ind(v, 3).tolist() == [[1, 2, 3], [1, 2, 3]]
 
 
 class TestMaxOcc:
@@ -188,6 +196,19 @@ def test_max_ind_permutation_invariant(seed, n, data):
     permuted = max_ind(v[perm], k)
     mapped_back = np.sort(perm[permuted - 1] + 1)
     assert np.array_equal(mapped_back, base)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_stacked_max_ind_matches_rows(seed, n, N, data):
+    rng = np.random.default_rng(seed)
+    # few distinct magnitudes with both signs, so exact ties are common
+    v = rng.integers(-3, 4, size=(n, N)).astype(float)
+    K = data.draw(st.integers(1, N))
+    stacked = max_ind(v, K)
+    assert stacked.shape == (n, K)
+    for row, picked in zip(v, stacked):
+        assert np.array_equal(picked, max_ind(row, K))
 
 
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=40), st.integers(1, 5))

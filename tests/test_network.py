@@ -80,33 +80,38 @@ class TestExchangeNeighbors:
     def test_full_mesh_count(self):
         topo = full_topology(3)
         counter = WireCounter()
-        exchange_neighbors([np.zeros(5)] * 3, topo, counter, 5)
+        exchange_neighbors(np.zeros((3, 5)), topo, counter, 5)
         assert counter.total == 2 * 3 * 5 == 30
 
     def test_ring_count_matches_cost_term(self):
         topo = ring_topology(6, 3)
         counter = WireCounter()
-        exchange_neighbors([np.zeros(200)] * 6, topo, counter, 200)
+        exchange_neighbors(np.zeros((6, 200)), topo, counter, 200)
         assert counter.neighbor_scalars == 200 * 6 * 2 == 2400
 
     def test_inbox_holds_own_neighborhood(self):
-        topo = ring_topology(6, 3)
-        payloads = [np.full(2, float(l)) for l in range(1, 7)]
-        counter = WireCounter()
-        inboxes = exchange_neighbors(payloads, topo, counter, 2)
-        for l in range(1, 7):
-            expected = set(topo.neighbors[l - 1].tolist()) - {l}
-            assert set(inboxes[l - 1]) == expected
-            for j, msg in inboxes[l - 1].items():
-                assert msg.sender == j and msg.recipient == l
-                assert np.all(msg.payload == float(j))
+        # row k of node l's view is the payload of its k-th neighbor,
+        # ascending; rows past a short neighborhood are zero
+        for topo in (ring_topology(6, 3), topology_from_listing("2,3; 1; 1,2")):
+            L = topo.L
+            payloads = np.repeat(np.arange(1.0, L + 1)[:, None], 2, axis=1)
+            view = exchange_neighbors(payloads, topo, WireCounter(), 2)
+            assert view.shape == (L, 3, 2)
+            for l in range(1, L + 1):
+                g = topo.neighbors[l - 1]
+                assert np.all(view[l - 1, : g.size] == g[:, None])
+                assert np.all(view[l - 1, g.size :] == 0.0)
 
     def test_conservation(self):
-        topo = ring_topology(7, 4)
-        counter = WireCounter()
-        inboxes = exchange_neighbors([np.zeros(3)] * 7, topo, counter, 3)
-        received = sum(msg.declared_length for box in inboxes for msg in box.values())
-        assert received == counter.total
+        # charge = (view rows that are neither self nor pad) x frame
+        for topo in (ring_topology(7, 4), topology_from_listing("2,3,4; 1; 5; 1,2,3,5; 2")):
+            L = topo.L
+            counter = WireCounter()
+            exchange_neighbors(np.arange(3.0 * L).reshape(L, 3), topo, counter, 3)
+            received = sum(
+                1 for l in range(L) for j in topo.index[l] if j not in (l, L)
+            )
+            assert received * 3 == counter.total
 
 
 class TestBroadcastAll:
@@ -126,19 +131,20 @@ class TestBroadcastAll:
         assert counter.total == 30
 
     def test_everyone_hears_everyone(self):
+        # every node's view is all L payloads in node order; each node is
+        # charged for the L - 1 that are not its own
         counter = WireCounter()
-        inboxes = broadcast_all(list(range(4)), full_topology(4), counter, 1)
-        for l in range(1, 5):
-            assert set(inboxes[l - 1]) == set(range(1, 5)) - {l}
-        received = sum(m.declared_length for box in inboxes for m in box.values())
-        assert received == counter.total
+        payloads = np.arange(4.0)
+        view = broadcast_all(payloads, full_topology(4), counter, 1)
+        assert np.array_equal(view, payloads)
+        assert 4 * (4 - 1) == counter.total
 
 
 def test_counter_breakdown_and_determinism():
     def run():
         topo = ring_topology(5, 3)
         counter = WireCounter()
-        exchange_neighbors([np.zeros(4)] * 5, topo, counter, 4, "correlation")
+        exchange_neighbors(np.zeros((5, 4)), topo, counter, 4, "correlation")
         broadcast_all([np.zeros(2)] * 5, topo, counter, 2, "local support")
         broadcast_all([0.0] * 5, topo, counter, 1, "residual norm")
         return counter

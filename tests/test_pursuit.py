@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dcsp.costs import cost_dcsp_general
 from dcsp.errors import RankDeficientError, TooLargeError
 from dcsp.linalg import column_submatrix, resid
-from dcsp.network import ring_topology
+from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, success
-from dcsp.pursuit import dcsp_run, exhaustive_decoder, ssp_run
+from dcsp.pursuit import _ordered_sum, _residuals, dcsp_run, exhaustive_decoder, ssp_run
 
 
 def tiny_instance(seed, N=12, M=8, K=2, L=3):
@@ -191,12 +192,60 @@ class TestExhaustiveDecoder:
         assert agree > 0
 
 
-def test_node_state_norm_cache_consistency():
-    from dcsp.pursuit import NodeState, _update_residuals
-
+def test_residual_energies_match_norms():
     inst = tiny_instance(9)
-    states = [NodeState(l) for l in range(1, 4)]
-    _update_residuals(states, inst, inst.true_support)
-    for s in states:
-        true_norm = float(np.linalg.norm(s.residual) ** 2)
-        assert abs(s.residual_sq_norm - true_norm) <= 1e-12 * max(true_norm, 1.0)
+    residuals, energies = _residuals(inst, inst.true_support)
+    assert len(energies) == 3
+    for r, energy in zip(residuals, energies):
+        true_norm = float(np.linalg.norm(r) ** 2)
+        assert abs(energy - true_norm) <= 1e-12 * max(true_norm, 1.0)
+
+
+@st.composite
+def irregular_listing(draw):
+    """Neighborhood listing with mixed sizes and asymmetric links."""
+    L = draw(st.integers(2, 10))
+    nodes = st.integers(1, L)
+    groups = [draw(st.sets(nodes, max_size=L)) | {l} for l in range(1, L + 1)]
+    return ";".join(",".join(map(str, sorted(g))) for g in groups), groups
+
+
+@given(
+    listing=irregular_listing(),
+    K=st.integers(1, 3),
+    extra_m=st.integers(0, 6),
+    extra_n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_irregular_topology_wire_matches_closed_form(listing, K, extra_m, extra_n, seed):
+    text, groups = listing
+    topo = topology_from_listing(text)
+    links = sum(len(g) - 1 for g in groups)
+    assert topo.neighbor_link_count == links
+    L, M = len(groups), 2 * K + extra_m
+    N = M + extra_n
+    inst = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
+    try:
+        run = dcsp_run(inst, topo)
+    except RankDeficientError:
+        return
+    T = run.iterations
+    assert run.wire.total == cost_dcsp_general(N, K, L, T, links)
+    assert run.wire.broadcast_scalars == cost_dcsp_general(N, K, L, T, 0)
+
+
+@given(listing=irregular_listing(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_padded_view_sum_equals_per_node_sum(listing, seed):
+    text, groups = listing
+    topo = topology_from_listing(text)
+    payloads = np.abs(np.random.default_rng(seed).standard_normal((len(groups), 7)))
+    view = exchange_neighbors(payloads, topo, WireCounter(), 7)
+    sums = _ordered_sum(view)
+    for l, g in enumerate(groups):
+        members = sorted(g)
+        expected = payloads[members[0] - 1].copy()
+        for j in members[1:]:
+            expected += payloads[j - 1]
+        assert np.array_equal(sums[l], expected)
