@@ -12,9 +12,10 @@ re-run in isolation.  Each trial draws one instance and runs every
 algorithm on it.  If any algorithm hits a rank-deficient projection, the
 trial is redrawn for all algorithms together with the attempt counter
 bumped, so the algorithms of a trial always share one draw and report the
-same count in their ``aborted`` columns.  Workers return per-trial records
-that are merged in trial order, so parallel and serial runs produce
-identical tables.
+same count in their ``aborted`` columns; a trial with no full-rank draw
+in ``_MAX_REDRAWS + 1`` attempts stops the sweep with an error naming it.
+Workers return per-trial records that are merged in trial order, so
+parallel and serial runs produce identical tables.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -145,12 +146,18 @@ def _run_one(config: ExperimentConfig, value, trial, topologies):
     """One trial at one sweep point: every algorithm on the same draw.
 
     Returns {algorithm: (success, iterations, messages, redraws)}.
+
+    Raises
+    ------
+    RankDeficientError
+        If all ``_MAX_REDRAWS + 1`` draws are rank deficient; the message
+        names the sweep point, the trial and the seeds tried.
     """
     N, M, K, L = config.point_dims(value)
-    attempt = 0
-    while True:
-        seed = derive_trial_seed(config.seed, value, trial, attempt)
-        instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
+    seeds = []
+    for attempt in range(_MAX_REDRAWS + 1):
+        seeds.append(derive_trial_seed(config.seed, value, trial, attempt))
+        instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seeds[-1]))
         try:
             results = {
                 algorithm: (ssp_run if algorithm == "ssp" else dcsp_run)(
@@ -158,12 +165,14 @@ def _run_one(config: ExperimentConfig, value, trial, topologies):
                 )
                 for algorithm in config.algorithms
             }
-        except RankDeficientError:
-            attempt += 1
-            if attempt > _MAX_REDRAWS:
-                raise
-            continue
-        break
+            break
+        except RankDeficientError as err:
+            last_error = err
+    else:
+        raise RankDeficientError(
+            f"{config.sweep}={value} trial {trial}: all {len(seeds)} draws were "
+            f"rank deficient (seeds {seeds})"
+        ) from last_error
     return {
         algorithm: (
             bool(success(result.support, instance)),

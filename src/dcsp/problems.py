@@ -70,8 +70,11 @@ class ProblemInstance:
     * ``measurements``: float64 array of shape (L, M).
 
     Per-node sequences (e.g. lists of matrices) are stacked on
-    construction.  Treated as immutable after generation; safe to share
-    across parallel trial workers.
+    construction.  Treated as immutable after generation: ``memo`` caches
+    the per-support residual state that :mod:`dcsp.pursuit` derives from
+    the arrays, so they must not be modified once a driver has run.  Safe
+    to share across parallel trial workers, each process holding its own
+    copy and so its own memo.
     """
 
     config: ProblemConfig
@@ -79,6 +82,7 @@ class ProblemInstance:
     signals: np.ndarray
     measurements: np.ndarray
     true_support: np.ndarray = field(default=None)  # index set, size K
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dictionaries = np.asarray(self.dictionaries, dtype=np.float64)

@@ -25,11 +25,16 @@ def report(number, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def degeneration_runs():
-    """100 full-scale instances run under both full-collaboration drivers."""
+    """100 full-scale instances run under both full-collaboration drivers.
+
+    Each driver runs on its own draw of the instance's config, so the two
+    runs share no cached residual state.
+    """
     pairs = []
     for trial in range(100):
-        inst = generate(ProblemConfig(N=200, M=50, K=10, L=6, seed=BASE_SEED + trial))
-        pairs.append((inst, ssp_run(inst), dcsp_run(inst, ring_topology(6, 6))))
+        config = ProblemConfig(N=200, M=50, K=10, L=6, seed=BASE_SEED + trial)
+        inst = generate(config)
+        pairs.append((inst, ssp_run(inst), dcsp_run(generate(config), ring_topology(6, 6))))
     return pairs
 
 
@@ -216,9 +221,9 @@ def test_criterion_7_property_suites(degeneration_runs, desk_scale_runs):
         [5, 5, 1, 1, 9], 2
     ).tolist() == [1, 5]
     determinism = True
-    inst = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=BASE_SEED))
-    first = dcsp_run(inst, ring_topology(4, 2))
-    second = dcsp_run(inst, ring_topology(4, 2))
+    config = ProblemConfig(N=30, M=16, K=3, L=4, seed=BASE_SEED)
+    first = dcsp_run(generate(config), ring_topology(4, 2))
+    second = dcsp_run(generate(config), ring_topology(4, 2))
     determinism &= np.array_equal(first.support, second.support)
     determinism &= first.residual_trace == second.residual_trace
 

@@ -143,6 +143,38 @@ def test_redraw_is_shared_by_all_algorithms(monkeypatch, failing):
     assert rows[0].stats["ssp"].aborted == rows[0].stats["dcsp"].aborted == 1
 
 
+def test_redraw_exhaustion_names_the_trial(monkeypatch):
+    # every draw fails: the error must say which trial to rerun
+    draws = []
+    errors = []
+    generate = experiments.generate
+
+    def counting_generate(cfg):
+        draws.append(cfg.seed)
+        return generate(cfg)
+
+    def always_deficient(instance, *args, **kwargs):
+        errors.append(RankDeficientError(f"forced on seed {instance.config.seed}"))
+        raise errors[-1]
+
+    monkeypatch.setattr(experiments, "generate", counting_generate)
+    monkeypatch.setattr(experiments, "ssp_run", always_deficient)
+    config = small_m_config(values=(20,), trials=2)
+    with pytest.raises(RankDeficientError) as excinfo:
+        run_sweep(config)
+
+    assert len(draws) == experiments._MAX_REDRAWS + 1
+    tried = [
+        derive_trial_seed(config.seed, 20, 0, attempt)
+        for attempt in range(experiments._MAX_REDRAWS + 1)
+    ]
+    assert draws == tried
+    message = str(excinfo.value)
+    assert message.startswith("M=20 trial 0: ")
+    assert str(tried) in message
+    assert excinfo.value.__cause__ is errors[-1]
+
+
 class TestFigureWrappers:
     def test_fig1_requires_m_sweep(self):
         with pytest.raises(ValueError):

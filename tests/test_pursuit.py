@@ -7,7 +7,7 @@ from dcsp.errors import RankDeficientError, TooLargeError
 from dcsp.linalg import column_submatrix, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, success
-from dcsp.pursuit import _ordered_sum, _residuals, dcsp_run, exhaustive_decoder, ssp_run
+from dcsp.pursuit import _ordered_sum, _residual_state, dcsp_run, exhaustive_decoder, ssp_run
 
 
 def tiny_instance(seed, N=12, M=8, K=2, L=3):
@@ -87,10 +87,10 @@ class TestDcspRun:
                 assert all(K <= s <= 2 * K for s in sizes)
 
     def test_full_collaboration_matches_ssp(self):
+        # separate draws of one config, so no cached state is shared
         for seed in range(25):
-            inst = tiny_instance(seed, N=24, M=14, K=3, L=4)
-            a = ssp_run(inst)
-            b = dcsp_run(inst, ring_topology(4, 4))
+            a = ssp_run(tiny_instance(seed, N=24, M=14, K=3, L=4))
+            b = dcsp_run(tiny_instance(seed, N=24, M=14, K=3, L=4), ring_topology(4, 4))
             assert np.array_equal(a.support, b.support)
             assert a.iterations == b.iterations
             assert len(a.support_trace) == len(b.support_trace)
@@ -103,10 +103,10 @@ class TestDcspRun:
         assert result.support.size == 3
 
     def test_deterministic_repeat(self):
-        inst = tiny_instance(5)
+        # a fresh draw per run, so the second run recomputes everything
         topo = ring_topology(3, 2)
-        a = dcsp_run(inst, topo)
-        b = dcsp_run(inst, topo)
+        a = dcsp_run(tiny_instance(5), topo)
+        b = dcsp_run(tiny_instance(5), topo)
         assert np.array_equal(a.support, b.support)
         assert a.residual_trace == b.residual_trace
         assert a.wire.total == b.wire.total
@@ -124,14 +124,16 @@ class TestDcspRun:
 @settings(max_examples=60, deadline=None)
 def test_full_collaboration_bit_identical_to_ssp(K, extra_m, extra_n, L, seed):
     M = 2 * K + extra_m
-    inst = generate(ProblemConfig(N=M + extra_n, M=M, K=K, L=L, seed=seed))
+    config = ProblemConfig(N=M + extra_n, M=M, K=K, L=L, seed=seed)
+    # each driver gets its own draw of the config, so the two runs share no
+    # cached residual state and the comparison tests the arithmetic
     try:
-        a = ssp_run(inst)
+        a = ssp_run(generate(config))
     except RankDeficientError:
         with pytest.raises(RankDeficientError):
-            dcsp_run(inst, ring_topology(L, L))
+            dcsp_run(generate(config), ring_topology(L, L))
         return
-    b = dcsp_run(inst, ring_topology(L, L))
+    b = dcsp_run(generate(config), ring_topology(L, L))
     assert np.array_equal(a.support, b.support)
     assert a.iterations == b.iterations
     assert a.residual_trace == b.residual_trace  # exact float equality
@@ -194,11 +196,86 @@ class TestExhaustiveDecoder:
 
 def test_residual_energies_match_norms():
     inst = tiny_instance(9)
-    residuals, energies = _residuals(inst, inst.true_support)
-    assert len(energies) == 3
-    for r, energy in zip(residuals, energies):
+    state = _residual_state(inst, inst.true_support)
+    assert len(state.energies) == 3
+    for r, energy in zip(state.residuals, state.energies):
         true_norm = float(np.linalg.norm(r) ** 2)
         assert abs(energy - true_norm) <= 1e-12 * max(true_norm, 1.0)
+
+
+def _run_fields(run):
+    """Every field of a RunResult, as plain comparable values."""
+    return (
+        run.support.tolist(),
+        run.iterations,
+        run.residual_trace,
+        [s.tolist() for s in run.support_trace],
+        [list(map(int, sizes)) for sizes in run.candidate_sizes],
+        run.wire.rounds,
+        run.hit_max_iters,
+    )
+
+
+def _outcome(driver, inst):
+    try:
+        return _run_fields(driver(inst))
+    except RankDeficientError:
+        return "rank deficient"
+
+
+@given(
+    K=st.integers(1, 4),
+    extra_m=st.integers(0, 8),
+    extra_n=st.integers(1, 20),
+    L=st.integers(2, 12),
+    g_offset=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(K=1, extra_m=0, extra_n=1, L=2, g_offset=0, seed=0)  # M = 2K, K = 1, L = 2
+@settings(max_examples=60, deadline=None)
+def test_shared_draw_matches_fresh_draws(K, extra_m, extra_n, L, g_offset, seed):
+    # the per-draw memo must not let one driver's run change another's
+    M = 2 * K + extra_m
+    config = ProblemConfig(N=M + extra_n, M=M, K=K, L=L, seed=seed)
+    g = 2 + g_offset % (L - 1)
+    drivers = (ssp_run, lambda inst: dcsp_run(inst, ring_topology(L, g)))
+    fresh = [_outcome(driver, generate(config)) for driver in drivers]
+    for order in ((0, 1), (1, 0)):
+        shared = generate(config)
+        for i in order:
+            assert _outcome(drivers[i], shared) == fresh[i]
+
+
+def test_cached_state_is_read_only():
+    inst = tiny_instance(4)
+    dcsp_run(inst, ring_topology(3, 2))
+    ssp_run(inst)
+    assert inst.memo
+    for state in inst.memo.values():
+        for array in (state.residuals, state.correlations):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+    empty = _residual_state(inst, np.empty(0, dtype=np.int64))
+    assert np.shares_memory(empty.residuals, inst.measurements)
+    assert np.array_equal(empty.residuals, inst.measurements)
+    inst.measurements[0, 0] = inst.measurements[0, 0]  # the instance stays writeable
+
+
+def test_state_is_computed_once_per_support():
+    inst = tiny_instance(6)
+    first = _residual_state(inst, inst.true_support)
+    assert _residual_state(inst, inst.true_support.copy()) is first
+    assert first.correlations is first.correlations
+
+
+def test_rank_deficient_support_is_not_cached():
+    inst = tiny_instance(8)
+    inst.dictionaries[1][:, 1] = inst.dictionaries[1][:, 0]  # columns 1 and 2 coincide
+    support = np.array([1, 2], dtype=np.int64)
+    for _ in range(2):
+        with pytest.raises(RankDeficientError):
+            _residual_state(inst, support)
+    assert support.tobytes() not in inst.memo
 
 
 @st.composite
