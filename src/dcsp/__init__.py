@@ -1,11 +1,13 @@
 """Decentralized joint sparsity-pattern recovery.
 
 Greedy subspace-pursuit recovery of a support set shared by all nodes of a
-network, under exact per-scalar communication accounting: a fully
-collaborative variant (``ssp_run``), a neighborhood-collaborative variant
-with majority-rule fusion (``dcsp_run``), closed-form cost models for both
-plus the standard comparison baselines, and a Monte Carlo harness that
-sweeps measurement count or network scale.
+network, under exact per-scalar communication accounting.  One pursuit
+loop runs as a fully collaborative variant (``ssp_run``) or as a
+neighborhood-collaborative variant with majority-rule fusion
+(``dcsp_run``).  Closed-form cost models cover both plus the standard
+comparison baselines, and a Monte Carlo harness sweeps measurement count
+(``run_fig1``) or network scale (``run_fig2``, whose table gives both the
+message and the iteration view).
 """
 
 from .costs import (
@@ -34,7 +36,6 @@ from .experiments import (
     derive_trial_seed,
     run_fig1,
     run_fig2,
-    run_fig3,
     run_single_trial,
     run_sweep,
 )
@@ -111,7 +112,6 @@ __all__ = [
     "ring_topology",
     "run_fig1",
     "run_fig2",
-    "run_fig3",
     "run_single_trial",
     "run_sweep",
     "ssp_run",

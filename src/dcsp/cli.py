@@ -1,11 +1,12 @@
 """Command-line entry points for the Monte Carlo harness.
 
-Subcommands: ``fig1`` (success vs measurements), ``fig2`` (messages vs
-network scale), ``fig3`` (iterations vs network scale), ``trial`` (one
-verbose run) and ``cost`` (closed-form message counts).  Values for the
-swept variable accept ``start:stop:step`` or comma lists.  An optional
-``--config`` file holds ``key=value`` lines with the same names as the
-flags; explicit flags win over the file, the file wins over defaults.
+Subcommands: ``fig1`` (success vs measurements), ``fig2`` (messages and
+iterations vs network scale; the iteration view is the table's
+``*_mean_iterations`` columns), ``trial`` (one verbose run) and ``cost``
+(closed-form message counts).  Values for the swept variable accept
+``start:stop:step`` or comma lists.  An optional ``--config`` file holds
+``key=value`` lines with the same names as the flags; explicit flags win
+over the file, the file wins over defaults.
 """
 
 import argparse
@@ -19,7 +20,6 @@ from .experiments import (
     require_2k,
     run_fig1,
     run_fig2,
-    run_fig3,
     run_single_trial,
 )
 from .problems import ProblemConfig
@@ -67,12 +67,8 @@ def _settle(args, defaults, sweep_key=None):
         for key, value in read_config_file(args.config).items():
             if key not in merged:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == sweep_key or key == "algorithms":
-                merged[key] = value
-            elif key in _INT_KEYS:
-                merged[key] = int(value)
-            else:
-                merged[key] = value
+            # the swept key keeps its range text for parse_values below
+            merged[key] = int(value) if key in _INT_KEYS - {sweep_key} else value
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -108,25 +104,11 @@ def _figure_defaults(sweep):
     return dict(common, L=":".join(map(str, (5, 40, 5))), M=50, trials=100)
 
 
-def _run_figure(args, figure):
-    sweep = "M" if figure == "fig1" else "L"
+def _run_figure(args):
+    sweep = "M" if args.command == "fig1" else "L"
     merged = _settle(args, _figure_defaults(sweep), sweep_key=sweep)
-    config = ExperimentConfig(
-        sweep=sweep,
-        values=merged[sweep],
-        N=merged["N"],
-        K=merged["K"],
-        M=merged["M"] if sweep == "L" else 50,
-        L=merged["L"] if sweep == "M" else 6,
-        g=merged["g"],
-        trials=merged["trials"],
-        seed=merged["seed"],
-        algorithms=merged["algorithms"],
-        jobs=merged["jobs"],
-        out=merged["out"],
-    )
-    runner = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3}[figure]
-    rows = runner(config)
+    config = ExperimentConfig(sweep=sweep, values=merged.pop(sweep), **merged)
+    rows = (run_fig1 if sweep == "M" else run_fig2)(config)
     _print_rows(config, rows)
     if config.out:
         print(f"wrote {config.out}.csv and {config.out}.dat")
@@ -142,18 +124,6 @@ def _print_rows(config, rows):
                 f"messages={s.mean_messages:.1f}"
             )
         print("  ".join(parts))
-
-
-def _cmd_fig1(args):
-    return _run_figure(args, "fig1")
-
-
-def _cmd_fig2(args):
-    return _run_figure(args, "fig2")
-
-
-def _cmd_fig3(args):
-    return _run_figure(args, "fig3")
 
 
 def _cmd_trial(args):
@@ -200,17 +170,15 @@ def build_parser():
     p1.add_argument("--M", type=str, help="swept M values, e.g. 22:50:2 or 26,30")
     p1.add_argument("--L", type=int, help="node count")
     _add_common(p1)
-    p1.set_defaults(func=_cmd_fig1)
+    p1.set_defaults(func=_run_figure)
 
-    for name, fn, helptext in (
-        ("fig2", _cmd_fig2, "transmitted messages vs network scale"),
-        ("fig3", _cmd_fig3, "executed iterations vs network scale"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--L", type=str, help="swept L values, e.g. 5:40:5")
-        p.add_argument("--M", type=int, help="measurements per node")
-        _add_common(p)
-        p.set_defaults(func=fn)
+    p2 = sub.add_parser(
+        "fig2", help="transmitted messages and iterations vs network scale"
+    )
+    p2.add_argument("--L", type=str, help="swept L values, e.g. 5:40:5")
+    p2.add_argument("--M", type=int, help="measurements per node")
+    _add_common(p2)
+    p2.set_defaults(func=_run_figure)
 
     pt = sub.add_parser("trial", help="run one seeded trial with a transcript")
     pt.add_argument("--algorithm", choices=("ssp", "dcsp"), default="dcsp")

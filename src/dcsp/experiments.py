@@ -1,10 +1,12 @@
 """Monte Carlo sweeps over measurement count and network scale.
 
-The harness reproduces three standard views of the recovery problem:
-success frequency vs measurements per node (``run_fig1``), transmitted
-messages vs network scale (``run_fig2``) and executed iterations vs
-network scale (``run_fig3``).  Results are emitted as CSV plus a
-gnuplot-style ``.dat`` twin; plotting is left to external tools.
+The harness reproduces the standard views of the recovery problem:
+success frequency vs measurements per node (``run_fig1``, an M sweep) and,
+from one network-scale sweep (``run_fig2``, an L sweep), transmitted
+messages and executed iterations vs network scale: the ``*_mean_messages``
+and ``*_mean_iterations`` columns of the same table.  Results are emitted
+as CSV plus a gnuplot-style ``.dat`` twin; plotting is left to external
+tools.
 
 Reproducibility: the seed of trial ``i`` at sweep value ``v`` is
 ``base_seed XOR splitmix64-chain(v, i, attempt)``, so any point can be
@@ -91,11 +93,19 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not self.algorithms:
+            raise ValueError("need at least one algorithm, got algorithms=()")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"algorithms={self.algorithms} names one twice")
         unknown = set(self.algorithms) - set(SIMULATED_ALGORITHMS)
         if unknown:
             raise ValueError(f"cannot simulate {sorted(unknown)}")
+        if self.g < 2:
+            raise ValueError(f"need g >= 2, got g={self.g}")
         for value in self.values:
-            _, M, K, _ = self.point_dims(value)
+            _, M, K, L = self.point_dims(value)
+            if L < 2:
+                raise ValueError(f"{self.sweep}={value}: need L >= 2, got L={L}")
             require_2k(M, K, f"{self.sweep}={value}")
 
     def point_dims(self, value):
@@ -245,22 +255,13 @@ def run_fig1(config: ExperimentConfig):
 
 
 def run_fig2(config: ExperimentConfig):
-    """Mean transmitted messages vs network scale (L sweep)."""
+    """Mean transmitted messages and executed iterations vs network scale
+    (L sweep)."""
     if config.sweep != "L":
         raise ValueError("fig2 sweeps L")
     rows = run_sweep(config)
     if config.out:
         write_tables(rows, config, "fig2")
-    return rows
-
-
-def run_fig3(config: ExperimentConfig):
-    """Mean executed iterations vs network scale (L sweep)."""
-    if config.sweep != "L":
-        raise ValueError("fig3 sweeps L")
-    rows = run_sweep(config)
-    if config.out:
-        write_tables(rows, config, "fig3")
     return rows
 
 
@@ -323,21 +324,15 @@ def write_tables(rows, config: ExperimentConfig, figure):
     """Write ``<out>.csv`` and a gnuplot-style ``<out>.dat``."""
     cols = _columns(config, rows)
     header = _header_lines(config, figure)
-    csv_path = f"{config.out}.csv"
-    with open(csv_path, "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_cells(config, row)) + "\n")
-    dat_path = f"{config.out}.dat"
-    with open(dat_path, "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write("# " + " ".join(cols) + "\n")
-        for row in rows:
-            fh.write(" ".join(_cells(config, row)) + "\n")
-    return csv_path, dat_path
+    paths = []
+    # the .dat twin separates with spaces and comments out the column names
+    for suffix, sep, mark in ((".csv", ",", ""), (".dat", " ", "# ")):
+        paths.append(f"{config.out}{suffix}")
+        with open(paths[-1], "w") as fh:
+            fh.writelines(f"# {line}\n" for line in header)
+            fh.write(mark + sep.join(cols) + "\n")
+            fh.writelines(sep.join(_cells(config, row)) + "\n" for row in rows)
+    return tuple(paths)
 
 
 # ---------------------------------------------------------------------------

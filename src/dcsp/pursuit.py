@@ -1,6 +1,7 @@
 """Decentralized subspace-pursuit style support recovery.
 
-Two full-network drivers are provided:
+One pursuit loop, ``_pursue``, runs both algorithms through two public
+entry points:
 
 * :func:`ssp_run` — simultaneous subspace pursuit over a fully connected
   network: every node shares correlation vectors, projection coefficients
@@ -10,16 +11,26 @@ Two full-network drivers are provided:
   estimates and scalar residual energies travel network-wide, fused by
   majority rule.
 
-Both stop as soon as the network-wide residual energy fails to decrease,
-reverting to the previous support.  All inter-node traffic is routed
-through :mod:`dcsp.network`, so the attached wire counter reproduces the
-closed-form message counts exactly.
+The loop's private ``fuse`` flag is the whole difference.  Without it
+(ssp) the N-length correlation and 2K-framed projection rounds are
+broadcasts, so each round sums to one network-wide (N,) vector and ranks
+one shared K-set, which is the next support.  With it (dcsp) those rounds
+are neighbor exchanges, each node ranks its own K-set from an (L, N)
+stack of neighborhood sums, and every ranked stack of K-sets goes through
+a local-support broadcast and majority fusion (``max_occ``).  Either way
+the candidate sets form an (L, N) mask and are projected by size group;
+ssp's shared candidate is a single group.  Both stop as soon as the
+network-wide residual energy fails to decrease, reverting to the previous
+support.  All inter-node traffic is routed through :mod:`dcsp.network`,
+so the attached wire counter reproduces the closed-form message counts
+exactly.
 
 Floating-point determinism: all cross-node reductions (correlation sums,
 scattered coefficient magnitudes, residual-energy sums) are accumulated
 sequentially in ascending node order.  With full collaboration every node
 then computes bit-identical aggregates, which is what makes dcsp_run with
-g = L coincide with ssp_run support-for-support.
+g = L coincide with ssp_run support-for-support: majority fusion of L
+equal K-sets returns that K-set.
 
 Node batching: the per-node steps of a round (correlation, projection onto
 candidate columns, residual update, top-K selection) run as one stacked
@@ -151,16 +162,90 @@ def _project_candidates(instance, candidates):
     :func:`lstsq` call, each slice holding its own node's columns.  Also
     returns the candidate sizes.
     """
-    D, Y = instance.dictionaries, instance.measurements
-    rows = np.arange(D.shape[1])[:, None]
+    # gathering whole columns from the (L, N, M) view takes one index pair
+    # per column rather than one index triple per entry
+    columns = instance.dictionaries.transpose(0, 2, 1)
+    Y = instance.measurements
     sizes = np.count_nonzero(candidates, axis=1)
     magnitudes = np.zeros(candidates.shape)
     for size in np.unique(sizes):
         nodes = np.flatnonzero(sizes == size)
         cols = np.nonzero(candidates[nodes])[1].reshape(nodes.size, size)
-        sub = D[nodes[:, None, None], rows, cols[:, None, :]]  # (nodes, M, size)
+        sub = columns[nodes[:, None], cols].transpose(0, 2, 1)  # (nodes, M, size)
         magnitudes[nodes[:, None], cols] = np.abs(lstsq(sub, Y[nodes]))
     return magnitudes, sizes
+
+
+def _pursue(instance, topology, max_iters, fuse):
+    """The pursuit loop behind :func:`ssp_run` (``fuse=False``) and
+    :func:`dcsp_run` (``fuse=True``); see the module docstring."""
+    cfg = instance.config
+    N, K, L = cfg.N, cfg.K, cfg.L
+    if topology.L != L:
+        raise ValueError("topology size does not match instance")
+    if max_iters is None:
+        max_iters = 3 * K
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+
+    counter = WireCounter()
+    share = exchange_neighbors if fuse else broadcast_all
+    nodes = np.arange(L)[:, None]
+
+    def settle(ranked):
+        # fusion: a broadcast round hands every node all L local K-sets in
+        # node order, and the network keeps the K most frequent indices
+        if not fuse:
+            return ranked
+        local = broadcast_all(ranked, topology, counter, K, "local support")
+        return max_occ(local.ravel(), K)
+
+    # initialization: share measurement correlations, pick the K strongest
+    c0 = share(_residual_state(instance, _NO_SUPPORT).correlations,
+               topology, counter, N, "correlation")
+    support = settle(max_ind(_ordered_sum(c0), K))
+    state = _residual_state(instance, support)
+
+    trace = [sum(state.energies)]
+    support_trace = [support]
+    candidate_sizes = []
+    hit_cap = False
+
+    for _ in range(max_iters):
+        # share residual correlations, merge the K strongest into candidates
+        c = share(state.correlations, topology, counter, N, "correlation")
+        candidates = np.zeros((L, N), dtype=bool)
+        candidates[:, support - 1] = True
+        candidates[nodes, max_ind(_ordered_sum(c), K) - 1] = True
+        magnitudes, sizes = _project_candidates(instance, candidates)
+
+        # share (candidate set, coefficients) and re-rank
+        magnitudes = share(magnitudes, topology, counter, 2 * K, "projection")
+        new_support = settle(max_ind(_ordered_sum(magnitudes), K))
+
+        new_state = _residual_state(instance, new_support)
+        broadcast_all(new_state.energies, topology, counter, 1, "residual norm")
+        new_sum = sum(new_state.energies)  # left-to-right, ascending node order
+
+        trace.append(new_sum)
+        support_trace.append(new_support)
+        candidate_sizes.append(sizes.tolist())
+
+        if new_sum >= trace[-2]:
+            break  # no improvement: keep the previous support and stop
+        support, state = new_support, new_state
+    else:
+        hit_cap = True
+
+    return RunResult(
+        support=support,
+        iterations=len(trace) - 1,
+        wire=counter,
+        residual_trace=trace,
+        support_trace=support_trace,
+        candidate_sizes=candidate_sizes,
+        hit_max_iters=hit_cap,
+    )
 
 
 def ssp_run(instance: ProblemInstance, topology: Topology = None,
@@ -186,72 +271,11 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
         ``hit_max_iters`` is set when the cap fired before the residual
         stopping rule.
     """
-    cfg = instance.config
-    N, K, L = cfg.N, cfg.K, cfg.L
     if topology is None:
-        topology = full_topology(L)
-    if topology.L != L:
-        raise ValueError("topology size does not match instance")
+        topology = full_topology(instance.config.L)
     if not topology.is_full():
         raise ValueError("ssp_run requires full collaboration")
-    if max_iters is None:
-        max_iters = 3 * K
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-
-    counter = WireCounter()
-    D = instance.dictionaries
-
-    # initialization: share measurement correlations, pick the K strongest
-    c0 = broadcast_all(_residual_state(instance, _NO_SUPPORT).correlations,
-                       topology, counter, N, "correlation")
-    support = max_ind(_ordered_sum(c0), K)
-    state = _residual_state(instance, support)
-
-    trace = [sum(state.energies)]
-    support_trace = [support]
-    candidate_sizes = []
-    result_support = support
-    hit_cap = False
-
-    for t in range(1, max_iters + 1):
-        # share residual correlations, merge the K strongest into a candidate
-        c = broadcast_all(state.correlations, topology, counter, N, "correlation")
-        candidate = np.union1d(support, max_ind(_ordered_sum(c), K))
-
-        # project every node's data onto the shared candidate columns
-        d = lstsq(column_submatrix(D, candidate), instance.measurements)
-        d = broadcast_all(d, topology, counter, 2 * K, "projection")
-        acc = np.zeros(N)
-        acc[candidate - 1] = _ordered_sum(np.abs(d))
-        new_support = max_ind(acc, K)
-
-        new_state = _residual_state(instance, new_support)
-        broadcast_all(new_state.energies, topology, counter, 1, "residual norm")
-        new_sum = sum(new_state.energies)  # left-to-right, ascending node order
-
-        trace.append(new_sum)
-        support_trace.append(new_support)
-        candidate_sizes.append([int(candidate.size)] * L)  # candidate is shared
-
-        if new_sum >= trace[-2]:
-            # no improvement: revert and stop
-            result_support = support
-            break
-        support, state = new_support, new_state
-        result_support = new_support
-    else:
-        hit_cap = True
-
-    return RunResult(
-        support=result_support,
-        iterations=len(trace) - 1,
-        wire=counter,
-        residual_trace=trace,
-        support_trace=support_trace,
-        candidate_sizes=candidate_sizes,
-        hit_max_iters=hit_cap,
-    )
+    return _pursue(instance, topology, max_iters, fuse=False)
 
 
 def dcsp_run(instance: ProblemInstance, topology: Topology,
@@ -267,76 +291,7 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
 
     Parameters and result semantics match :func:`ssp_run`.
     """
-    cfg = instance.config
-    N, K, L = cfg.N, cfg.K, cfg.L
-    if topology.L != L:
-        raise ValueError("topology size does not match instance")
-    if max_iters is None:
-        max_iters = 3 * K
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-
-    counter = WireCounter()
-    nodes = np.arange(L)[:, None]
-
-    # initialization: neighborhood correlation vote, then network-wide fusion;
-    # a broadcast round hands every node all L local supports in node order
-    c0 = exchange_neighbors(_residual_state(instance, _NO_SUPPORT).correlations,
-                            topology, counter, N, "correlation")
-    local = max_ind(_ordered_sum(c0), K)
-    local = broadcast_all(local, topology, counter, K, "local support")
-    support = max_occ(local.ravel(), K)
-    state = _residual_state(instance, support)
-
-    trace = [sum(state.energies)]
-    support_trace = [support]
-    candidate_sizes = []
-    result_support = support
-    hit_cap = False
-
-    for t in range(1, max_iters + 1):
-        # neighborhood correlation exchange and per-node candidate sets
-        c = exchange_neighbors(state.correlations, topology, counter, N,
-                               "correlation")
-        candidates = np.zeros((L, N), dtype=bool)
-        candidates[:, support - 1] = True
-        candidates[nodes, max_ind(_ordered_sum(c), K) - 1] = True
-        magnitudes, sizes = _project_candidates(instance, candidates)
-
-        # share (candidate set, coefficients) with neighbors; re-rank locally
-        magnitudes = exchange_neighbors(magnitudes, topology, counter, 2 * K,
-                                        "projection")
-        local = max_ind(_ordered_sum(magnitudes), K)
-
-        # network-wide majority fusion of the local K-sets
-        local = broadcast_all(local, topology, counter, K, "local support")
-        new_support = max_occ(local.ravel(), K)
-
-        new_state = _residual_state(instance, new_support)
-        broadcast_all(new_state.energies, topology, counter, 1, "residual norm")
-        new_sum = sum(new_state.energies)  # left-to-right, ascending node order
-
-        trace.append(new_sum)
-        support_trace.append(new_support)
-        candidate_sizes.append(sizes.tolist())
-
-        if new_sum >= trace[-2]:
-            result_support = support
-            break
-        support, state = new_support, new_state
-        result_support = new_support
-    else:
-        hit_cap = True
-
-    return RunResult(
-        support=result_support,
-        iterations=len(trace) - 1,
-        wire=counter,
-        residual_trace=trace,
-        support_trace=support_trace,
-        candidate_sizes=candidate_sizes,
-        hit_max_iters=hit_cap,
-    )
+    return _pursue(instance, topology, max_iters, fuse=True)
 
 
 def exhaustive_decoder(instance: ProblemInstance, cap: int = EXHAUSTIVE_CAP):

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import dcsp
-from dcsp.cli import main, parse_values, read_config_file
+from dcsp.cli import build_parser, main, parse_values, read_config_file
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestParseValues:
@@ -123,14 +125,6 @@ class TestFigureCommands:
         text = (tmp_path / "f2.csv").read_text()
         assert "somp_analytic_messages" in text
 
-    def test_fig3_tiny(self, capsys):
-        code = main([
-            "fig3", "--L", "3", "--N", "40", "--K", "3", "--M", "20",
-            "--trials", "2", "--seed", "3",
-        ])
-        assert code == 0
-        assert "iters=" in capsys.readouterr().out
-
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("N=40\nK=3\nL=4\ntrials=5\nseed=2\nM=16\n")
@@ -166,6 +160,38 @@ class TestFigureCommands:
         ])
         assert code == 2
         assert "M=15: need M >= 2K" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--g", "1"], "need g >= 2, got g=1"),
+        (["--L", "1,5"], "L=1: need L >= 2, got L=1"),
+        (["--algorithms", "ssp,ssp"], "algorithms=('ssp', 'ssp') names one twice"),
+        (["--algorithms", ""], "got algorithms=()"),
+    ])
+    def test_bad_sweep_rejected(self, capsys, flags, message):
+        code = main(["fig2", "--L", "5", "--N", "40", "--K", "3", "--M", "20",
+                     "--trials", "1"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_readme_commands_parse():
+    # every `dcsp ...` line in the README's fenced blocks must be accepted
+    lines, fenced = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("dcsp "):
+            lines.append(line)
+    parser = build_parser()
+    commands = set()
+    for line in lines:
+        try:
+            commands.add(parser.parse_args(line.split()[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    assert commands == {"fig1", "fig2", "trial", "cost"}
 
 
 def test_import_does_not_load_scipy():

@@ -103,3 +103,26 @@ class TestWireExactness:
         T = result.iterations
         assert result.wire.neighbor_scalars == (30 + T * (30 + 6)) * 5 * 2
         assert result.wire.broadcast_scalars == (3 + T * 4) * 4 * 5
+
+    def test_ssp_round_order_and_classes(self):
+        for seed in range(5):
+            inst = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=seed))
+            result = ssp_run(inst)
+            assert result.wire.neighbor_scalars == 0
+            assert {kind for _, kind, _ in result.wire.rounds} == {"broadcast"}
+            labels = [label for label, _, _ in result.wire.rounds]
+            assert labels == ["correlation"] + [
+                "correlation", "projection", "residual norm"
+            ] * result.iterations
+
+    def test_dcsp_round_order_and_classes(self):
+        for seed in range(5):
+            inst = generate(ProblemConfig(N=30, M=16, K=3, L=5, seed=seed))
+            result = dcsp_run(inst, ring_topology(5, 3))
+            labels = [label for label, _, _ in result.wire.rounds]
+            assert labels == ["correlation", "local support"] + [
+                "correlation", "projection", "local support", "residual norm"
+            ] * result.iterations
+            for label, kind, _ in result.wire.rounds:
+                expected = "neighbor" if label in ("correlation", "projection") else "broadcast"
+                assert kind == expected

@@ -11,7 +11,6 @@ from dcsp.experiments import (
     derive_trial_seed,
     run_fig1,
     run_fig2,
-    run_fig3,
     run_single_trial,
     run_sweep,
 )
@@ -68,6 +67,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="L=4: need M >= 2K, got M=15"):
             ExperimentConfig(sweep="L", values=(4,), N=50, K=10, M=15)
         ExperimentConfig(sweep="M", values=(20,), N=50, K=10, L=4)  # M = 2K runs
+
+    def test_g_below_2_rejected(self):
+        with pytest.raises(ValueError, match="need g >= 2, got g=1"):
+            ExperimentConfig(sweep="L", values=(5,), g=1)
+        ExperimentConfig(sweep="L", values=(5,), g=2)
+
+    def test_l_below_2_rejected(self):
+        with pytest.raises(ValueError, match="L=1: need L >= 2, got L=1"):
+            ExperimentConfig(sweep="L", values=(5, 1))
+        with pytest.raises(ValueError, match="M=30: need L >= 2, got L=1"):
+            ExperimentConfig(sweep="M", values=(30,), L=1)
+        ExperimentConfig(sweep="L", values=(2,))
+
+    def test_empty_algorithms_rejected(self):
+        with pytest.raises(ValueError, match=r"got algorithms=\(\)"):
+            ExperimentConfig(sweep="M", values=(30,), algorithms=())
+
+    def test_repeated_algorithm_rejected(self):
+        with pytest.raises(ValueError, match=r"algorithms=\('ssp', 'ssp'\) names one twice"):
+            ExperimentConfig(sweep="M", values=(30,), algorithms=("ssp", "ssp"))
+        ExperimentConfig(sweep="M", values=(30,), algorithms=("dcsp", "ssp"))
 
     def test_default_grids(self):
         assert default_m_grid()[0] == 22 and default_m_grid()[-1] == 50
@@ -180,11 +200,9 @@ class TestFigureWrappers:
         with pytest.raises(ValueError):
             run_fig1(small_l_config())
 
-    def test_fig2_and_fig3_require_l_sweep(self):
+    def test_fig2_requires_l_sweep(self):
         with pytest.raises(ValueError):
             run_fig2(small_m_config())
-        with pytest.raises(ValueError):
-            run_fig3(small_m_config())
 
     def test_fig2_emits_reference_columns(self, tmp_path):
         out = tmp_path / "fig2"
@@ -208,13 +226,6 @@ class TestFigureWrappers:
         first = dict(zip(header, data[1].split(",")))
         assert float(first["ssp_success"]) == rows[0].stats["ssp"].success_rate
         assert first["M"] == "16"
-
-    def test_fig3_same_aggregates_as_fig2(self):
-        cfg = small_l_config()
-        a = run_fig2(cfg)
-        b = run_fig3(cfg)
-        for ra, rb in zip(a, b):
-            assert ra.stats == rb.stats
 
 
 class TestRunSingleTrial:
