@@ -18,9 +18,15 @@ same count in their ``aborted`` columns; a trial with no full-rank draw
 in ``_MAX_REDRAWS + 1`` attempts stops the sweep with an error naming it.
 Workers return per-trial records that are merged in trial order, so
 parallel and serial runs produce identical tables.
+
+``ProcessPoolExecutor`` is a lazily loaded module attribute: importing this
+module, and any ``jobs=1`` sweep, never loads ``concurrent.futures`` or
+``multiprocessing``.  ``run_sweep`` reads the class through the module, so
+a class assigned to ``dcsp.experiments.ProcessPoolExecutor`` is the one it
+starts.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +44,15 @@ SIMULATED_ALGORITHMS = ("ssp", "dcsp")
 # analytic iteration count assumed for the reference curve of the
 # non-simulated neighborhood-OMP baseline: one selected index per iteration
 DCOMP_REFERENCE_T_FACTOR = 1  # T_dcomp = K * factor
+
+
+def __getattr__(name):
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _splitmix64(z):
@@ -102,6 +117,12 @@ class ExperimentConfig:
             raise ValueError(f"cannot simulate {sorted(unknown)}")
         if self.g < 2:
             raise ValueError(f"need g >= 2, got g={self.g}")
+        if self.K < 1:
+            raise ValueError(f"need K >= 1, got K={self.K}")
+        if self.K > self.N:
+            raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ValueError(f"need max_iters >= 1, got max_iters={self.max_iters}")
         for value in self.values:
             _, M, K, L = self.point_dims(value)
             if L < 2:
@@ -211,7 +232,8 @@ def run_sweep(config: ExperimentConfig):
         topologies = _topologies(config, v)
         tasks += [(config, v, t, topologies) for t in range(config.trials)]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
+        with pool_class(max_workers=config.jobs) as pool:
             records = list(pool.map(_task, tasks, chunksize=8))
     else:
         records = [_task(t) for t in tasks]

@@ -128,6 +128,7 @@ def max_ind(v, K):
 def max_occ(m, K):
     """The ``K`` values of multiset ``m`` with the highest multiplicity.
 
+    ``m`` is a flat multiset of nonnegative integers (1-based indices).
     Ties are broken in favor of the smaller value.
 
     Raises
@@ -135,13 +136,13 @@ def max_occ(m, K):
     InsufficientDistinctError
         If ``m`` holds fewer than ``K`` distinct values.
     """
-    m = np.asarray(m, dtype=np.int64)
-    values, counts = np.unique(m, return_counts=True)  # values ascend
+    counts = np.bincount(np.asarray(m, dtype=np.int64))
+    values = np.flatnonzero(counts)  # values ascend
     if values.size < K:
         raise InsufficientDistinctError(
             f"need {K} distinct values, multiset has {values.size}"
         )
-    order = np.argsort(-counts, kind="stable")
+    order = np.argsort(-counts[values], kind="stable")
     return np.sort(values[order[:K]])
 
 

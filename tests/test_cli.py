@@ -166,6 +166,8 @@ class TestFigureCommands:
         (["--L", "1,5"], "L=1: need L >= 2, got L=1"),
         (["--algorithms", "ssp,ssp"], "algorithms=('ssp', 'ssp') names one twice"),
         (["--algorithms", ""], "got algorithms=()"),
+        (["--K", "0"], "need K >= 1, got K=0"),
+        (["--N", "8", "--K", "10"], "need K <= N, got K=10 and N=8"),
     ])
     def test_bad_sweep_rejected(self, capsys, flags, message):
         code = main(["fig2", "--L", "5", "--N", "40", "--K", "3", "--M", "20",
@@ -195,14 +197,16 @@ def test_readme_commands_parse():
 
 
 def test_import_does_not_load_scipy():
-    # keeps package import, and with it sweep start-up, free of scipy
+    # keeps package import, and with it sweep start-up, free of scipy and
+    # of the process pool, which only a jobs > 1 sweep loads
     src = str(Path(dcsp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     code = (
         "import sys, dcsp, dcsp.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m in ('concurrent.futures', 'multiprocessing')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

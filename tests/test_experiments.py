@@ -1,5 +1,8 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcsp import experiments
 from dcsp.errors import RankDeficientError
@@ -89,6 +92,21 @@ class TestConfigValidation:
             ExperimentConfig(sweep="M", values=(30,), algorithms=("ssp", "ssp"))
         ExperimentConfig(sweep="M", values=(30,), algorithms=("dcsp", "ssp"))
 
+    def test_k_below_1_rejected(self):
+        with pytest.raises(ValueError, match="need K >= 1, got K=0"):
+            ExperimentConfig(sweep="M", values=(30,), K=0)
+        ExperimentConfig(sweep="M", values=(30,), K=1)
+
+    def test_k_above_n_rejected(self):
+        with pytest.raises(ValueError, match="need K <= N, got K=10 and N=8"):
+            ExperimentConfig(sweep="L", values=(5,), N=8, K=10, M=20)
+        ExperimentConfig(sweep="L", values=(5,), N=10, K=10, M=20)  # K = N runs
+
+    def test_max_iters_below_1_rejected(self):
+        with pytest.raises(ValueError, match="need max_iters >= 1, got max_iters=0"):
+            ExperimentConfig(sweep="M", values=(30,), max_iters=0)
+        ExperimentConfig(sweep="M", values=(30,), max_iters=1)
+
     def test_default_grids(self):
         assert default_m_grid()[0] == 22 and default_m_grid()[-1] == 50
         assert default_l_grid() == (5, 10, 15, 20, 25, 30, 35, 40)
@@ -113,12 +131,44 @@ class TestRunSweep:
         for ra, rb in zip(a, b):
             assert ra.stats == rb.stats
 
-    def test_parallel_matches_serial(self):
-        serial = run_sweep(small_l_config())
-        parallel = run_sweep(small_l_config(jobs=2))
+    # each example starts a process pool, so keep them few
+    @given(
+        st.sampled_from("LM"),
+        st.lists(st.integers(2, 6), min_size=1, max_size=3, unique=True),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_parallel_matches_serial(self, sweep, values, trials, seed):
+        # L sweeps take the values as node counts, M sweeps as M - 2K
+        config = small_l_config if sweep == "L" else small_m_config
+        kw = dict(values=values if sweep == "L" else [6 + v for v in values],
+                  trials=trials, seed=seed)
+        serial = run_sweep(config(**kw))
+        parallel = run_sweep(config(jobs=2, **kw))
+        assert len(serial) == len(parallel) == len(values)
         for rs, rp in zip(serial, parallel):
+            assert rs.value == rp.value and rs.trials == rp.trials
             assert rs.stats == rp.stats
             assert rs.references == rp.references
+
+    def test_pool_class_is_a_module_attribute(self):
+        assert experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+
+    def test_parallel_sweep_starts_the_patched_pool(self, monkeypatch):
+        # hooks that swap the module's pool class must see every jobs > 1 sweep
+        started = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        run_sweep(small_l_config(trials=2, jobs=2))
+        assert started == [{"max_workers": 2}]
+        run_sweep(small_l_config(trials=1))
+        assert len(started) == 1  # a jobs=1 sweep starts no pool
 
     def test_wire_exactness_carries_into_means(self):
         # analytic column averages the closed form at each trial's own

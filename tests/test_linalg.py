@@ -221,6 +221,28 @@ def test_selection_operators_deterministic(values, k):
         assert np.array_equal(max_occ(values, k), max_occ(list(values), k))
 
 
+def unique_max_occ(m, K):
+    # reference: the np.unique formulation, ranked by count, ties to the smaller value
+    values, counts = np.unique(np.asarray(m, dtype=np.int64), return_counts=True)
+    if values.size < K:
+        raise InsufficientDistinctError(f"only {values.size} distinct")
+    return np.sort(values[np.argsort(-counts, kind="stable")[:K]])
+
+
+# few distinct values over many draws, so count ties are frequent
+@given(st.lists(st.integers(1, 200), min_size=1, max_size=9, unique=True), st.data())
+@settings(max_examples=200, deadline=None)
+def test_max_occ_matches_unique_formulation(pool, data):
+    m = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    distinct = len(set(m))
+    K = data.draw(st.one_of(st.just(distinct), st.integers(1, distinct + 2)))
+    if K > distinct:
+        with pytest.raises(InsufficientDistinctError):
+            max_occ(m, K)
+    else:
+        assert np.array_equal(max_occ(m, K), unique_max_occ(m, K))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_correlate_nonnegative(seed):
