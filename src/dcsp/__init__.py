@@ -20,7 +20,6 @@ from .costs import (
 )
 from .errors import (
     DcspError,
-    DegenerateSignalError,
     IndexOutOfRangeError,
     InsufficientDistinctError,
     InvalidDegreeError,
@@ -73,7 +72,6 @@ __all__ = [
     "ALGORITHMS",
     "CostParams",
     "DcspError",
-    "DegenerateSignalError",
     "ExperimentConfig",
     "IndexOutOfRangeError",
     "InsufficientDistinctError",

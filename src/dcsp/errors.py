@@ -25,9 +25,5 @@ class InvalidDegreeError(DcspError, ValueError):
     """Neighborhood size g outside the valid range 2..L."""
 
 
-class DegenerateSignalError(DcspError):
-    """Could not draw nonzero signal entries within the retry budget."""
-
-
 class TooLargeError(DcspError):
     """Exhaustive enumeration would exceed the subset cap."""

@@ -26,6 +26,7 @@ a class assigned to ``dcsp.experiments.ProcessPoolExecutor`` is the one it
 starts.
 """
 
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -123,6 +124,10 @@ class ExperimentConfig:
             raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"need max_iters >= 1, got max_iters={self.max_iters}")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ValueError(
+                f"out={self.out}: directory {os.path.dirname(self.out)} does not exist"
+            )
         for value in self.values:
             _, M, K, L = self.point_dims(value)
             if L < 2:

@@ -117,11 +117,24 @@ def max_ind(v, K):
     selects row by row and returns shape (n, K), each row equal to the
     1-d call on that row.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if K > v.shape[-1]:
-        raise ValueError(f"K={K} exceeds vector length {v.shape[-1]}")
+    key = -np.abs(np.asarray(v, dtype=np.float64))
+    N = key.shape[-1]
+    if K > N:
+        raise ValueError(f"K={K} exceeds vector length {N}")
+    if key.ndim == 2 and 0 < K < N:
+        # numpy's default sort ranks a stack several times faster than the
+        # stable argsort.  Where each row's K-th smallest key is strictly
+        # below its (K+1)-th, the keys up to it are that row's top K under
+        # any tie rule, and np.nonzero lists them in ascending index order;
+        # a tie or NaN across the cut falls through to the stable argsort.
+        # One row is quicker through the stable argsort alone.
+        ranked = np.sort(key, axis=-1)
+        kth = ranked[:, K - 1:K]
+        if (kth[:, 0] < ranked[:, K]).all():
+            _, cols = np.nonzero(key <= kth)
+            return (cols + 1).reshape(-1, K)
     # stable sort on descending magnitude keeps equal entries in index order
-    order = np.argsort(-np.abs(v), axis=-1, kind="stable")
+    order = np.argsort(key, axis=-1, kind="stable")
     return np.sort(order[..., :K].astype(np.int64) + 1, axis=-1)
 
 

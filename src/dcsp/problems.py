@@ -4,26 +4,44 @@ Every node observes ``y_l = A_l x_l`` where the ``x_l`` are K-sparse with a
 single support set shared by all L nodes.  Dictionaries and nonzero entries
 are standard i.i.d. Gaussian; measurements are noiseless.
 
-Reproducibility: draws are keyed off ``ProblemConfig.seed`` through numpy
-``SeedSequence`` spawn keys, one independent stream per object class and
-node::
+Reproducibility: draws are keyed off ``ProblemConfig.seed``, one
+independent PCG64 stream per object class and node, each the stream of
+``default_rng(SeedSequence(seed, spawn_key=key))``::
 
     spawn_key (0, 0)  -> support set
     spawn_key (1, l)  -> dictionary of node l   (l = 1..L)
     spawn_key (2, l)  -> signal values of node l
 
-so enlarging the network never perturbs earlier nodes' draws.
+so enlarging the network never perturbs earlier nodes' draws.  The 2L+1
+streams of a draw are seeded in one vectorized pass of numpy's
+``SeedSequence`` hash (:func:`_stream_states`) that yields the same PCG64
+states as the per-key ``SeedSequence`` objects, at a fraction of the cost.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSignalError
 from .linalg import as_index_set
 
-_ZERO_RETRIES = 100
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init, mult, count):
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return h
+
+
+# generate_state(4, uint64) reads 8 words, hashed with the B constants
+_STATE_HASH = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -49,6 +67,8 @@ class ProblemConfig:
             raise ValueError("M must be >= 1")
         if self.K > self.N:
             raise ValueError("K cannot exceed N")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got seed={self.seed}")
         if not (self.N > self.M >= 2 * self.K):
             # recoverability regime; permitted for stress tests
             warnings.warn(
@@ -90,10 +110,84 @@ class ProblemInstance:
         self.measurements = np.asarray(self.measurements, dtype=np.float64)
 
 
-def _stream(seed, class_id, node_id):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(class_id, node_id))
-    )
+def _hashmix(value, h, h_next):
+    # SeedSequence's hashmix; ``h`` is the hash constant before the step,
+    # ``h_next`` the one after.  Exact on Python ints and on uint32 arrays
+    # (whose products wrap mod 2**32 as the C code's do)
+    x = (value ^ h) * h_next & _MASK32
+    return x ^ x >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _stream_states(seed, keys):
+    """PCG64 seed words of ``SeedSequence(seed, spawn_key=key)`` per key.
+
+    ``keys`` is a sequence of n (class, node) pairs of 32-bit ints.
+    Returns uint64 words of shape (n, 4): row i equals
+    ``SeedSequence(seed, spawn_key=keys[i]).generate_state(4, np.uint64)``.
+
+    SeedSequence pads the seed's little-endian 32-bit words to the pool
+    size (4) and mixes them into the pool; that part is common to every
+    key and runs once, on Python ints.  The two spawn-key words come last
+    and only ever mix into the pool, so they run vectorized over the keys
+    in uint32 arithmetic, as does the final ``generate_state``.
+    """
+    seed = operator.index(seed)
+    keys = np.asarray(keys, dtype=np.uint32)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    # hashmix steps: one per pool word, one per (source, destination) pool
+    # pair and four per word past the pool, 4 * (seed words + key words)
+    h = _hash_constants(_INIT_A, _MULT_A, 4 * (len(words) + keys.shape[1]))
+    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:4])]
+    i = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[i], h[i + 1]))
+                i += 1
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(w, h[i], h[i + 1]))
+            i += 1
+    # each key word mixes into the four pool words, one hash constant each
+    h = np.array(h, dtype=np.uint32)
+    pool = np.array(pool, dtype=np.uint32)
+    for column in keys.T:
+        pool = _mix(pool, _hashmix(column[:, None], h[i:i + 4], h[i + 1:i + 5]))
+        i += 4
+    state = _hashmix(np.tile(pool, 2), _STATE_HASH[:8], _STATE_HASH[1:])
+    # pairs of 32-bit words read as little-endian uint64, as numpy does
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """Hands PCG64 precomputed seed words in place of a SeedSequence.
+
+    Registered as a ``numpy.random.bit_generator.ISeedSequence`` on first
+    use; PCG64 seeds itself from ``generate_state(4, np.uint64)``.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(seed, keys):
+    """One ``numpy.random.Generator`` per spawn key, see :func:`_stream_states`."""
+    # numpy.random is imported on the first draw, not with the module:
+    # loading it costs about 25 ms, which `import dcsp` would otherwise pay
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)  # a cached no-op after the first call
+    return [Generator(PCG64(_SeedWords(w))) for w in _stream_states(seed, keys)]
 
 
 def generate(config: ProblemConfig) -> ProblemInstance:
@@ -104,27 +198,17 @@ def generate(config: ProblemConfig) -> ProblemInstance:
     measurements are exact matrix-vector products.
     """
     N, M, K, L = config.N, config.M, config.K, config.L
+    rngs = _streams(config.seed, [(0, 0)] + [(c, l) for c in (1, 2) for l in range(1, L + 1)])
 
-    support_rng = _stream(config.seed, 0, 0)
-    support = np.sort(support_rng.choice(N, size=K, replace=False).astype(np.int64) + 1)
+    support = np.sort(rngs[0].choice(N, size=K, replace=False).astype(np.int64) + 1)
 
     dictionaries = np.empty((L, M, N))
     signals = np.zeros((L, N))
     measurements = np.empty((L, M))
-    for l in range(1, L + 1):
-        A = dictionaries[l - 1]
-        _stream(config.seed, 1, l).standard_normal(out=A)
-        sig_rng = _stream(config.seed, 2, l)
-        values = sig_rng.standard_normal(K)
-        for _ in range(_ZERO_RETRIES):
-            zero = values == 0.0
-            if not zero.any():
-                break
-            values[zero] = sig_rng.standard_normal(int(zero.sum()))
-        else:
-            raise DegenerateSignalError(f"node {l}: could not draw nonzero entries")
-        signals[l - 1, support - 1] = values
-        np.matmul(A, signals[l - 1], out=measurements[l - 1])
+    for l, (A_rng, x_rng) in enumerate(zip(rngs[1:L + 1], rngs[L + 1:])):
+        A_rng.standard_normal(out=dictionaries[l])
+        signals[l, support - 1] = x_rng.standard_normal(K)
+        np.matmul(dictionaries[l], signals[l], out=measurements[l])
 
     return ProblemInstance(config, dictionaries, signals, measurements, support)
 

@@ -95,6 +95,13 @@ class TestTrialCommand:
         assert captured.out == ""
         assert "trial: need M >= 2K, got M=15 and K=10" in captured.err
 
+    def test_negative_seed_rejected(self, capsys):
+        code = main(["trial", "--seed", "-5", "--N", "40", "--M", "20", "--K", "4", "--L", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need seed >= 0, got seed=-5" in captured.err
+
     def test_topology_via_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "topo.cfg"
         cfg.write_text("N=40\nM=20\nK=3\nL=4\nseed=5\ntopology=1,2;2,3;3,4;4,1\n")
@@ -177,6 +184,19 @@ class TestFigureCommands:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_missing_out_directory_rejected_before_any_draw(self, capsys, tmp_path, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        missing = tmp_path / "missing" / "x"
+        code = main(["fig1", "--M", "20:24:2", "--N", "40", "--K", "4", "--L", "3",
+                     "--trials", "30", "--out", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"directory {tmp_path / 'missing'} does not exist" in captured.err
+
 
 def test_readme_commands_parse():
     # every `dcsp ...` line in the README's fenced blocks must be accepted
@@ -197,8 +217,9 @@ def test_readme_commands_parse():
 
 
 def test_import_does_not_load_scipy():
-    # keeps package import, and with it sweep start-up, free of scipy and
-    # of the process pool, which only a jobs > 1 sweep loads
+    # keeps package import, and with it sweep start-up, free of scipy, of
+    # the process pool, which only a jobs > 1 sweep loads, and of
+    # numpy.random (about 25 ms), which the first draw loads
     src = str(Path(dcsp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -206,7 +227,7 @@ def test_import_does_not_load_scipy():
     code = (
         "import sys, dcsp, dcsp.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m in ('concurrent.futures', 'multiprocessing')))"
+        "or m in ('concurrent.futures', 'multiprocessing', 'numpy.random')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,4 +1,5 @@
 import concurrent.futures
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ class TestConfigValidation:
     def test_empty_algorithms_rejected(self):
         with pytest.raises(ValueError, match=r"got algorithms=\(\)"):
             ExperimentConfig(sweep="M", values=(30,), algorithms=())
+
+    def test_missing_out_directory_rejected(self, tmp_path):
+        missing = tmp_path / "missing" / "x"
+        message = f"directory {tmp_path / 'missing'} does not exist"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(sweep="M", values=(30,), out=str(missing))
+        ExperimentConfig(sweep="M", values=(30,), out=str(tmp_path / "x"))
+        ExperimentConfig(sweep="M", values=(30,), out="x")  # the working directory
 
     def test_repeated_algorithm_rejected(self):
         with pytest.raises(ValueError, match=r"algorithms=\('ssp', 'ssp'\) names one twice"):

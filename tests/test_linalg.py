@@ -211,6 +211,29 @@ def test_stacked_max_ind_matches_rows(seed, n, N, data):
         assert np.array_equal(picked, max_ind(row, K))
 
 
+def stable_max_ind(v, K):
+    # reference: one stable argsort of -|v| per row, smaller index first on ties
+    order = np.argsort(-np.abs(np.asarray(v, dtype=float)), axis=-1, kind="stable")
+    return np.sort(order[..., :K] + 1, axis=-1)
+
+
+# few distinct values, so ties (and NaN) across the K-th place are frequent
+tied_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, np.nan])
+
+
+@given(st.integers(1, 64), st.integers(1, 12), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_max_ind_matches_stable_argsort(rows, N, tied, data):
+    values = tied_values if tied else st.floats()
+    v = np.array(data.draw(st.lists(values, min_size=rows * N, max_size=rows * N)))
+    v = v.reshape(rows, N)
+    K = data.draw(st.integers(0, N))
+    expected = stable_max_ind(v, K)
+    assert np.array_equal(max_ind(v, K), expected)
+    assert max_ind(v, K).dtype == np.int64
+    assert np.array_equal(max_ind(v[0], K), expected[0])
+
+
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=40), st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
 def test_selection_operators_deterministic(values, k):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcsp.linalg import column_submatrix, resid
 from dcsp.problems import (
@@ -73,9 +74,46 @@ class TestGenerate:
             ProblemConfig(N=10, M=5, K=2, L=1, seed=0)
         with pytest.raises(ValueError):
             ProblemConfig(N=4, M=5, K=5, L=2, seed=0)
+        with pytest.raises(ValueError, match="need seed >= 0, got seed=-5"):
+            ProblemConfig(N=10, M=5, K=2, L=2, seed=-5)
         with pytest.warns(UserWarning):
             ProblemConfig(N=10, M=3, K=2, L=2, seed=0)  # M < 2K tolerated
 
+
+
+def spawn_key_reference(config):
+    # the seeding scheme of the module docstring, one SeedSequence per key
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
+
+    N, M, K, L = config.N, config.M, config.K, config.L
+    support = np.sort(stream(0, 0).choice(N, size=K, replace=False) + 1)
+    dictionaries = np.array([stream(1, l).standard_normal((M, N)) for l in range(1, L + 1)])
+    signals = np.zeros((L, N))
+    for l in range(1, L + 1):
+        signals[l - 1, support - 1] = stream(2, l).standard_normal(K)
+    measurements = np.array([A @ x for A, x in zip(dictionaries, signals)])
+    return support, dictionaries, signals, measurements
+
+
+def assert_matches_spawn_keys(config):
+    inst = generate(config)
+    support, dictionaries, signals, measurements = spawn_key_reference(config)
+    assert np.array_equal(inst.true_support, support)
+    assert np.array_equal(inst.dictionaries, dictionaries)
+    assert np.array_equal(inst.signals, signals)
+    assert np.array_equal(inst.measurements, measurements)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 + 7, 2**200 + 3])
+def test_generate_matches_spawn_key_streams(seed):
+    assert_matches_spawn_keys(ProblemConfig(N=30, M=12, K=3, L=40, seed=seed))
+
+
+@given(st.integers(0, 2**130), st.integers(2, 40))
+@settings(max_examples=30, deadline=None)
+def test_generate_matches_spawn_key_streams_property(seed, L):
+    assert_matches_spawn_keys(ProblemConfig(N=20, M=8, K=3, L=L, seed=seed))
 
 class TestSuccess:
     def test_exact_match(self, full_scale_instance):
