@@ -24,7 +24,6 @@ from .errors import (
     InsufficientDistinctError,
     InvalidDegreeError,
     RankDeficientError,
-    TooLargeError,
 )
 from .experiments import (
     ExperimentConfig,
@@ -59,12 +58,10 @@ from .network import (
 from .problems import (
     ProblemConfig,
     ProblemInstance,
-    dump_instance,
     generate,
-    load_instance,
     success,
 )
-from .pursuit import RunResult, dcsp_run, exhaustive_decoder, ssp_run
+from .pursuit import RunResult, dcsp_run, ssp_run
 
 __version__ = "0.1.0"
 
@@ -81,7 +78,6 @@ __all__ = [
     "RankDeficientError",
     "RunResult",
     "SweepRow",
-    "TooLargeError",
     "Topology",
     "TrialResult",
     "WireCounter",
@@ -97,12 +93,9 @@ __all__ = [
     "default_l_grid",
     "default_m_grid",
     "derive_trial_seed",
-    "dump_instance",
     "exchange_neighbors",
-    "exhaustive_decoder",
     "full_topology",
     "generate",
-    "load_instance",
     "lstsq",
     "max_ind",
     "max_occ",

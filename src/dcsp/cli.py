@@ -17,7 +17,8 @@ from .errors import DcspError
 from .network import topology_from_listing
 from .experiments import (
     ExperimentConfig,
-    require_2k,
+    default_l_grid,
+    default_m_grid,
     run_fig1,
     run_fig2,
     run_single_trial,
@@ -100,8 +101,8 @@ def _add_common(sub, with_jobs=True):
 def _figure_defaults(sweep):
     common = dict(N=200, K=10, g=3, seed=1, jobs=1, out=None, algorithms=("ssp", "dcsp"))
     if sweep == "M":
-        return dict(common, M=":".join(map(str, (22, 50, 2))), L=6, trials=500)
-    return dict(common, L=":".join(map(str, (5, 40, 5))), M=50, trials=100)
+        return dict(common, M=default_m_grid(), L=6, trials=500)
+    return dict(common, L=default_l_grid(), M=50, trials=100)
 
 
 def _run_figure(args):
@@ -129,7 +130,6 @@ def _print_rows(config, rows):
 def _cmd_trial(args):
     defaults = dict(N=200, M=50, K=10, L=6, g=None, seed=1, max_iters=None, topology=None)
     merged = _settle(args, defaults)
-    require_2k(merged["M"], merged["K"], "trial")  # before ProblemConfig warns
     config = ProblemConfig(
         N=merged["N"], M=merged["M"], K=merged["K"], L=merged["L"], seed=merged["seed"]
     )

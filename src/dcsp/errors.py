@@ -23,7 +23,3 @@ class IndexOutOfRangeError(DcspError, IndexError):
 
 class InvalidDegreeError(DcspError, ValueError):
     """Neighborhood size g outside the valid range 2..L."""
-
-
-class TooLargeError(DcspError):
-    """Exhaustive enumeration would exceed the subset cap."""

@@ -26,6 +26,7 @@ a class assigned to ``dcsp.experiments.ProcessPoolExecutor`` is the one it
 starts.
 """
 
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -42,9 +43,6 @@ _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 5
 
 SIMULATED_ALGORITHMS = ("ssp", "dcsp")
-# analytic iteration count assumed for the reference curve of the
-# non-simulated neighborhood-OMP baseline: one selected index per iteration
-DCOMP_REFERENCE_T_FACTOR = 1  # T_dcomp = K * factor
 
 
 def __getattr__(name):
@@ -80,6 +78,14 @@ def require_2k(M, K, where):
         raise ValueError(f"{where}: need M >= 2K, got M={M} and K={K}")
 
 
+def _integer(name, value):
+    """``operator.index(value)``, or a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: which variable moves, what stays fixed, how many trials."""
@@ -96,15 +102,20 @@ class ExperimentConfig:
     algorithms: tuple = SIMULATED_ALGORITHMS
     jobs: int = 1
     out: str = None
-    max_iters: int = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.sweep not in ("M", "L"):
             raise ValueError("sweep must be 'M' or 'L'")
-        if not self.values:
+        for name in ("N", "K", "M", "L", "g", "trials", "seed", "jobs"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        values = tuple(_integer(self.sweep, v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if not values:
             raise ValueError("sweep range is empty")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"values={values} names {repeated[0]} twice")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -122,8 +133,6 @@ class ExperimentConfig:
             raise ValueError(f"need K >= 1, got K={self.K}")
         if self.K > self.N:
             raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"need max_iters >= 1, got max_iters={self.max_iters}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(
                 f"out={self.out}: directory {os.path.dirname(self.out)} does not exist"
@@ -197,7 +206,7 @@ def _run_one(config: ExperimentConfig, value, trial, topologies):
         try:
             results = {
                 algorithm: (ssp_run if algorithm == "ssp" else dcsp_run)(
-                    instance, topologies[algorithm], max_iters=config.max_iters
+                    instance, topologies[algorithm]
                 )
                 for algorithm in config.algorithms
             }
@@ -261,7 +270,8 @@ def run_sweep(config: ExperimentConfig):
             )
         references = {}
         if config.sweep == "L":
-            base = CostParams(N=N, K=K, L=L, g=g, T=K * DCOMP_REFERENCE_T_FACTOR)
+            # dcomp, never simulated, adds one index per iteration: T = K
+            base = CostParams(N=N, K=K, L=L, g=g, T=K)
             references = {
                 "jsp_jomp": cost_table1("jsp_jomp", base),
                 "somp": cost_table1("somp", base),
@@ -368,31 +378,30 @@ def write_tables(rows, config: ExperimentConfig, figure):
 
 @dataclass
 class TrialResult:
-    """One run's outcome plus the underlying iterate-level record."""
+    """One trial's outcome; ``run`` is the :class:`RunResult` of the
+    pursuit, with the support, iteration count, wire tally and traces."""
 
     algorithm: str
     config: ProblemConfig
     g: int
-    support: np.ndarray
     success: bool
-    iterations: int
-    messages: int
-    hit_max_iters: bool
     run: object
 
 
 def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
-                     max_iters=None, verbose=True, emit=print):
-    """Run one seeded trial and print a per-iteration transcript.
+                     max_iters=None, emit=print):
+    """Run one seeded trial and hand a per-iteration transcript to ``emit``.
 
     ``g`` defaults to full collaboration for dcsp and is ignored for ssp;
     an explicit ``topology`` overrides ``g``.  The transcript (supports,
     residual energies, wire tallies) is a deterministic function of the
-    inputs.
+    inputs; ``emit=None`` runs the trial silently.
     """
     if algorithm not in SIMULATED_ALGORITHMS:
         raise ValueError(f"cannot simulate {algorithm!r}")
     require_2k(config.M, config.K, "trial")
+    if topology is not None and topology.L != config.L:
+        raise ValueError(f"topology has {topology.L} nodes, config has L={config.L}")
     instance = generate(config)
     if algorithm == "ssp":
         g_used = config.L
@@ -405,7 +414,7 @@ def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
         result = dcsp_run(instance, ring_topology(config.L, g_used), max_iters=max_iters)
     ok = success(result.support, instance)
 
-    if verbose:
+    if emit is not None:
         shape = f"g={g_used}" if g_used is not None else "topology=explicit"
         emit(
             f"trial: algorithm={algorithm} N={config.N} M={config.M} K={config.K} "
@@ -434,14 +443,4 @@ def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
         emit(f"recovered support: {result.support.tolist()}")
         emit(f"success: {ok}")
 
-    return TrialResult(
-        algorithm=algorithm,
-        config=config,
-        g=g_used,
-        support=result.support,
-        success=ok,
-        iterations=result.iterations,
-        messages=result.wire.total,
-        hit_max_iters=result.hit_max_iters,
-        run=result,
-    )
+    return TrialResult(algorithm=algorithm, config=config, g=g_used, success=ok, run=result)

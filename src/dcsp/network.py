@@ -41,16 +41,16 @@ class Topology:
     def __post_init__(self):
         if len(self.neighbors) != self.L:
             raise ValueError("need one neighbor set per node")
+        # a new list: the caller's sequence (a tuple, say) is left as it was
+        self.neighbors = [np.sort(np.asarray(g, dtype=np.int64)) for g in self.neighbors]
         self.index = np.full((self.L, max(map(len, self.neighbors), default=0)), self.L)
         for l, g in enumerate(self.neighbors, start=1):
-            g = np.sort(np.asarray(g, dtype=np.int64))
             if l not in g:
                 raise ValueError(f"node {l} missing from its own neighborhood")
             if g.min() < 1 or g.max() > self.L:
                 raise ValueError("neighbor ids must lie in [1, L]")
             if np.unique(g).size != g.size:
                 raise ValueError("neighbor ids must be distinct")
-            self.neighbors[l - 1] = g
             self.index[l - 1, : g.size] = g - 1
 
     @property

@@ -19,7 +19,6 @@ states as the per-key ``SeedSequence`` objects, at a fraction of the cost.
 """
 
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +48,7 @@ class ProblemConfig:
     """Problem dimensions and the master seed.
 
     N: ambient dimension, M: measurements per node, K: shared sparsity,
-    L: node count.
+    L: node count.  A draw needs M >= 1; sweeps and trials need M >= 2K.
     """
 
     N: int
@@ -69,12 +68,6 @@ class ProblemConfig:
             raise ValueError("K cannot exceed N")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got seed={self.seed}")
-        if not (self.N > self.M >= 2 * self.K):
-            # recoverability regime; permitted for stress tests
-            warnings.warn(
-                f"outside the N > M >= 2K regime (N={self.N}, M={self.M}, K={self.K})",
-                stacklevel=3,
-            )
 
 
 @dataclass
@@ -89,12 +82,11 @@ class ProblemInstance:
     * ``signals``: float64 array of shape (L, N);
     * ``measurements``: float64 array of shape (L, M).
 
-    Per-node sequences (e.g. lists of matrices) are stacked on
-    construction.  Treated as immutable after generation: ``memo`` caches
-    the per-support residual state that :mod:`dcsp.pursuit` derives from
-    the arrays, so they must not be modified once a driver has run.  Safe
-    to share across parallel trial workers, each process holding its own
-    copy and so its own memo.
+    Treated as immutable after generation: ``memo`` caches the per-support
+    residual state that :mod:`dcsp.pursuit` derives from the arrays, so
+    they must not be modified once a driver has run.  Safe to share across
+    parallel trial workers, each process holding its own copy and so its
+    own memo.
     """
 
     config: ProblemConfig
@@ -103,11 +95,6 @@ class ProblemInstance:
     measurements: np.ndarray
     true_support: np.ndarray = field(default=None)  # index set, size K
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.dictionaries = np.asarray(self.dictionaries, dtype=np.float64)
-        self.signals = np.asarray(self.signals, dtype=np.float64)
-        self.measurements = np.asarray(self.measurements, dtype=np.float64)
 
 
 def _hashmix(value, h, h_next):
@@ -217,46 +204,3 @@ def success(estimate, instance: ProblemInstance) -> bool:
     """True iff ``estimate`` equals the instance's true support as a set."""
     return np.array_equal(as_index_set(estimate), instance.true_support)
 
-
-def dump_instance(instance: ProblemInstance, path):
-    """Write an instance to a plain-text file (debugging aid).
-
-    Format, one whitespace-separated record per line:
-
-    line 1: ``N M K L seed``
-    line 2: the support set (K 1-based indices)
-    then per node l = 1..L, three lines: dictionary entries flattened
-    row-major (M*N floats), signal (N floats), measurement (M floats).
-    Floats are written with 17 significant digits and round-trip exactly.
-    """
-    c = instance.config
-
-    def fmt(a):
-        return " ".join(format(x, ".17g") for x in np.asarray(a).ravel())
-
-    with open(path, "w") as fh:
-        fh.write(f"{c.N} {c.M} {c.K} {c.L} {c.seed}\n")
-        fh.write(" ".join(str(i) for i in instance.true_support) + "\n")
-        for l in range(c.L):
-            fh.write(fmt(instance.dictionaries[l]) + "\n")
-            fh.write(fmt(instance.signals[l]) + "\n")
-            fh.write(fmt(instance.measurements[l]) + "\n")
-
-
-def load_instance(path) -> ProblemInstance:
-    """Read an instance written by :func:`dump_instance`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    N, M, K, L, seed = (int(v) for v in lines[0].split())
-    config = ProblemConfig(N, M, K, L, seed)
-    support = np.array([int(v) for v in lines[1].split()], dtype=np.int64)
-    dictionaries, signals, measurements = [], [], []
-    def parse(line):
-        return np.fromiter(map(float, line.split()), dtype=np.float64)
-
-    for l in range(L):
-        base = 2 + 3 * l
-        dictionaries.append(parse(lines[base]).reshape(M, N))
-        signals.append(parse(lines[base + 1]))
-        measurements.append(parse(lines[base + 2]))
-    return ProblemInstance(config, dictionaries, signals, measurements, support)

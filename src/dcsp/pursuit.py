@@ -58,12 +58,9 @@ arrays must therefore not be modified once a driver has run on it.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .errors import TooLargeError
 from .linalg import column_submatrix, correlate, lstsq, max_ind, max_occ, resid
 from .network import (
     Topology,
@@ -74,7 +71,6 @@ from .network import (
 )
 from .problems import ProblemInstance
 
-EXHAUSTIVE_CAP = 10**6
 _NO_SUPPORT = np.empty(0, dtype=np.int64)
 
 
@@ -184,7 +180,7 @@ def _pursue(instance, topology, max_iters, fuse):
     cfg = instance.config
     N, K, L = cfg.N, cfg.K, cfg.L
     if topology.L != L:
-        raise ValueError("topology size does not match instance")
+        raise ValueError(f"topology has {topology.L} nodes, instance has L={L}")
     if max_iters is None:
         max_iters = 3 * K
     if max_iters < 1:
@@ -295,31 +291,3 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
     """
     return _pursue(instance, topology, max_iters, fuse=True)
 
-
-def exhaustive_decoder(instance: ProblemInstance, cap: int = EXHAUSTIVE_CAP):
-    """Jointly optimal noiseless decoder by exhaustive support search.
-
-    Scans all C(N, K) supports and returns the one minimizing the total
-    residual energy across nodes; ties keep the lexicographically first.
-    Intended as a small-scale test oracle.
-
-    Raises
-    ------
-    TooLargeError
-        If C(N, K) exceeds ``cap``.
-    """
-    cfg = instance.config
-    N, K = cfg.N, cfg.K
-    n_subsets = comb(N, K)
-    if n_subsets > cap:
-        raise TooLargeError(f"C({N},{K}) = {n_subsets} exceeds cap {cap}")
-
-    best_support, best_value = None, np.inf
-    for combo in combinations(range(1, N + 1), K):
-        s = np.array(combo, dtype=np.int64)
-        value = 0.0
-        for r in resid(instance.measurements, column_submatrix(instance.dictionaries, s)):
-            value += float(r @ r)
-        if value < best_value:
-            best_support, best_value = s, value
-    return best_support

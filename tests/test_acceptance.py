@@ -12,7 +12,8 @@ from dcsp.experiments import ExperimentConfig, default_l_grid, run_fig1, run_fig
 from dcsp.linalg import lstsq, max_ind, max_occ, resid
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate, success
-from dcsp.pursuit import dcsp_run, exhaustive_decoder, ssp_run
+from dcsp.pursuit import dcsp_run, ssp_run
+from oracle import exhaustive_decoder
 
 BASE_SEED = 20240810
 

@@ -102,6 +102,17 @@ class TestTrialCommand:
         assert captured.out == ""
         assert "need seed >= 0, got seed=-5" in captured.err
 
+    def test_topology_size_mismatch_rejected_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        code = main(["trial", "--topology", "1,2;2,3;3,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "topology has 3 nodes, config has L=6" in captured.err
+
     def test_topology_via_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "topo.cfg"
         cfg.write_text("N=40\nM=20\nK=3\nL=4\nseed=5\ntopology=1,2;2,3;3,4;4,1\n")
@@ -183,6 +194,18 @@ class TestFigureCommands:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    def test_repeated_sweep_value_rejected(self, capsys, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        code = main(["fig1", "--M", "20,20", "--N", "40", "--K", "4", "--L", "3",
+                     "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "values=(20, 20) names 20 twice" in captured.err
 
     def test_missing_out_directory_rejected_before_any_draw(self, capsys, tmp_path, monkeypatch):
         def no_draw(config):

@@ -1,9 +1,10 @@
 import concurrent.futures
+import dataclasses
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcsp import experiments
 from dcsp.errors import RankDeficientError
@@ -18,6 +19,7 @@ from dcsp.experiments import (
     run_single_trial,
     run_sweep,
 )
+from dcsp.network import topology_from_listing
 from dcsp.problems import ProblemConfig
 
 
@@ -111,10 +113,32 @@ class TestConfigValidation:
             ExperimentConfig(sweep="L", values=(5,), N=8, K=10, M=20)
         ExperimentConfig(sweep="L", values=(5,), N=10, K=10, M=20)  # K = N runs
 
-    def test_max_iters_below_1_rejected(self):
-        with pytest.raises(ValueError, match="need max_iters >= 1, got max_iters=0"):
-            ExperimentConfig(sweep="M", values=(30,), max_iters=0)
-        ExperimentConfig(sweep="M", values=(30,), max_iters=1)
+    @pytest.mark.parametrize("field, value", [
+        ("N", 60.0), ("K", 2.5), ("M", 30.5), ("L", 4.0), ("g", 2.5),
+        ("trials", 1.5), ("seed", 1.5), ("jobs", 1.5), ("seed", "7"),
+    ])
+    def test_non_integer_rejected(self, field, value):
+        kw = dict(sweep="M", values=(30,), N=60, K=3, L=4, trials=3)
+        kw[field] = value
+        message = f"need an integer {field}, got {field}={value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**kw)
+
+    def test_non_integer_sweep_value_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("need an integer M, got M=30.0")):
+            ExperimentConfig(sweep="M", values=(26, 30.0), N=60, K=3)
+        with pytest.raises(ValueError, match=re.escape("need an integer L, got L=2.5")):
+            ExperimentConfig(sweep="L", values=(2.5,), N=60, K=3, M=20)
+
+    def test_integer_like_values_stored_as_int(self):
+        config = ExperimentConfig(sweep="M", values=(np.int64(30),), N=np.int64(60), K=3)
+        assert config.values == (30,) and type(config.values[0]) is int
+        assert type(config.N) is int
+
+    def test_repeated_value_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("values=(20, 26, 20) names 20 twice")):
+            ExperimentConfig(sweep="M", values=(20, 26, 20), N=40, K=3)
+        ExperimentConfig(sweep="M", values=(20, 26), N=40, K=3)
 
     def test_default_grids(self):
         assert default_m_grid()[0] == 22 and default_m_grid()[-1] == 50
@@ -195,6 +219,63 @@ class TestRunSweep:
         rows = run_sweep(small_l_config(values=(2,), trials=2))
         for s in rows[0].stats.values():
             assert s.mean_messages > 0
+
+
+@st.composite
+def sweep_kwargs(draw):
+    # a valid sweep, then now and then one field swapped for a wide value
+    # (negative, zero, large, a float) or a repeated or unknown entry
+    sweep = draw(st.sampled_from("ML"))
+    K = draw(st.integers(1, 5))
+    point = st.integers(2, 6) if sweep == "L" else st.integers(2 * K, 2 * K + 20)
+    kwargs = dict(
+        sweep=sweep,
+        values=draw(st.lists(point, min_size=1, max_size=3, unique=True)),
+        N=draw(st.integers(K, 60)),
+        K=K,
+        M=draw(st.integers(2 * K, 40)),
+        L=draw(st.integers(2, 6)),
+        g=draw(st.integers(2, 7)),
+        trials=draw(st.integers(1, 3)),
+        seed=draw(st.integers(-2**70, 2**70)),
+        algorithms=draw(st.lists(st.sampled_from(["ssp", "dcsp"]), min_size=1, unique=True)),
+        # each jobs=2 example starts a process pool, so keep them rare
+        jobs=draw(st.sampled_from([1] * 5 + [2])),
+    )
+    if not draw(st.booleans()):
+        return kwargs
+    field = draw(st.sampled_from(
+        ("N", "K", "M", "L", "g", "trials", "seed", "values", "algorithms")
+    ))
+
+    def wide(valid):
+        return draw(st.sampled_from([valid + 0.5, float(valid), -1, 0, valid + 40]))
+
+    if field == "values":
+        values = kwargs["values"]
+        values.append(draw(st.sampled_from([values[0], wide(values[0])])))
+    elif field == "algorithms":
+        kwargs["algorithms"] = draw(st.sampled_from([[], ["ssp", "ssp"], ["dcsp", "somp"]]))
+    else:
+        kwargs[field] = wide(kwargs[field])
+    return kwargs
+
+
+@given(sweep_kwargs())
+@example(dict(sweep="M", values=(30,), N=60, K=3, L=4, trials=3, g=2.5))
+@settings(max_examples=25, deadline=None)
+def test_config_space_rejected_or_runs_exactly(kwargs):
+    # every config either fails at construction or sweeps to exact wire tallies
+    try:
+        config = ExperimentConfig(**kwargs)
+    except ValueError:
+        return
+    rows = run_sweep(dataclasses.replace(config, trials=1))
+    assert [row.value for row in rows] == list(config.values)
+    for row in rows:
+        assert list(row.stats) == list(config.algorithms)
+        for s in row.stats.values():
+            assert s.mean_messages == s.mean_analytic
 
 
 @pytest.mark.parametrize("failing", ["ssp", "dcsp"])
@@ -294,19 +375,19 @@ class TestRunSingleTrial:
         ta = run_single_trial(cfg, "dcsp", g=3, emit=lines_a.append)
         tb = run_single_trial(cfg, "dcsp", g=3, emit=lines_b.append)
         assert lines_a == lines_b
-        assert np.array_equal(ta.support, tb.support)
+        assert np.array_equal(ta.run.support, tb.run.support)
         assert isinstance(ta, TrialResult)
 
     def test_known_success_params(self):
         cfg = ProblemConfig(N=40, M=24, K=3, L=5, seed=2)
-        trial = run_single_trial(cfg, "ssp", verbose=False)
+        trial = run_single_trial(cfg, "ssp", emit=None)
         assert trial.success
 
     def test_ssp_matches_dcsp_at_full_collaboration(self):
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=77)
-        a = run_single_trial(cfg, "ssp", verbose=False)
-        b = run_single_trial(cfg, "dcsp", g=4, verbose=False)
-        assert np.array_equal(a.support, b.support)
+        a = run_single_trial(cfg, "ssp", emit=None)
+        b = run_single_trial(cfg, "dcsp", g=4, emit=None)
+        assert np.array_equal(a.run.support, b.run.support)
 
     def test_transcript_contains_wire_summary(self):
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
@@ -322,10 +403,26 @@ class TestRunSingleTrial:
             raise AssertionError("drew an instance")
 
         monkeypatch.setattr(experiments, "generate", no_draw)
-        with pytest.warns(UserWarning):
-            cfg = ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
+        cfg = ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
         with pytest.raises(ValueError, match="trial: need M >= 2K, got M=15 and K=10"):
-            run_single_trial(cfg, "dcsp", verbose=False)
+            run_single_trial(cfg, "dcsp", emit=None)
+
+    @pytest.mark.parametrize("algorithm", ["ssp", "dcsp"])
+    def test_rejects_topology_size_mismatch_before_running(self, monkeypatch, algorithm):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(experiments, "generate", no_draw)
+        cfg = ProblemConfig(N=30, M=16, K=3, L=6, seed=9)
+        topology = topology_from_listing("1,2;2,3;3,1")
+        with pytest.raises(ValueError, match="topology has 3 nodes, config has L=6"):
+            run_single_trial(cfg, algorithm, topology=topology, emit=None)
+
+    def test_silent_without_emit(self, capsys):
+        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
+        trial = run_single_trial(cfg, "dcsp", g=2, emit=None)
+        assert capsys.readouterr().out == ""
+        assert trial.run.wire.total > 0
 
     def test_rejects_unknown_algorithm(self):
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)

@@ -59,6 +59,18 @@ class TestTopologyValidation:
         with pytest.raises(ValueError):
             Topology(2, [np.array([1, 3]), np.array([1, 2])])
 
+    def test_tuple_of_lists_accepted(self):
+        topo = Topology(3, ([1, 2], [2, 3], [3, 1]))
+        assert [g.tolist() for g in topo.neighbors] == [[1, 2], [2, 3], [1, 3]]
+        assert topo.index.tolist() == [[0, 1], [1, 2], [0, 2]]
+
+    def test_callers_list_left_unchanged(self):
+        neighbors = [[2, 1], [2, 3], [3, 1]]
+        topo = Topology(3, neighbors)
+        assert neighbors == [[2, 1], [2, 3], [3, 1]]
+        assert topo.neighbors is not neighbors
+        assert topo.neighbors[0].tolist() == [1, 2]
+
 
 class TestTopologyFromListing:
     def test_explicit_groups(self):

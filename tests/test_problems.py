@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dcsp.linalg import column_submatrix, resid
-from dcsp.problems import (
-    ProblemConfig,
-    dump_instance,
-    generate,
-    load_instance,
-    success,
-)
+from dcsp.problems import ProblemConfig, generate, success
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +30,7 @@ class TestGenerate:
             assert np.array_equal(a.measurements[l], b.measurements[l])
 
     def test_stress_full_support(self):
-        with pytest.warns(UserWarning):
-            cfg = ProblemConfig(N=5, M=5, K=5, L=2, seed=1)
-        inst = generate(cfg)
+        inst = generate(ProblemConfig(N=5, M=5, K=5, L=2, seed=1))
         assert inst.true_support.tolist() == [1, 2, 3, 4, 5]
 
     def test_shared_support_and_exact_measurements(self, full_scale_instance):
@@ -76,8 +68,7 @@ class TestGenerate:
             ProblemConfig(N=4, M=5, K=5, L=2, seed=0)
         with pytest.raises(ValueError, match="need seed >= 0, got seed=-5"):
             ProblemConfig(N=10, M=5, K=2, L=2, seed=-5)
-        with pytest.warns(UserWarning):
-            ProblemConfig(N=10, M=3, K=2, L=2, seed=0)  # M < 2K tolerated
+        ProblemConfig(N=10, M=3, K=2, L=2, seed=0)  # M < 2K is require_2k's check
 
 
 
@@ -131,15 +122,3 @@ class TestSuccess:
         shuffled = full_scale_instance.true_support[::-1].copy()
         assert success(shuffled, full_scale_instance)
 
-
-def test_dump_load_round_trip(tmp_path):
-    inst = generate(ProblemConfig(N=12, M=8, K=2, L=3, seed=314))
-    path = tmp_path / "instance.txt"
-    dump_instance(inst, path)
-    back = load_instance(path)
-    assert back.config == inst.config
-    assert np.array_equal(back.true_support, inst.true_support)
-    for l in range(3):
-        assert np.array_equal(back.dictionaries[l], inst.dictionaries[l])
-        assert np.array_equal(back.signals[l], inst.signals[l])
-        assert np.array_equal(back.measurements[l], inst.measurements[l])

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsp.costs import cost_dcsp_general
-from dcsp.errors import RankDeficientError, TooLargeError
+from dcsp.errors import RankDeficientError
 from dcsp.linalg import column_submatrix, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, success
-from dcsp.pursuit import _ordered_sum, _residual_state, dcsp_run, exhaustive_decoder, ssp_run
+from dcsp.pursuit import _ordered_sum, _residual_state, dcsp_run, ssp_run
+from oracle import TooLargeError, exhaustive_decoder
 
 
 def tiny_instance(seed, N=12, M=8, K=2, L=3):
@@ -20,10 +21,10 @@ class TestSspRun:
         A1 = np.array([[1.0, 0.2], [0.0, 1.0]])
         A2 = np.array([[1.0, -0.3], [0.5, 1.0]])
         x = np.array([2.0, 0.0])
-        with pytest.warns(UserWarning):
-            cfg = ProblemConfig(N=2, M=2, K=1, L=2, seed=0)
+        cfg = ProblemConfig(N=2, M=2, K=1, L=2, seed=0)
         inst = ProblemInstance(
-            cfg, [A1, A2], [x, x], [A1 @ x, A2 @ x], np.array([1], dtype=np.int64)
+            cfg, np.array([A1, A2]), np.array([x, x]), np.array([A1 @ x, A2 @ x]),
+            np.array([1], dtype=np.int64),
         )
         result = ssp_run(inst)
         assert result.support.tolist() == [1]
@@ -76,6 +77,10 @@ class TestDcspRun:
         inst = generate(ProblemConfig(N=60, M=30, K=4, L=6, seed=7))
         result = dcsp_run(inst, ring_topology(6, 3))
         assert success(result.support, inst)
+
+    def test_topology_size_mismatch_names_both_sizes(self):
+        with pytest.raises(ValueError, match="topology has 4 nodes, instance has L=3"):
+            dcsp_run(tiny_instance(1), ring_topology(4, 2))
 
     def test_candidate_sizes_bounded(self):
         K = 3
