@@ -4,9 +4,9 @@ Subcommands: ``fig1`` (success vs measurements), ``fig2`` (messages and
 iterations vs network scale; the iteration view is the table's
 ``*_mean_iterations`` columns), ``trial`` (one verbose run) and ``cost``
 (closed-form message counts).  Values for the swept variable accept
-``start:stop:step`` or comma lists.  An optional ``--config`` file holds
-``key=value`` lines with the same names as the flags; explicit flags win
-over the file, the file wins over defaults.
+``start:stop:step`` or comma lists.  Each flag maps onto a field of the
+library call it feeds; a figure flag left unset takes the default of
+:class:`~dcsp.experiments.ExperimentConfig`.
 """
 
 import argparse
@@ -16,12 +16,7 @@ from .costs import ALGORITHMS, CostParams, cost_table1
 from .errors import DcspError
 from .network import topology_from_listing
 from .experiments import (
-    ExperimentConfig,
-    default_l_grid,
-    default_m_grid,
-    run_fig1,
-    run_fig2,
-    run_single_trial,
+    ExperimentConfig, default_l_grid, default_m_grid, run_fig1, run_fig2, run_single_trial,
 )
 from .problems import ProblemConfig
 
@@ -43,80 +38,33 @@ def parse_values(text):
     return tuple(int(p) for p in text.split(","))
 
 
-def read_config_file(path):
-    """Parse a key=value config file; '#' starts a comment."""
-    options = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            options[key] = value
-    return options
+def _names(text):
+    """Algorithm names from a comma list."""
+    return tuple(a.strip() for a in text.split(",") if a.strip())
 
 
-_INT_KEYS = {"N", "M", "K", "L", "g", "trials", "seed", "jobs", "T", "max_iters"}
+_HELP = dict(
+    N="ambient dimension", M="measurements per node", K="sparsity", L="node count",
+    g="neighborhood size", seed="base seed", trials="trials per sweep point",
+    jobs="parallel worker count", T="iteration count for T-dependent rows",
+)
 
 
-def _settle(args, defaults, sweep_key=None):
-    """Merge defaults, config-file entries and explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            if key not in merged:
-                raise ValueError(f"unknown config key {key!r}")
-            # the swept key keeps its range text for parse_values below
-            merged[key] = int(value) if key in _INT_KEYS - {sweep_key} else value
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if sweep_key is not None and not isinstance(merged[sweep_key], tuple):
-        merged[sweep_key] = parse_values(merged[sweep_key])
-    if isinstance(merged.get("algorithms"), str):
-        merged["algorithms"] = tuple(
-            a.strip() for a in merged["algorithms"].split(",") if a.strip()
-        )
-    return merged
-
-
-def _add_common(sub, with_jobs=True):
-    sub.add_argument("--N", type=int, help="ambient dimension")
-    sub.add_argument("--K", type=int, help="sparsity")
-    sub.add_argument("--g", type=int, help="neighborhood size")
-    sub.add_argument("--seed", type=int, help="base seed")
-    sub.add_argument("--config", help="key=value config file")
-    if with_jobs:
-        sub.add_argument("--trials", type=int, help="trials per sweep point")
-        sub.add_argument("--jobs", type=int, help="parallel worker count")
-        sub.add_argument("--out", help="output path stem (.csv/.dat added)")
-        sub.add_argument(
-            "--algorithms", type=str, help="comma list of simulated algorithms"
-        )
-
-
-def _figure_defaults(sweep):
-    common = dict(N=200, K=10, g=3, seed=1, jobs=1, out=None, algorithms=("ssp", "dcsp"))
-    if sweep == "M":
-        return dict(common, M=default_m_grid(), L=6, trials=500)
-    return dict(common, L=default_l_grid(), M=50, trials=100)
+def _add_ints(sub, names, **defaults):
+    for name in names.split():
+        sub.add_argument(f"--{name}", type=int, default=defaults.get(name), help=_HELP[name])
 
 
 def _run_figure(args):
-    sweep = "M" if args.command == "fig1" else "L"
-    merged = _settle(args, _figure_defaults(sweep), sweep_key=sweep)
-    config = ExperimentConfig(sweep=sweep, values=merged.pop(sweep), **merged)
-    rows = (run_fig1 if sweep == "M" else run_fig2)(config)
-    _print_rows(config, rows)
-    if config.out:
-        print(f"wrote {config.out}.csv and {config.out}.dat")
-    return 0
-
-
-def _print_rows(config, rows):
+    # unset flags are left out, so ExperimentConfig supplies their defaults
+    options = {
+        key: value for key, value in vars(args).items()
+        if value is not None and key not in ("command", "func")
+    }
+    if isinstance(options["values"], str):
+        options["values"] = parse_values(options["values"])
+    config = ExperimentConfig(**options)
+    rows = (run_fig1 if config.sweep == "M" else run_fig2)(config)
     for row in rows:
         parts = [f"{config.sweep}={row.value}"]
         for name, s in row.stats.items():
@@ -125,37 +73,25 @@ def _print_rows(config, rows):
                 f"messages={s.mean_messages:.1f}"
             )
         print("  ".join(parts))
+    if config.out:
+        print(f"wrote {config.out}.csv and {config.out}.dat")
+    return 0
 
 
 def _cmd_trial(args):
-    defaults = dict(N=200, M=50, K=10, L=6, g=None, seed=1, max_iters=None, topology=None)
-    merged = _settle(args, defaults)
-    config = ProblemConfig(
-        N=merged["N"], M=merged["M"], K=merged["K"], L=merged["L"], seed=merged["seed"]
-    )
-    topology = None
-    if merged["topology"] is not None:
-        topology = topology_from_listing(merged["topology"])
+    config = ProblemConfig(N=args.N, M=args.M, K=args.K, L=args.L, seed=args.seed)
+    topology = None if args.topology is None else topology_from_listing(args.topology)
     trial = run_single_trial(
-        config,
-        args.algorithm,
-        g=merged["g"],
-        topology=topology,
-        max_iters=merged["max_iters"],
+        config, args.algorithm, g=args.g, topology=topology, max_iters=args.max_iters
     )
     return 0 if trial.success or not args.expect_success else 1
 
 
 def _cmd_cost(args):
-    defaults = dict(N=200, M=50, K=10, L=6, g=3, seed=0, T=None)
-    merged = _settle(args, defaults)
-    params = CostParams(
-        N=merged["N"], K=merged["K"], L=merged["L"], g=merged["g"], T=merged["T"]
-    )
+    params = CostParams(N=args.N, K=args.K, L=args.L, g=args.g, T=args.T)
     names = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
-    table = [(name, cost_table1(name, params)) for name in names]
-    for name, value in table:
-        print(f"{name}: {value}")
+    for name in names:
+        print(f"{name}: {cost_table1(name, params)}")
     return 0
 
 
@@ -166,24 +102,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("fig1", help="success frequency vs measurements per node")
-    p1.add_argument("--M", type=str, help="swept M values, e.g. 22:50:2 or 26,30")
-    p1.add_argument("--L", type=int, help="node count")
-    _add_common(p1)
-    p1.set_defaults(func=_run_figure)
-
-    p2 = sub.add_parser(
-        "fig2", help="transmitted messages and iterations vs network scale"
+    figures = (
+        ("fig1", "success frequency vs measurements per node", "M", "L", "22:50:2 or 26,30"),
+        ("fig2", "transmitted messages and iterations vs network scale", "L", "M", "5:40:5"),
     )
-    p2.add_argument("--L", type=str, help="swept L values, e.g. 5:40:5")
-    p2.add_argument("--M", type=int, help="measurements per node")
-    _add_common(p2)
-    p2.set_defaults(func=_run_figure)
+    for command, about, sweep, fixed, example in figures:
+        p = sub.add_parser(command, help=about)
+        p.add_argument(
+            f"--{sweep}", dest="values", metavar=sweep,
+            default=default_m_grid() if sweep == "M" else default_l_grid(),
+            help=f"swept {sweep} values, e.g. {example}",
+        )
+        # fig2's 100 trials differ from ExperimentConfig's 500
+        _add_ints(p, f"{fixed} N K g seed trials jobs", trials=100 if sweep == "L" else None)
+        p.add_argument("--out", help="output path stem (.csv/.dat added)")
+        p.add_argument("--algorithms", type=_names, help="comma list of simulated algorithms")
+        p.set_defaults(func=_run_figure, sweep=sweep)
 
     pt = sub.add_parser("trial", help="run one seeded trial with a transcript")
     pt.add_argument("--algorithm", choices=("ssp", "dcsp"), default="dcsp")
-    pt.add_argument("--M", type=int, help="measurements per node")
-    pt.add_argument("--L", type=int, help="node count")
+    _add_ints(pt, "N M K L g seed", N=200, M=50, K=10, L=6, seed=1)
     pt.add_argument("--max-iters", dest="max_iters", type=int)
     pt.add_argument(
         "--topology",
@@ -194,17 +132,11 @@ def build_parser():
         action="store_true",
         help="exit nonzero if the trial does not recover the support",
     )
-    _add_common(pt, with_jobs=False)
     pt.set_defaults(func=_cmd_trial)
 
     pc = sub.add_parser("cost", help="closed-form message counts")
-    pc.add_argument(
-        "--algorithm", default="all", choices=ALGORITHMS + ("all",)
-    )
-    pc.add_argument("--M", type=int, help=argparse.SUPPRESS)
-    pc.add_argument("--L", type=int, help="node count")
-    pc.add_argument("--T", type=int, help="iteration count for T-dependent rows")
-    _add_common(pc, with_jobs=False)
+    pc.add_argument("--algorithm", default="all", choices=ALGORITHMS + ("all",))
+    _add_ints(pc, "N K L g T", N=200, K=10, L=6, g=3)
     pc.set_defaults(func=_cmd_cost)
 
     return parser

@@ -26,7 +26,6 @@ a class assigned to ``dcsp.experiments.ProcessPoolExecutor`` is the one it
 starts.
 """
 
-import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ import numpy as np
 from .costs import CostParams, cost_dcsp, cost_ssp, cost_table1
 from .errors import RankDeficientError
 from .network import full_topology, ring_topology
-from .problems import ProblemConfig, generate, success
+from .problems import ProblemConfig, _integer, generate, success
 from .pursuit import dcsp_run, ssp_run
 
 _MASK64 = (1 << 64) - 1
@@ -78,17 +77,11 @@ def require_2k(M, K, where):
         raise ValueError(f"{where}: need M >= 2K, got M={M} and K={K}")
 
 
-def _integer(name, value):
-    """``operator.index(value)``, or a ValueError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: which variable moves, what stays fixed, how many trials."""
+    """One sweep: which variable moves, what stays fixed, how many trials.
+
+    An M sweep needs g <= L; an L sweep clips g to each point's L."""
 
     sweep: str  # "M" or "L"
     values: tuple
@@ -129,19 +122,20 @@ class ExperimentConfig:
             raise ValueError(f"cannot simulate {sorted(unknown)}")
         if self.g < 2:
             raise ValueError(f"need g >= 2, got g={self.g}")
-        if self.K < 1:
-            raise ValueError(f"need K >= 1, got K={self.K}")
-        if self.K > self.N:
-            raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(
                 f"out={self.out}: directory {os.path.dirname(self.out)} does not exist"
             )
         for value in self.values:
-            _, M, K, L = self.point_dims(value)
-            if L < 2:
-                raise ValueError(f"{self.sweep}={value}: need L >= 2, got L={L}")
-            require_2k(M, K, f"{self.sweep}={value}")
+            N, M, K, L = self.point_dims(value)
+            where = f"{self.sweep}={value}"
+            try:  # ProblemConfig holds the dimension rules; each draw seeds itself
+                ProblemConfig(N=N, M=M, K=K, L=L, seed=0)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            require_2k(M, K, where)
+        if self.sweep == "M" and self.g > self.L:
+            raise ValueError(f"need g <= L, got g={self.g} and L={self.L}")
 
     def point_dims(self, value):
         """(N, M, K, L) at one sweep point."""
@@ -400,18 +394,19 @@ def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
     if algorithm not in SIMULATED_ALGORITHMS:
         raise ValueError(f"cannot simulate {algorithm!r}")
     require_2k(config.M, config.K, "trial")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError(f"need max_iters >= 1, got max_iters={max_iters}")
     if topology is not None and topology.L != config.L:
         raise ValueError(f"topology has {topology.L} nodes, config has L={config.L}")
-    instance = generate(config)
     if algorithm == "ssp":
         g_used = config.L
-        result = ssp_run(instance, topology=topology, max_iters=max_iters)
     elif topology is not None:
         g_used = None
-        result = dcsp_run(instance, topology, max_iters=max_iters)
     else:
         g_used = config.L if g is None else g
-        result = dcsp_run(instance, ring_topology(config.L, g_used), max_iters=max_iters)
+        topology = ring_topology(config.L, g_used)
+    instance = generate(config)
+    result = (ssp_run if algorithm == "ssp" else dcsp_run)(instance, topology, max_iters)
     ok = success(result.support, instance)
 
     if emit is not None:

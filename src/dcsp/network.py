@@ -17,6 +17,7 @@ The charge for a neighbor round comes from the topology's links,
 ``sum_l (|G_l| - 1)`` times the frame.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,8 @@ def ring_topology(L: int, g: int) -> Topology:
     neighborhood is the whole network (full collaboration), at which point
     DCSP degenerates into decentralized SSP.
     """
-    if g < 2 or g > L:
-        raise InvalidDegreeError(f"need 2 <= g <= L, got g={g}, L={L}")
+    if not isinstance(g, numbers.Integral) or not 2 <= g <= L:
+        raise InvalidDegreeError(f"need an integer 2 <= g <= L, got g={g}, L={L}")
     if g == L:
         return full_topology(L)
     l = np.arange(1, L + 1)[:, None]

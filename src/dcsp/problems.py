@@ -43,12 +43,21 @@ def _hash_constants(init, mult, count):
 _STATE_HASH = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
 
 
+def _integer(name, value):
+    """``operator.index(value)``, or a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Problem dimensions and the master seed.
 
     N: ambient dimension, M: measurements per node, K: shared sparsity,
-    L: node count.  A draw needs M >= 1; sweeps and trials need M >= 2K.
+    L: node count, each stored as an int.  A draw needs M >= 1; sweeps and
+    trials need M >= 2K.
     """
 
     N: int
@@ -58,14 +67,16 @@ class ProblemConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("N", "M", "K", "L", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.K < 1:
-            raise ValueError("K must be >= 1")
+            raise ValueError(f"need K >= 1, got K={self.K}")
         if self.L < 2:
-            raise ValueError("L must be >= 2")
+            raise ValueError(f"need L >= 2, got L={self.L}")
         if self.M < 1:
-            raise ValueError("M must be >= 1")
+            raise ValueError(f"need M >= 1, got M={self.M}")
         if self.K > self.N:
-            raise ValueError("K cannot exceed N")
+            raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got seed={self.seed}")
 

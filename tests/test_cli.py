@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import dcsp
-from dcsp.cli import build_parser, main, parse_values, read_config_file
+import dcsp.cli
+from dcsp.cli import build_parser, main, parse_values
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,16 +29,6 @@ class TestParseValues:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             parse_values("10:5")
-
-
-def test_read_config_file(tmp_path):
-    path = tmp_path / "opts.cfg"
-    path.write_text("# comment\ntrials = 3\nseed=9  # inline\n\nalgorithms=ssp\n")
-    assert read_config_file(path) == {"trials": "3", "seed": "9", "algorithms": "ssp"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just words\n")
-    with pytest.raises(ValueError):
-        read_config_file(bad)
 
 
 class TestCostCommand:
@@ -113,12 +105,16 @@ class TestTrialCommand:
         assert captured.out == ""
         assert "topology has 3 nodes, config has L=6" in captured.err
 
-    def test_topology_via_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "topo.cfg"
-        cfg.write_text("N=40\nM=20\nK=3\nL=4\nseed=5\ntopology=1,2;2,3;3,4;4,1\n")
-        code = main(["trial", "--config", str(cfg)])
-        assert code == 0
-        assert "topology=explicit" in capsys.readouterr().out
+    def test_max_iters_below_1_rejected_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        code = main(self.ARGS + ["--max-iters", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need max_iters >= 1, got max_iters=0" in captured.err
 
 
 class TestFigureCommands:
@@ -142,31 +138,6 @@ class TestFigureCommands:
         assert code == 0
         text = (tmp_path / "f2.csv").read_text()
         assert "somp_analytic_messages" in text
-
-    def test_config_file_and_flag_precedence(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("N=40\nK=3\nL=4\ntrials=5\nseed=2\nM=16\n")
-        out_file = tmp_path / "flagged"
-        code = main([
-            "fig1", "--config", str(cfg), "--trials", "2", "--out", str(out_file),
-        ])
-        assert code == 0
-        rows = [
-            line
-            for line in (tmp_path / "flagged.csv").read_text().splitlines()
-            if not line.startswith("#")
-        ]
-        header, data = rows[0].split(","), rows[1].split(",")
-        record = dict(zip(header, data))
-        assert record["M"] == "16"  # from file
-        assert record["trials"] == "2"  # flag wins over file
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus=1\n")
-        code = main(["fig1", "--config", str(cfg), "--M", "16", "--trials", "1"])
-        assert code == 2
-        assert "bogus" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, capsys):
         code = main(["fig1", "--M", "0:0:0", "--trials", "1"])
@@ -219,6 +190,76 @@ class TestFigureCommands:
         assert code == 2
         assert captured.out == ""
         assert f"directory {tmp_path / 'missing'} does not exist" in captured.err
+
+
+# Every option of every subcommand, set to a value that no default takes,
+# with the value the library call must receive.  `trial --expect-success`
+# sets the exit code and reaches no library call.
+EVERY_OPTION = {
+    "fig1": {"--M": ("22,26", (22, 26)), "--L": ("7", 7), "--N": ("201", 201),
+             "--K": ("11", 11), "--g": ("4", 4), "--seed": ("5", 5),
+             "--trials": ("3", 3), "--jobs": ("2", 2), "--out": ("stem", "stem"),
+             "--algorithms": ("ssp", ("ssp",))},
+    "fig2": {"--L": ("5:9:2", (5, 7, 9)), "--M": ("51", 51), "--N": ("201", 201),
+             "--K": ("11", 11), "--g": ("4", 4), "--seed": ("5", 5),
+             "--trials": ("3", 3), "--jobs": ("2", 2), "--out": ("stem", "stem"),
+             "--algorithms": ("dcsp", ("dcsp",))},
+    "trial": {"--algorithm": ("ssp", "ssp"), "--N": ("201", 201), "--M": ("51", 51),
+              "--K": ("11", 11), "--L": ("7", 7), "--g": ("4", 4), "--seed": ("5", 5),
+              "--max-iters": ("9", 9), "--topology": ("1,2;2,1", "1,2;2,1")},
+    "cost": {"--algorithm": ("ssp", "ssp"), "--N": ("201", 201), "--K": ("11", 11),
+             "--L": ("7", 7), "--g": ("4", 4), "--T": ("9", 9)},
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    (choices,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    return choices
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+def test_every_option_reaches_the_library(monkeypatch, command):
+    received = []
+
+    def record(*args, **kwargs):
+        received.extend(args)
+        received.extend(kwargs.values())
+        return types.SimpleNamespace(sweep="M", out=None, success=True)
+
+    for name in ("ExperimentConfig", "ProblemConfig", "CostParams", "cost_table1",
+                 "run_single_trial", "topology_from_listing"):
+        monkeypatch.setattr(dcsp.cli, name, record)
+    for name in ("run_fig1", "run_fig2"):
+        monkeypatch.setattr(dcsp.cli, name, lambda config: [])
+    options = EVERY_OPTION[command]
+    flags = {
+        flag for action in _subparsers()[command]._actions for flag in action.option_strings
+    } - {"-h", "--help"}
+    if command == "trial":
+        flags.remove("--expect-success")
+    assert flags == set(options)
+    argv = [command] + [token for flag, (text, _) in options.items() for token in (flag, text)]
+    assert main(argv) == 0
+    for flag, (_, value) in options.items():
+        assert any(type(v) is type(value) and v == value for v in received), flag
+
+
+@pytest.mark.parametrize("argv, sweep", [
+    (["fig1", "--M", "16", "--N", "40", "--K", "3", "--L", "4", "--trials", "1"], "M"),
+    (["fig2", "--L", "2", "--N", "40", "--K", "3", "--M", "20", "--trials", "1"], "L"),
+])
+def test_figures_run_through_the_module_run_sweep(monkeypatch, capsys, argv, sweep):
+    # perfbench reads each sweep's rows by patching dcsp.experiments.run_sweep
+    configs = []
+
+    def run_sweep(config):
+        configs.append(config)
+        return []
+
+    monkeypatch.setattr(dcsp.experiments, "run_sweep", run_sweep)
+    assert main(argv) == 0
+    assert [config.sweep for config in configs] == [sweep]
 
 
 def test_readme_commands_parse():

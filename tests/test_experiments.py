@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsp import experiments
-from dcsp.errors import RankDeficientError
+from dcsp.errors import InvalidDegreeError, RankDeficientError
 from dcsp.experiments import (
     ExperimentConfig,
     TrialResult,
@@ -85,6 +85,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="M=30: need L >= 2, got L=1"):
             ExperimentConfig(sweep="M", values=(30,), L=1)
         ExperimentConfig(sweep="L", values=(2,))
+
+    def test_m_sweep_g_above_l_rejected(self):
+        with pytest.raises(ValueError, match="need g <= L, got g=10 and L=6"):
+            ExperimentConfig(sweep="M", values=(30,), g=10, L=6)
+        ExperimentConfig(sweep="M", values=(30,), g=6, L=6)
+        # an L sweep clips g to each point's L
+        config = ExperimentConfig(sweep="L", values=(2, 5), g=3)
+        assert [config.point_g(v) for v in config.values] == [2, 3]
 
     def test_empty_algorithms_rejected(self):
         with pytest.raises(ValueError, match=r"got algorithms=\(\)"):
@@ -417,6 +425,24 @@ class TestRunSingleTrial:
         topology = topology_from_listing("1,2;2,3;3,1")
         with pytest.raises(ValueError, match="topology has 3 nodes, config has L=6"):
             run_single_trial(cfg, algorithm, topology=topology, emit=None)
+
+    def test_rejects_max_iters_below_1_before_running(self, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(experiments, "generate", no_draw)
+        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
+        with pytest.raises(ValueError, match="need max_iters >= 1, got max_iters=0"):
+            run_single_trial(cfg, "dcsp", max_iters=0, emit=None)
+
+    def test_rejects_non_integer_g_before_running(self, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(experiments, "generate", no_draw)
+        cfg = ProblemConfig(N=60, M=30, K=3, L=6, seed=1)
+        with pytest.raises(InvalidDegreeError, match="got g=2.5, L=6"):
+            run_single_trial(cfg, "dcsp", g=2.5, emit=None)
 
     def test_silent_without_emit(self, capsys):
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)

@@ -45,6 +45,12 @@ class TestRingTopology:
         with pytest.raises(InvalidDegreeError):
             ring_topology(4, 5)
 
+    @pytest.mark.parametrize("g", [2.5, 3.0, "3"])
+    def test_non_integer_degree_rejected(self, g):
+        with pytest.raises(InvalidDegreeError, match=f"got g={g}, L=6"):
+            ring_topology(6, g)
+        assert ring_topology(6, np.int64(3)).neighbor_link_count == 12
+
     @pytest.mark.parametrize("L,g", [(2, 2), (5, 2), (6, 3), (8, 5), (9, 9)])
     def test_link_count_matches_formula(self, L, g):
         assert ring_topology(L, g).neighbor_link_count == L * (g - 1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,29 @@ class TestGenerate:
         with pytest.raises(ValueError, match="need seed >= 0, got seed=-5"):
             ProblemConfig(N=10, M=5, K=2, L=2, seed=-5)
         ProblemConfig(N=10, M=3, K=2, L=2, seed=0)  # M < 2K is require_2k's check
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(K=0), "need K >= 1, got K=0"),
+        (dict(L=1), "need L >= 2, got L=1"),
+        (dict(M=0), "need M >= 1, got M=0"),
+        (dict(N=8, K=10), "need K <= N, got K=10 and N=8"),
+    ])
+    def test_bound_messages_name_the_values(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ProblemConfig(**dict(dict(N=10, M=5, K=2, L=2, seed=0), **kw))
+
+    @pytest.mark.parametrize("field", ["N", "M", "K", "L", "seed"])
+    def test_float_dimension_rejected(self, field):
+        kw = dict(N=60, M=30, K=3, L=4, seed=1)
+        kw[field] = float(kw[field])
+        message = f"need an integer {field}, got {field}={kw[field]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProblemConfig(**kw)
+
+    def test_numpy_integers_stored_as_int(self):
+        config = ProblemConfig(N=np.int64(60), M=np.int32(30), K=3, L=np.int64(4), seed=1)
+        assert all(type(getattr(config, f)) is int for f in ("N", "M", "K", "L", "seed"))
+        assert generate(config).dictionaries.shape == (4, 30, 60)
 
 
 
