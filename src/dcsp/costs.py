@@ -10,6 +10,8 @@ count.
 
 from dataclasses import dataclass
 
+from .problems import _integer
+
 ALGORITHMS = ("jsp_jomp", "somp", "dcomp", "ssp", "dcsp")
 
 
@@ -24,13 +26,18 @@ class CostParams:
     T: int = None
 
     def __post_init__(self):
+        for name in ("N", "K", "L", "g", "T"):
+            if getattr(self, name) is not None:  # as in ProblemConfig
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("N", "K", "L"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.g is not None and not 1 <= self.g <= self.L:
-            raise ValueError("need 1 <= g <= L")
+                raise ValueError(f"need {name} >= 1, got {name}={getattr(self, name)}")
+        if self.K > self.N:  # as in ProblemConfig
+            raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
+        if self.g is not None and not 2 <= self.g <= self.L:  # as in ring_topology
+            raise ValueError(f"need 2 <= g <= L, got g={self.g} and L={self.L}")
         if self.T is not None and self.T < 0:
-            raise ValueError("T must be >= 0")
+            raise ValueError(f"need T >= 0, got T={self.T}")
 
     def require(self, *names):
         for name in names:

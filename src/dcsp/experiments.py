@@ -28,15 +28,15 @@ starts.
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import CostParams, cost_dcsp, cost_ssp, cost_table1
+from .costs import CostParams, cost_table1
 from .errors import RankDeficientError
 from .network import full_topology, ring_topology
 from .problems import ProblemConfig, _integer, generate, success
-from .pursuit import dcsp_run, ssp_run
+from .pursuit import _run_limits, dcsp_run, ssp_run
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 5
@@ -127,25 +127,22 @@ class ExperimentConfig:
                 f"out={self.out}: directory {os.path.dirname(self.out)} does not exist"
             )
         for value in self.values:
-            N, M, K, L = self.point_dims(value)
             where = f"{self.sweep}={value}"
-            try:  # ProblemConfig holds the dimension rules; each draw seeds itself
-                ProblemConfig(N=N, M=M, K=K, L=L, seed=0)
+            try:  # ProblemConfig holds the dimension rules
+                problem, _ = self.point(value)
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from None
-            require_2k(M, K, where)
+            require_2k(problem.M, problem.K, where)
         if self.sweep == "M" and self.g > self.L:
             raise ValueError(f"need g <= L, got g={self.g} and L={self.L}")
 
-    def point_dims(self, value):
-        """(N, M, K, L) at one sweep point."""
-        if self.sweep == "M":
-            return self.N, value, self.K, self.L
-        return self.N, self.M, self.K, value
-
-    def point_g(self, value):
-        L = value if self.sweep == "L" else self.L
-        return min(self.g, L)
+    def point(self, value):
+        """One sweep point: its :class:`ProblemConfig`, with ``seed=0``
+        since each draw seeds itself, and its dcsp ``g``, clipped to its L."""
+        dims = dict(N=self.N, M=self.M, K=self.K, L=self.L)
+        dims[self.sweep] = value
+        problem = ProblemConfig(**dims, seed=0)
+        return problem, min(self.g, problem.L)
 
 
 @dataclass
@@ -175,12 +172,6 @@ def default_l_grid():
     return tuple(range(5, 41, 5))
 
 
-def _topologies(config: ExperimentConfig, value):
-    """Each simulated algorithm's topology at one sweep point."""
-    L = config.point_dims(value)[3]
-    return {"ssp": full_topology(L), "dcsp": ring_topology(L, config.point_g(value))}
-
-
 def _run_one(config: ExperimentConfig, value, trial, topologies):
     """One trial at one sweep point: every algorithm on the same draw.
 
@@ -192,11 +183,11 @@ def _run_one(config: ExperimentConfig, value, trial, topologies):
         If all ``_MAX_REDRAWS + 1`` draws are rank deficient; the message
         names the sweep point, the trial and the seeds tried.
     """
-    N, M, K, L = config.point_dims(value)
+    problem, _ = config.point(value)
     seeds = []
     for attempt in range(_MAX_REDRAWS + 1):
         seeds.append(derive_trial_seed(config.seed, value, trial, attempt))
-        instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seeds[-1]))
+        instance = generate(replace(problem, seed=seeds[-1]))
         try:
             results = {
                 algorithm: (ssp_run if algorithm == "ssp" else dcsp_run)(
@@ -223,38 +214,30 @@ def _run_one(config: ExperimentConfig, value, trial, topologies):
     }
 
 
-def _task(args):
-    return _run_one(*args)
-
-
-def _analytic_for(algorithm, N, K, L, g, T):
-    p = CostParams(N=N, K=K, L=L, g=g, T=T)
-    return cost_ssp(p) if algorithm == "ssp" else cost_dcsp(p)
-
-
 def run_sweep(config: ExperimentConfig):
     """Execute the sweep and aggregate one :class:`SweepRow` per point."""
-    # topologies are built once per point and shared by its trials
     tasks = []
-    for v in config.values:
-        topologies = _topologies(config, v)
-        tasks += [(config, v, t, topologies) for t in range(config.trials)]
+    for value in config.values:
+        problem, g = config.point(value)
+        # built once per point and shared by its trials
+        shared = {"ssp": full_topology(problem.L), "dcsp": ring_topology(problem.L, g)}
+        tasks += [(config, value, trial, shared) for trial in range(config.trials)]
     if config.jobs > 1:
         pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
         with pool_class(max_workers=config.jobs) as pool:
-            records = list(pool.map(_task, tasks, chunksize=8))
+            records = list(pool.map(_run_one, *zip(*tasks), chunksize=8))
     else:
-        records = [_task(t) for t in tasks]
+        records = list(map(_run_one, *zip(*tasks)))
 
     rows = []
     for i, value in enumerate(config.values):
         point = records[i * config.trials : (i + 1) * config.trials]
-        N, M, K, L = config.point_dims(value)
-        g = config.point_g(value)
+        problem, g = config.point(value)
+        costs = CostParams(N=problem.N, K=problem.K, L=problem.L, g=g)
         stats = {}
         for algorithm in config.algorithms:
             oks, iters, wires, redraws = zip(*(rec[algorithm] for rec in point))
-            analytic = [_analytic_for(algorithm, N, K, L, g, T) for T in iters]
+            analytic = [cost_table1(algorithm, replace(costs, T=T)) for T in iters]
             stats[algorithm] = AlgorithmStats(
                 success_rate=float(np.mean(oks)),
                 mean_iterations=float(np.mean(iters)),
@@ -265,11 +248,9 @@ def run_sweep(config: ExperimentConfig):
         references = {}
         if config.sweep == "L":
             # dcomp, never simulated, adds one index per iteration: T = K
-            base = CostParams(N=N, K=K, L=L, g=g, T=K)
+            base = replace(costs, T=problem.K)
             references = {
-                "jsp_jomp": cost_table1("jsp_jomp", base),
-                "somp": cost_table1("somp", base),
-                "dcomp": cost_table1("dcomp", base),
+                name: cost_table1(name, base) for name in ("jsp_jomp", "somp", "dcomp")
             }
         rows.append(SweepRow(value, config.trials, stats, references))
     return rows
@@ -300,34 +281,20 @@ def run_fig2(config: ExperimentConfig):
 # output tables
 
 
-def _columns(config: ExperimentConfig, rows):
-    cols = [config.sweep, "trials"]
-    for a in config.algorithms:
-        cols += [
-            f"{a}_success",
-            f"{a}_mean_iterations",
-            f"{a}_mean_messages",
-            f"{a}_analytic_messages",
-            f"{a}_aborted",
-        ]
-    for ref in rows[0].references:
-        cols.append(f"{ref}_analytic_messages")
-    return cols
-
-
 def _cells(config: ExperimentConfig, row: SweepRow):
-    cells = [str(row.value), str(row.trials)]
+    """One table row as (column, cell) pairs."""
+    cells = [(config.sweep, str(row.value)), ("trials", str(row.trials))]
     for a in config.algorithms:
         s = row.stats[a]
         cells += [
-            f"{s.success_rate:.6g}",
-            f"{s.mean_iterations:.6g}",
-            f"{s.mean_messages:.6g}",
-            f"{s.mean_analytic:.6g}",
-            str(s.aborted),
+            (f"{a}_success", f"{s.success_rate:.6g}"),
+            (f"{a}_mean_iterations", f"{s.mean_iterations:.6g}"),
+            (f"{a}_mean_messages", f"{s.mean_messages:.6g}"),
+            (f"{a}_analytic_messages", f"{s.mean_analytic:.6g}"),
+            (f"{a}_aborted", str(s.aborted)),
         ]
-    for ref in row.references.values():
-        cells.append(str(ref))
+    for ref, cost in row.references.items():
+        cells.append((f"{ref}_analytic_messages", str(cost)))
     return cells
 
 
@@ -353,7 +320,7 @@ def _header_lines(config: ExperimentConfig, figure):
 
 def write_tables(rows, config: ExperimentConfig, figure):
     """Write ``<out>.csv`` and a gnuplot-style ``<out>.dat``."""
-    cols = _columns(config, rows)
+    table = [_cells(config, row) for row in rows]
     header = _header_lines(config, figure)
     paths = []
     # the .dat twin separates with spaces and comments out the column names
@@ -361,8 +328,8 @@ def write_tables(rows, config: ExperimentConfig, figure):
         paths.append(f"{config.out}{suffix}")
         with open(paths[-1], "w") as fh:
             fh.writelines(f"# {line}\n" for line in header)
-            fh.write(mark + sep.join(cols) + "\n")
-            fh.writelines(sep.join(_cells(config, row)) + "\n" for row in rows)
+            fh.write(mark + sep.join(column for column, _ in table[0]) + "\n")
+            fh.writelines(sep.join(cell for _, cell in cells) + "\n" for cells in table)
     return tuple(paths)
 
 
@@ -394,10 +361,7 @@ def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
     if algorithm not in SIMULATED_ALGORITHMS:
         raise ValueError(f"cannot simulate {algorithm!r}")
     require_2k(config.M, config.K, "trial")
-    if max_iters is not None and max_iters < 1:
-        raise ValueError(f"need max_iters >= 1, got max_iters={max_iters}")
-    if topology is not None and topology.L != config.L:
-        raise ValueError(f"topology has {topology.L} nodes, config has L={config.L}")
+    max_iters = _run_limits(config, topology, max_iters)
     if algorithm == "ssp":
         g_used = config.L
     elif topology is not None:

@@ -69,7 +69,7 @@ from .network import (
     exchange_neighbors,
     full_topology,
 )
-from .problems import ProblemInstance
+from .problems import ProblemInstance, _integer
 
 _NO_SUPPORT = np.empty(0, dtype=np.int64)
 
@@ -174,17 +174,25 @@ def _project_candidates(instance, candidates):
     return magnitudes, sizes
 
 
+def _run_limits(config, topology, max_iters):
+    """Check a run's ``topology`` (if given) and iteration cap against the
+    :class:`ProblemConfig` ``config``; returns the cap, default ``3 * K``."""
+    if topology is not None and topology.L != config.L:
+        raise ValueError(f"topology has {topology.L} nodes, problem has L={config.L}")
+    if max_iters is None:
+        return 3 * config.K
+    max_iters = _integer("max_iters", max_iters)
+    if max_iters < 1:
+        raise ValueError(f"need max_iters >= 1, got max_iters={max_iters}")
+    return max_iters
+
+
 def _pursue(instance, topology, max_iters, fuse):
     """The pursuit loop behind :func:`ssp_run` (``fuse=False``) and
     :func:`dcsp_run` (``fuse=True``); see the module docstring."""
     cfg = instance.config
     N, K, L = cfg.N, cfg.K, cfg.L
-    if topology.L != L:
-        raise ValueError(f"topology has {topology.L} nodes, instance has L={L}")
-    if max_iters is None:
-        max_iters = 3 * K
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    max_iters = _run_limits(cfg, topology, max_iters)
 
     counter = WireCounter()
     share = exchange_neighbors if fuse else broadcast_all

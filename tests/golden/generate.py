@@ -1,0 +1,148 @@
+"""Regenerate ``runs.json``, the golden record of pursuit runs and tables.
+
+    PYTHONPATH=src python3 tests/golden/generate.py
+
+The file pins what a refactor must not change.  It holds about 300 seeded
+small instances, each run four ways (ssp; dcsp on a ring with g < L, or
+g = 2 at L = 2; dcsp with g = L; dcsp on a random explicit topology),
+and the sha256 of the fig1 and fig2 ``.csv`` tables at three base seeds.
+Per run it stores a digest of the exact fields (support, iterations,
+support trace, candidate sizes, wire rounds, cap hit) and the residual
+trace rounded to 15 significant digits; the first instances also keep
+their exact fields in full, so a failure can be read field by field.
+
+Regenerate the file only in a change that declares an output change.
+``tests/test_golden.py`` recomputes everything here and compares.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from dcsp.errors import RankDeficientError
+from dcsp.experiments import ExperimentConfig, default_l_grid, default_m_grid, run_fig1, run_fig2
+from dcsp.network import full_topology, ring_topology, topology_from_listing
+from dcsp.problems import ProblemConfig, generate
+from dcsp.pursuit import dcsp_run, ssp_run
+
+PATH = Path(__file__).with_name("runs.json")
+INSTANCES = 300
+EXAMPLES = 2  # instances whose runs are also stored field by field
+RUNS = ("ssp", "dcsp-ring", "dcsp-full", "dcsp-graph")
+TABLE_SEEDS = (1, 7, 99)
+TABLE_TRIALS = 2
+
+
+def instance_params(count=INSTANCES, seed=20141):
+    """``count`` rows of (N, M, K, L, g, seed, max_iters, listing).
+
+    K = 1, M = 2K, L = 2 and caps of 1 and 2 iterations all occur; the
+    listing is a random neighborhood per node for ``topology_from_listing``.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(count):
+        K = int(rng.integers(1, 5))
+        L = int(rng.integers(2, 8))
+        N = int(rng.integers(max(12, 2 * K), 41))
+        M = 2 * K if i % 4 == 0 else int(rng.integers(2 * K, 2 * K + 13))
+        g = int(rng.integers(2, L)) if L > 2 else 2
+        max_iters = (None, None, None, 1, 2)[i % 5]
+        groups = []
+        for l in range(1, L + 1):
+            others = [j for j in range(1, L + 1) if j != l]
+            picked = rng.choice(others, size=int(rng.integers(0, L)), replace=False)
+            groups.append(",".join(str(j) for j in sorted([l, *picked.tolist()])))
+        rows.append([N, M, K, L, g, int(rng.integers(0, 2**31)), max_iters, ";".join(groups)])
+    return rows
+
+
+def exact_fields(result):
+    """The fields compared exactly, as plain JSON values."""
+    return {
+        "support": result.support.tolist(),
+        "iterations": result.iterations,
+        "support_trace": [s.tolist() for s in result.support_trace],
+        "candidate_sizes": result.candidate_sizes,
+        "rounds": [list(r) for r in result.wire.rounds],
+        "hit_max_iters": result.hit_max_iters,
+    }
+
+
+def digest(fields):
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run_instance(params):
+    """The four runs of one instance, in ``RUNS`` order: (fields, residual
+    trace) each, or (exception name, []) for a rank-deficient draw."""
+    N, M, K, L, g, seed, max_iters, listing = params
+    instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
+    calls = (
+        lambda: ssp_run(instance, full_topology(L), max_iters),
+        lambda: dcsp_run(instance, ring_topology(L, g), max_iters),
+        lambda: dcsp_run(instance, ring_topology(L, L), max_iters),
+        lambda: dcsp_run(instance, topology_from_listing(listing), max_iters),
+    )
+    runs = []
+    for call in calls:
+        try:
+            result = call()
+        except RankDeficientError:
+            runs.append(("RankDeficientError", []))
+            continue
+        runs.append((exact_fields(result), [float(x) for x in result.residual_trace]))
+    return runs
+
+
+def table_digests(trials=TABLE_TRIALS):
+    """sha256 of the default fig1 and fig2 ``.csv`` tables at each seed."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in TABLE_SEEDS:
+            for figure, sweep, values, run in (
+                ("fig1", "M", default_m_grid(), run_fig1),
+                ("fig2", "L", default_l_grid(), run_fig2),
+            ):
+                out = os.path.join(tmp, f"{figure}-seed{seed}")
+                run(ExperimentConfig(sweep=sweep, values=values, trials=trials, seed=seed, out=out))
+                with open(out + ".csv", "rb") as fh:
+                    digests[f"{figure}-seed{seed}.csv"] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def _stored(fields):
+    return fields if isinstance(fields, str) else digest(fields)
+
+
+def main():
+    params = instance_params()
+    lines = []
+    examples = []
+    for i, p in enumerate(params):
+        runs = run_instance(p)
+        if i < EXAMPLES:
+            examples += [fields for fields, _ in runs]
+        # 15 significant digits keep the file small; the test compares at 1e-12
+        stored = [[_stored(f), [float(f"{x:.15g}") for x in trace]] for f, trace in runs]
+        lines.append(json.dumps([p, stored], separators=(",", ":")))
+    header = {
+        "runs": list(RUNS),
+        "table_trials": TABLE_TRIALS,
+        "tables": table_digests(),
+        "examples": examples,
+    }
+    with open(PATH, "w") as fh:
+        fh.write('{"header":' + json.dumps(header, separators=(",", ":")) + ',\n"instances":[\n')
+        fh.write(",\n".join(lines) + "\n]}\n")
+    print(f"wrote {PATH} ({PATH.stat().st_size} bytes, {len(lines)} instances)", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

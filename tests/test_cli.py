@@ -47,6 +47,18 @@ class TestCostCommand:
         assert code == 0
         assert "ssp: 12630" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--g", "1"], "need 2 <= g <= L, got g=1 and L=6"),
+        (["--K", "300"], "need K <= N, got K=300 and N=200"),
+        (["--g", "9", "--L", "6"], "need 2 <= g <= L, got g=9 and L=6"),
+    ])
+    def test_out_of_bounds_rejected(self, capsys, flags, message):
+        code = main(["cost", "--T", "3"] + flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_missing_T_fails_cleanly(self, capsys):
         code = main(["cost", "--algorithm", "ssp"])
         assert code == 2
@@ -103,7 +115,7 @@ class TestTrialCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "topology has 3 nodes, config has L=6" in captured.err
+        assert "topology has 3 nodes, problem has L=6" in captured.err
 
     def test_max_iters_below_1_rejected_before_any_draw(self, capsys, monkeypatch):
         def no_draw(config):

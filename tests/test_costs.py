@@ -21,6 +21,27 @@ class TestCostSsp:
             cost_ssp(CostParams(N=10, K=2, L=3))
 
 
+class TestCostParamsBounds:
+    # the bounds of ring_topology (2 <= g <= L) and ProblemConfig (K <= N)
+    @pytest.mark.parametrize("kw, message", [
+        (dict(g=1), "need 2 <= g <= L, got g=1 and L=6"),
+        (dict(g=9), "need 2 <= g <= L, got g=9 and L=6"),
+        (dict(K=300), "need K <= N, got K=300 and N=200"),
+        (dict(N=0), "need N >= 1, got N=0"),
+        (dict(T=-1), "need T >= 0, got T=-1"),
+        (dict(g=2.5), "need an integer g, got g=2.5"),
+        (dict(N=200.0), "need an integer N, got N=200.0"),
+        (dict(T=3.0), "need an integer T, got T=3.0"),
+    ])
+    def test_rejected_naming_the_values(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            CostParams(**{**dict(N=200, K=10, L=6, g=3, T=3), **kw})
+
+    def test_boundaries_accepted(self):
+        CostParams(N=200, K=200, L=6, g=2, T=0)
+        CostParams(N=200, K=10, L=6, g=6, T=3)
+
+
 class TestCostDcsp:
     def test_reference_point(self):
         assert cost_dcsp(CostParams(N=200, K=10, L=6, g=3, T=3)) == 11610

@@ -92,7 +92,7 @@ class TestConfigValidation:
         ExperimentConfig(sweep="M", values=(30,), g=6, L=6)
         # an L sweep clips g to each point's L
         config = ExperimentConfig(sweep="L", values=(2, 5), g=3)
-        assert [config.point_g(v) for v in config.values] == [2, 3]
+        assert [config.point(v)[1] for v in config.values] == [2, 3]
 
     def test_empty_algorithms_rejected(self):
         with pytest.raises(ValueError, match=r"got algorithms=\(\)"):
@@ -423,7 +423,7 @@ class TestRunSingleTrial:
         monkeypatch.setattr(experiments, "generate", no_draw)
         cfg = ProblemConfig(N=30, M=16, K=3, L=6, seed=9)
         topology = topology_from_listing("1,2;2,3;3,1")
-        with pytest.raises(ValueError, match="topology has 3 nodes, config has L=6"):
+        with pytest.raises(ValueError, match="topology has 3 nodes, problem has L=6"):
             run_single_trial(cfg, algorithm, topology=topology, emit=None)
 
     def test_rejects_max_iters_below_1_before_running(self, monkeypatch):
@@ -434,6 +434,15 @@ class TestRunSingleTrial:
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
         with pytest.raises(ValueError, match="need max_iters >= 1, got max_iters=0"):
             run_single_trial(cfg, "dcsp", max_iters=0, emit=None)
+
+    def test_rejects_non_integer_max_iters_before_running(self, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(experiments, "generate", no_draw)
+        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
+        with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
+            run_single_trial(cfg, "dcsp", max_iters=2.5, emit=None)
 
     def test_rejects_non_integer_g_before_running(self, monkeypatch):
         def no_draw(config):

@@ -1,0 +1,56 @@
+"""Golden regression: pursuit runs and sweep tables match ``golden/runs.json``.
+
+The file was written by ``golden/generate.py``; regenerate it only in a
+change that declares an output change.  Exact fields are compared through
+their digests (and in full for the stored examples).  A residual trace
+entry may differ by 1e-12 of the larger of its own value and the trace's
+first entry, since a different BLAS kernel may round differently and
+a converged residual is round-off.
+"""
+
+import json
+
+import pytest
+
+from golden.generate import (
+    EXAMPLES, PATH, RUNS, _stored, instance_params, run_instance, table_digests,
+)
+
+RTOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(PATH) as fh:
+        return json.load(fh)
+
+
+def _trace_close(actual, expected):
+    if len(actual) != len(expected):
+        return False
+    scale = abs(expected[0]) if expected else 0.0
+    return all(abs(a - e) <= RTOL * max(abs(e), scale) for a, e in zip(actual, expected))
+
+
+def test_runs_match_golden(golden):
+    instances = golden["instances"]
+    assert [p for p, _ in instances] == instance_params()
+    mismatches = []
+    examples = []
+    for i, (params, stored) in enumerate(instances):
+        runs = run_instance(params)
+        if i < EXAMPLES:
+            examples += [fields for fields, _ in runs]
+        for name, (fields, trace), (want, want_trace) in zip(RUNS, runs, stored):
+            if _stored(fields) != want:
+                mismatches.append(f"instance {i} {params} {name}: exact fields differ")
+            elif not _trace_close(trace, want_trace):
+                mismatches.append(f"instance {i} {params} {name}: residual trace "
+                                  f"{trace} != {want_trace}")
+    assert examples == golden["header"]["examples"]
+    assert not mismatches, f"{len(mismatches)} runs differ, first: {mismatches[:3]}"
+
+
+def test_tables_match_golden(golden):
+    header = golden["header"]
+    assert table_digests(header["table_trials"]) == header["tables"]

@@ -79,7 +79,7 @@ class TestDcspRun:
         assert success(result.support, inst)
 
     def test_topology_size_mismatch_names_both_sizes(self):
-        with pytest.raises(ValueError, match="topology has 4 nodes, instance has L=3"):
+        with pytest.raises(ValueError, match="topology has 4 nodes, problem has L=3"):
             dcsp_run(tiny_instance(1), ring_topology(4, 2))
 
     def test_candidate_sizes_bounded(self):
