@@ -88,7 +88,9 @@ def _cmd_trial(args):
 
 
 def _cmd_cost(args):
-    params = CostParams(N=args.N, K=args.K, L=args.L, g=args.g, T=args.T)
+    # g defaults to 3 only for the rows that read it, dcomp and dcsp
+    g = 3 if args.g is None and args.algorithm in ("all", "dcomp", "dcsp") else args.g
+    params = CostParams(N=args.N, K=args.K, L=args.L, g=g, T=args.T)
     names = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
     for name in names:
         print(f"{name}: {cost_table1(name, params)}")
@@ -136,7 +138,7 @@ def build_parser():
 
     pc = sub.add_parser("cost", help="closed-form message counts")
     pc.add_argument("--algorithm", default="all", choices=ALGORITHMS + ("all",))
-    _add_ints(pc, "N K L g T", N=200, K=10, L=6, g=3)
+    _add_ints(pc, "N K L g T", N=200, K=10, L=6)
     pc.set_defaults(func=_cmd_cost)
 
     return parser

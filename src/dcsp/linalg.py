@@ -121,7 +121,7 @@ def max_ind(v, K):
     N = key.shape[-1]
     if K > N:
         raise ValueError(f"K={K} exceeds vector length {N}")
-    if key.ndim == 2 and 0 < K < N:
+    if key.ndim == 2 and len(key) > 1 and 0 < K < N:
         # numpy's default sort ranks a stack several times faster than the
         # stable argsort.  Where each row's K-th smallest key is strictly
         # below its (K+1)-th, the keys up to it are that row's top K under

@@ -120,8 +120,18 @@ class WireCounter:
         self.rounds.append((label, kind, scalars))
 
 
-def exchange_neighbors(payloads, topology: Topology, counter: WireCounter,
-                       declared_length: int, label: str = "neighbor"):
+def _charge(counter, topology, payloads, kind, label, scalars):
+    """Charge ``scalars`` to each run's counter; returns the run count."""
+    counters = [counter] if isinstance(counter, WireCounter) else counter
+    if len(payloads) != len(counters) * topology.L:
+        raise ValueError("need one payload per node")
+    for c in counters:
+        c._add(kind, label, scalars)
+    return len(counters)
+
+
+def exchange_neighbors(payloads, topology: Topology, counter, declared_length: int,
+                       label: str = "neighbor"):
     """Neighborhood exchange: node l receives from every j in G_l \\ {l}.
 
     ``payloads`` stacks one payload per node along its first axis (row
@@ -129,26 +139,26 @@ def exchange_neighbors(payloads, topology: Topology, counter: WireCounter,
     declared_length`` scalars to ``counter`` and returns every node's view
     as one array of shape (L, g_max, ...): row k of node l's view is the
     payload of its k-th neighbor in ascending order (its own payload
-    included), and pad rows past |G_l| are zero.
+    included), and pad rows past |G_l| are zero.  With a list of runs'
+    counters, ``payloads`` and the views stack the runs' node rows in turn.
     """
     payloads = np.asarray(payloads)
-    if payloads.shape[0] != topology.L:
-        raise ValueError("need one payload per node")
-    pad = np.zeros((1,) + payloads.shape[1:], dtype=payloads.dtype)
-    counter._add("neighbor", label, topology.neighbor_link_count * declared_length)
-    return np.concatenate([payloads, pad])[topology.index]
+    runs = _charge(counter, topology, payloads, "neighbor", label,
+                   topology.neighbor_link_count * declared_length)
+    L, rest = topology.L, payloads.shape[1:]
+    padded = np.zeros((runs, L + 1) + rest, dtype=payloads.dtype)
+    padded[:, :L] = payloads.reshape((runs, L) + rest)
+    return padded[:, topology.index].reshape((-1,) + topology.index.shape[1:] + rest)
 
 
-def broadcast_all(payloads, topology: Topology, counter: WireCounter,
-                  declared_length: int, label: str = "broadcast"):
+def broadcast_all(payloads, topology: Topology, counter, declared_length: int,
+                  label: str = "broadcast"):
     """Network-wide exchange: node l receives from every other node.
 
-    Adds (L - 1) * L * declared_length scalars to ``counter``.  Every
-    node's view is all L payloads in node order, so the stack is returned
-    as it is.
+    Adds (L - 1) * L * declared_length scalars to ``counter`` (or to each
+    counter of a list, as in :func:`exchange_neighbors`).  Every node's
+    view is all L payloads in node order, so the stack is returned as is.
     """
-    if len(payloads) != topology.L:
-        raise ValueError("need one payload per node")
     L = topology.L
-    counter._add("broadcast", label, (L - 1) * L * declared_length)
+    _charge(counter, topology, payloads, "broadcast", label, (L - 1) * L * declared_length)
     return payloads

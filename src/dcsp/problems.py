@@ -188,19 +188,21 @@ def _streams(seed, keys):
     return [Generator(PCG64(_SeedWords(w))) for w in _stream_states(seed, keys)]
 
 
-def generate(config: ProblemConfig) -> ProblemInstance:
+def generate(config: ProblemConfig, out=None) -> ProblemInstance:
     """Draw a problem instance, fully determined by ``config``.
 
     Dictionary entries and the nonzero signal entries are i.i.d. standard
     Gaussian, the support is drawn uniformly without replacement, and
-    measurements are exact matrix-vector products.
+    measurements are exact matrix-vector products.  ``out``, a float64
+    array of shape (L, M, N), receives the dictionaries in place of a new
+    array (a sweep draws a batch into one stack this way).
     """
     N, M, K, L = config.N, config.M, config.K, config.L
     rngs = _streams(config.seed, [(0, 0)] + [(c, l) for c in (1, 2) for l in range(1, L + 1)])
 
     support = np.sort(rngs[0].choice(N, size=K, replace=False).astype(np.int64) + 1)
 
-    dictionaries = np.empty((L, M, N))
+    dictionaries = np.empty((L, M, N)) if out is None else out
     signals = np.zeros((L, N))
     measurements = np.empty((L, M))
     for l, (A_rng, x_rng) in enumerate(zip(rngs[1:L + 1], rngs[L + 1:])):

@@ -59,6 +59,15 @@ class TestCostCommand:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_g_free_row_ignores_the_g_default(self, capsys):
+        # ssp never reads g, so L=2 must not trip the g=3 default of the g rows
+        code = main(["cost", "--algorithm", "ssp", "--L", "2", "--T", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == "ssp: 1726\n"
+        code = main(["cost", "--algorithm", "dcsp", "--L", "2", "--T", "3"])
+        assert code == 2
+        assert "need 2 <= g <= L, got g=3 and L=2" in capsys.readouterr().err
+
     def test_missing_T_fails_cleanly(self, capsys):
         code = main(["cost", "--algorithm", "ssp"])
         assert code == 2

@@ -290,19 +290,15 @@ def test_config_space_rejected_or_runs_exactly(kwargs):
 def test_redraw_is_shared_by_all_algorithms(monkeypatch, failing):
     # one driver fails on the trial's first draw: both must move to the redraw
     seeds = {"ssp": [], "dcsp": []}
+    run_batch = experiments.run_batch
 
-    def recording(name, driver):
-        def run(instance, *args, **kwargs):
-            seeds[name].append(instance.config.seed)
-            if name == failing and len(seeds[name]) == 1:
-                raise RankDeficientError("forced on the first draw")
-            return driver(instance, *args, **kwargs)
+    def recording(algorithm, instances, *args, **kwargs):
+        seeds[algorithm] += [instance.config.seed for instance in instances]
+        if algorithm == failing and len(seeds[algorithm]) == 1:
+            raise RankDeficientError("forced on the first draw")
+        return run_batch(algorithm, instances, *args, **kwargs)
 
-        return run
-
-    for name in ("ssp", "dcsp"):
-        driver = getattr(experiments, f"{name}_run")
-        monkeypatch.setattr(experiments, f"{name}_run", recording(name, driver))
+    monkeypatch.setattr(experiments, "run_batch", recording)
     config = small_m_config(values=(20,), trials=1)
     rows = run_sweep(config)
 
@@ -317,30 +313,70 @@ def test_redraw_exhaustion_names_the_trial(monkeypatch):
     errors = []
     generate = experiments.generate
 
-    def counting_generate(cfg):
+    def counting_generate(cfg, out=None):
         draws.append(cfg.seed)
-        return generate(cfg)
+        return generate(cfg, out)
 
-    def always_deficient(instance, *args, **kwargs):
-        errors.append(RankDeficientError(f"forced on seed {instance.config.seed}"))
+    def always_deficient(algorithm, instances, *args, **kwargs):
+        seeds = [instance.config.seed for instance in instances]
+        errors.append(RankDeficientError(f"forced on seeds {seeds}"))
         raise errors[-1]
 
     monkeypatch.setattr(experiments, "generate", counting_generate)
-    monkeypatch.setattr(experiments, "ssp_run", always_deficient)
+    monkeypatch.setattr(experiments, "run_batch", always_deficient)
     config = small_m_config(values=(20,), trials=2)
     with pytest.raises(RankDeficientError) as excinfo:
         run_sweep(config)
 
-    assert len(draws) == experiments._MAX_REDRAWS + 1
+    # the two trials fail as one batch, then trial 0 redraws alone
+    batch = [derive_trial_seed(config.seed, 20, trial) for trial in range(2)]
     tried = [
         derive_trial_seed(config.seed, 20, 0, attempt)
         for attempt in range(experiments._MAX_REDRAWS + 1)
     ]
-    assert draws == tried
+    assert draws == batch + tried
     message = str(excinfo.value)
     assert message.startswith("M=20 trial 0: ")
     assert str(tried) in message
     assert excinfo.value.__cause__ is errors[-1]
+
+
+@pytest.mark.parametrize("failing", ["ssp", "dcsp"])
+def test_redraw_inside_a_batch_matches_one_at_a_time(monkeypatch, failing):
+    # the first draw of trial 2, in the middle of a batch of 5, is rank
+    # deficient for one algorithm: the sweep must match running each trial
+    # alone, row for row, redraw for redraw and seed for seed
+    config = small_m_config(values=(20,), L=2, g=2, trials=5)
+    assert experiments.NODES // config.L >= config.trials  # one batch
+    deficient = derive_trial_seed(config.seed, 20, 2)
+    run_batch = experiments.run_batch
+
+    def sweep(nodes):
+        used, sizes = set(), []
+
+        def run(algorithm, instances, *args, **kwargs):
+            seeds = [instance.config.seed for instance in instances]
+            sizes.append(len(seeds))
+            if algorithm == failing and deficient in seeds:
+                raise RankDeficientError(f"forced on seed {deficient}")
+            results = run_batch(algorithm, instances, *args, **kwargs)
+            used.update((algorithm, seed) for seed in seeds)
+            return results
+
+        monkeypatch.setattr(experiments, "run_batch", run)
+        monkeypatch.setattr(experiments, "NODES", nodes)
+        return run_sweep(config), used, sizes
+
+    rows, used, sizes = sweep(experiments.NODES)
+    reference, reference_used, reference_sizes = sweep(config.L)
+    assert max(sizes) == config.trials and max(reference_sizes) == 1
+    assert rows == reference
+    assert used == reference_used
+    redrawn = derive_trial_seed(config.seed, 20, 2, attempt=1)
+    for algorithm in ("ssp", "dcsp"):
+        assert rows[0].stats[algorithm].aborted == 1
+        assert (algorithm, redrawn) in used
+    assert (failing, deficient) not in used
 
 
 class TestFigureWrappers:

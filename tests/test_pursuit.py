@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +10,9 @@ from dcsp.errors import RankDeficientError
 from dcsp.linalg import column_submatrix, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, success
-from dcsp.pursuit import _ordered_sum, _residual_state, dcsp_run, ssp_run
+from dcsp.pursuit import (
+    _ordered_sum, _residual_state, dcsp_run, run_batch, ssp_run,
+)
 from oracle import TooLargeError, exhaustive_decoder
 
 
@@ -284,9 +289,9 @@ def test_rank_deficient_support_is_not_cached():
 
 
 @st.composite
-def irregular_listing(draw):
+def irregular_listing(draw, L=st.integers(2, 10)):
     """Neighborhood listing with mixed sizes and asymmetric links."""
-    L = draw(st.integers(2, 10))
+    L = draw(L)
     nodes = st.integers(1, L)
     groups = [draw(st.sets(nodes, max_size=L)) | {l} for l in range(1, L + 1)]
     return ";".join(",".join(map(str, sorted(g))) for g in groups), groups
@@ -331,3 +336,101 @@ def test_padded_view_sum_equals_per_node_sum(listing, seed):
         for j in members[1:]:
             expected += payloads[j - 1]
         assert np.array_equal(sums[l], expected)
+
+
+@st.composite
+def batches(draw):
+    """A batch of draws of one config: (config, seeds, g, listing, cap)."""
+    K = draw(st.integers(1, 4))
+    M = 2 * K + draw(st.integers(0, 8))
+    L = draw(st.integers(2, 12))
+    config = ProblemConfig(N=M + draw(st.integers(1, 20)), M=M, K=K, L=L, seed=0)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True))
+    listing, _ = draw(irregular_listing(st.just(L)))
+    # a third of the batches stop at a 1-2 iteration cap, so that runs in a
+    # batch stop at different rounds and some at the cap
+    cap = draw(st.sampled_from([None, None, 1, None, None, 2]))
+    return config, seeds, draw(st.integers(2, L)), listing, cap
+
+
+def _fields_with_split(run):
+    return _run_fields(run) + (run.wire.neighbor_scalars, run.wire.broadcast_scalars)
+
+
+@given(batches())
+@settings(max_examples=40, deadline=None)
+def test_batch_matches_single_runs(batch):
+    config, seeds, g, listing, cap = batch
+    L = config.L
+    drivers = {
+        "ssp": ("ssp", None),
+        "dcsp-ring": ("dcsp", ring_topology(L, g)),
+        "dcsp-full": ("dcsp", ring_topology(L, L)),
+        "dcsp-graph": ("dcsp", topology_from_listing(listing)),
+    }
+
+    def draw(seed, out=None):
+        return generate(dataclasses.replace(config, seed=seed), out=out)
+
+    single = {}
+    for name, (algorithm, topology) in drivers.items():
+        run = ssp_run if algorithm == "ssp" else dcsp_run
+        try:
+            single[name] = {s: _fields_with_split(run(draw(s), topology, cap)) for s in seeds}
+        except RankDeficientError:
+            single[name] = None
+
+    for order in (seeds, seeds[::-1]):
+        stack = None
+        if order is seeds:  # drawn into one stack, as a sweep draws a batch
+            stack = np.empty((len(order), L, config.M, config.N))
+            draws = [draw(s, stack[i]) for i, s in enumerate(order)]
+        else:
+            draws = [draw(s) for s in order]
+        runs = {}
+        for name, (algorithm, topology) in drivers.items():
+            if single[name] is None:
+                with pytest.raises(RankDeficientError):
+                    run_batch(algorithm, draws, topology, cap, stack)
+                continue
+            runs[name] = run_batch(algorithm, draws, topology, cap, stack)
+            assert [_fields_with_split(r) for r in runs[name]] == [single[name][s] for s in order]
+        if "ssp" in runs and "dcsp-full" in runs:
+            for a, b in zip(runs["ssp"], runs["dcsp-full"]):
+                assert a.residual_trace == b.residual_trace  # exact float equality
+                assert _run_fields(a)[:2] == _run_fields(b)[:2]
+                assert _run_fields(a)[3] == _run_fields(b)[3]
+
+
+def test_batch_rejects_mixed_dimensions():
+    draws = [tiny_instance(1), tiny_instance(2, M=9)]
+    with pytest.raises(ValueError, match="one N, M, K and L"):
+        run_batch("ssp", draws, None)
+
+
+def test_batch_reads_a_passed_stack_in_place():
+    # a sweep draws a batch into one stack, which the pursuit must not
+    # copy: without the stack it copies the dictionaries once, with it never
+    config = ProblemConfig(N=400, M=40, K=4, L=4, seed=0)
+    stack = np.empty((4, 4, 40, 400))
+    draws = [generate(dataclasses.replace(config, seed=s), out=stack[s]) for s in range(4)]
+    topology = ring_topology(4, 2)
+
+    def traced(dictionaries):
+        for d in draws:
+            d.memo.clear()
+        tracemalloc.start()
+        try:
+            runs = run_batch("dcsp", draws, topology, dictionaries=dictionaries)
+            return [_run_fields(r) for r in runs], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced(stack)  # first use loads modules lazily
+    copied, copied_peak = traced(None)
+    in_place, in_place_peak = traced(stack)
+    assert in_place == copied
+    # the copy is held for the whole run; less would be part of it
+    assert copied_peak - in_place_peak > 0.9 * stack.nbytes
+    with pytest.raises(ValueError, match=r"need a \(4, L, M, N\) dictionary stack"):
+        run_batch("dcsp", draws, topology, dictionaries=stack[:3])
