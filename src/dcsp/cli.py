@@ -21,21 +21,27 @@ from .experiments import (
 from .problems import ProblemConfig
 
 
+class _BadValues(ValueError, argparse.ArgumentTypeError):
+    """A sweep value list that does not parse; argparse reports its text
+    under the flag."""
+
+
 def parse_values(text):
     """Sweep values from 'start:stop:step' (stop inclusive) or 'a,b,c'."""
     text = str(text)
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise ValueError(f"bad range {text!r}")
-        if step < 1 or stop < start:
-            raise ValueError(f"bad range {text!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(","))
+    try:
+        parts = [int(p) for p in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise _BadValues(f"bad values {text!r}: need integers as "
+                         "start:stop[:step] or a,b,c") from None
+    if ":" not in text:
+        return tuple(parts)
+    if len(parts) == 2:
+        parts.append(1)
+    if len(parts) != 3 or parts[2] < 1 or parts[1] < parts[0]:
+        raise _BadValues(f"bad range {text!r}")
+    start, stop, step = parts
+    return tuple(range(start, stop + 1, step))
 
 
 def _names(text):
@@ -61,8 +67,6 @@ def _run_figure(args):
         key: value for key, value in vars(args).items()
         if value is not None and key not in ("command", "func")
     }
-    if isinstance(options["values"], str):
-        options["values"] = parse_values(options["values"])
     config = ExperimentConfig(**options)
     rows = (run_fig1 if config.sweep == "M" else run_fig2)(config)
     for row in rows:
@@ -111,7 +115,7 @@ def build_parser():
     for command, about, sweep, fixed, example in figures:
         p = sub.add_parser(command, help=about)
         p.add_argument(
-            f"--{sweep}", dest="values", metavar=sweep,
+            f"--{sweep}", dest="values", metavar=sweep, type=parse_values,
             default=default_m_grid() if sweep == "M" else default_l_grid(),
             help=f"swept {sweep} values, e.g. {example}",
         )
@@ -145,7 +149,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or help
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError, DcspError) as exc:

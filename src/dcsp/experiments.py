@@ -19,10 +19,10 @@ in ``_MAX_REDRAWS + 1`` attempts stops the sweep with an error naming it.
 
 Trial batching: a point at L nodes runs consecutive trials in batches of
 ``max(1, NODES // L)``, so a batch of several trials holds at most NODES
-node rows.  A batch is drawn once into one (B, L, M, N) stack, and each
-algorithm runs on it through one :func:`~dcsp.pursuit.run_batch` call,
-which is handed the stack and reads it in place.
-A batch that hits a rank-deficient projection runs again one trial at a
+node rows per algorithm.  A batch is drawn once into one (B, L, M, N)
+stack, and one :func:`~dcsp.pursuit.run_batch` call, handed the stack to
+read in place, runs every algorithm on it, so that each round's numpy
+calls serve ssp and dcsp together.  A batch that hits a rank-deficient projection runs again one trial at a
 time through the redraw loop, so every record, seed and ``aborted``
 count equals one-at-a-time running.  Workers return per-batch records
 that are merged in trial order, so parallel and serial runs produce
@@ -45,15 +45,13 @@ from .costs import CostParams, cost_table1
 from .errors import RankDeficientError
 from .network import full_topology, ring_topology
 from .problems import ProblemConfig, _integer, generate, success
-from .pursuit import _run_limits, dcsp_run, run_batch, ssp_run
+from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 5
 # node rows per trial batch (module docstring).  At fig1's L=6, 3 trials
 # per batch gave +20% trials/s for +1.7 MB peak RSS; 6 gave +32%, +4.0 MB
 NODES = 20
-
-SIMULATED_ALGORITHMS = ("ssp", "dcsp")
 
 
 def __getattr__(name):
@@ -186,15 +184,15 @@ def default_l_grid():
 
 def _attempt(config: ExperimentConfig, value, trials, topologies, attempt):
     """Draw ``trials`` of one point at ``attempt`` into one stack and run
-    every algorithm on the batch: one record per trial, {algorithm:
+    ``topologies``' algorithms on it: one record per trial, {algorithm:
     (success, iterations, messages, redraws)}, or RankDeficientError."""
     problem, _ = config.point(value)
     stack = np.empty((len(trials), problem.L, problem.M, problem.N))
     seeds = [derive_trial_seed(config.seed, value, trial, attempt) for trial in trials]
     draws = [generate(replace(problem, seed=seed), out=stack[i]) for i, seed in enumerate(seeds)]
-    runs = {a: run_batch(a, draws, topologies[a], dictionaries=stack) for a in config.algorithms}
+    runs = run_batch(topologies, draws, dictionaries=stack)
     return [{a: (bool(success(runs[a][i].support, draw)), runs[a][i].iterations,
-                 runs[a][i].wire.total, attempt) for a in config.algorithms}
+                 runs[a][i].wire.total, attempt) for a in runs}
             for i, draw in enumerate(draws)]
 
 
@@ -230,8 +228,9 @@ def run_sweep(config: ExperimentConfig):
     tasks = []
     for value in config.values:
         problem, g = config.point(value)
-        # built once per point and shared by its trials
-        shared = {"ssp": full_topology(problem.L), "dcsp": ring_topology(problem.L, g)}
+        # built once per point and shared by its trials, in table order
+        shared = {a: full_topology(problem.L) if a == "ssp" else ring_topology(problem.L, g)
+                  for a in config.algorithms}
         size = max(1, NODES // problem.L)
         tasks += [(config, value, range(t, min(t + size, config.trials)), shared)
                   for t in range(0, config.trials, size)]
@@ -372,10 +371,7 @@ def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
     residual energies, wire tallies) is a deterministic function of the
     inputs; ``emit=None`` runs the trial silently.
     """
-    if algorithm not in SIMULATED_ALGORITHMS:
-        raise ValueError(f"cannot simulate {algorithm!r}")
     require_2k(config.M, config.K, "trial")
-    max_iters = _run_limits(config, topology, max_iters)
     if algorithm == "ssp":
         g_used = config.L
     elif topology is not None:
@@ -383,8 +379,9 @@ def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
     else:
         g_used = config.L if g is None else g
         topology = ring_topology(config.L, g_used)
+    _run_limits(config, {algorithm: topology}, max_iters)
     instance = generate(config)
-    result = (ssp_run if algorithm == "ssp" else dcsp_run)(instance, topology, max_iters)
+    result = run_batch({algorithm: topology}, [instance], max_iters)[algorithm][0]
     ok = success(result.support, instance)
 
     if emit is not None:

@@ -94,8 +94,12 @@ def topology_from_listing(text) -> Topology:
     groups = [grp.strip() for grp in str(text).split(";") if grp.strip()]
     neighbors = []
     for l, grp in enumerate(groups, start=1):
-        ids = {int(tok) for tok in grp.split(",") if tok.strip()}
-        ids.add(l)
+        ids = {l}
+        for tok in filter(str.strip, grp.split(",")):
+            try:
+                ids.add(int(tok))
+            except ValueError:
+                raise ValueError(f"bad node id {tok.strip()!r} in listing {text!r}") from None
         neighbors.append(np.array(sorted(ids), dtype=np.int64))
     return Topology(len(groups), neighbors)
 

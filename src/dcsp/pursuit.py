@@ -1,7 +1,7 @@
 """Decentralized subspace-pursuit style support recovery.
 
 One pursuit loop, :func:`run_batch`, runs both algorithms on a batch of
-draws; two public entry points run one draw:
+draws at once; two public entry points run one algorithm on one draw:
 
 * :func:`ssp_run` — simultaneous subspace pursuit over a fully connected
   network: every node shares correlation vectors, projection coefficients
@@ -42,17 +42,20 @@ travel as their magnitudes scattered into an (L, N) stack; the charge
 stays at the 2K frame, since a node still transmits its candidate set and
 coefficients.
 
-Trial batching: ``run_batch`` runs B draws of one config on one topology
-(``ssp_run``/``dcsp_run`` are a batch of one).  Each round makes one
-stacked call over the node rows of all live runs, run after run, for the
-residuals, correlations and energies of memo misses, each candidate-size
-``lstsq`` group, the top-K ranking and the fabric views, so a small
+Trial batching: ``run_batch`` runs each requested algorithm, on its own
+topology, on B draws of one config (``ssp_run``/``dcsp_run`` run one on a
+batch of one).  Runs go algorithm by algorithm, each reading its draw's
+node rows of the one stack, and each round makes one stacked call over
+the node rows of every live run for the memo misses (once per distinct
+draw and support, so ssp and dcsp share a support they reach together),
+each candidate-size ``lstsq`` group and the top-K ranking, so a small
 network stops paying numpy's fixed cost per call on every run (on a
 2-core x86 VM, an ``lstsq`` of 36 x 15 slices took about 66 µs for one
-slice, 20 µs per slice for 16).  Fusion, stopping, traces and wire
-counters stay per run, and a stopped run drops out.  Every slice computes as it does alone, so
-each result equals the run on its own draw; a rank-deficient projection
-in any run raises for the whole batch.
+slice, 20 µs per slice for 16).  Fabric rounds, fusion, stopping, traces
+and wire counters stay per algorithm and per run, and a stopped run drops
+out.  Every slice computes as it does alone, so each result equals the
+run on its own draw; a rank-deficient projection in any run raises for
+the whole batch.
 
 Per-draw memo: the residuals, residual energies and correlations against
 a support depend only on the draw and the support, and both drivers keep
@@ -66,7 +69,9 @@ projection that raises caches nothing.  An instance's arrays must not be
 modified once a driver has run on it.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,6 +86,7 @@ from .network import (
 from .problems import ProblemInstance, _integer
 
 _NO_SUPPORT = np.empty(0, dtype=np.int64)
+SIMULATED_ALGORITHMS = ("ssp", "dcsp")
 
 
 @dataclass
@@ -139,54 +145,53 @@ def _node_stack(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _rows(runs, L):
-    """Stack rows of the nodes of batch runs ``runs``, run after run."""
-    return (np.multiply(runs, L)[:, None] + np.arange(L)).ravel()
+def _rows(draws, L):
+    """Stack rows of the nodes of batch draws ``draws``, draw after draw."""
+    return (np.multiply(draws, L)[:, None] + np.arange(L)).ravel()
 
 
-def _residual_states(instances, runs, supports, A, Y):
-    """The :class:`_ResidualState` of ``instances[runs[j]]`` against
+def _residual_states(instances, draws, supports, A, Y):
+    """The :class:`_ResidualState` of ``instances[draws[j]]`` against
     ``supports[j]`` (sorted, all one size), from the instance's memo when
-    an earlier call (by either driver) made it, else from one stacked
-    :func:`resid` and one :func:`correlate` over the misses; ``A``, ``Y``
-    are the node stacks."""
+    an earlier run made it, else from one stacked :func:`resid` and one
+    :func:`correlate` over the distinct (draw, support) misses; ``A``,
+    ``Y`` are the node stacks."""
     L = instances[0].config.L
     keys = [s.tobytes() for s in supports]
-    states = [instances[i].memo.get(key) for i, key in zip(runs, keys)]
-    miss = [j for j, state in enumerate(states) if state is None]
-    if not miss:
-        return states
-    rows = _rows([runs[j] for j in miss], L)
-    stacked = Y[rows]
-    if supports[0].size:
-        cols = np.repeat(np.array([supports[j] for j in miss]) - 1, L, axis=0)
-        # column-major slices, as column_submatrix gives, so that the
-        # product inside resid rounds as it does on one node's columns
-        stacked = resid(stacked, A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1))
-    # the stack rows from the first miss to the last are one view of A, so
-    # correlating it takes no copy; rows of other runs between correlate a
-    # zero residual, and each row's product is the one it makes alone
-    offset = rows - rows[0]
-    R = np.zeros((offset[-1] + 1, Y.shape[1]))
-    R[offset] = stacked
-    correlations = correlate(A[rows[0]:rows[-1] + 1], R)[offset]
-    # one stacked product makes the same dot per row as r @ r does
-    energies = np.matmul(stacked[:, None, :], stacked[:, :, None]).ravel().tolist()
-    for array in (stacked, correlations):
-        array.flags.writeable = False
-    for n, j in enumerate(miss):
-        instance, span = instances[runs[j]], slice(n * L, (n + 1) * L)
-        r = stacked[span] if supports[j].size else instance.measurements.view()
-        r.flags.writeable = False
-        states[j] = instance.memo[keys[j]] = _ResidualState(
-            r, correlations[span], tuple(energies[span]))
-    return states
-
-
-def _residual_state(instance, support):
-    """One instance's :class:`_ResidualState`, as a batch of one."""
-    return _residual_states([instance], [0], [support], instance.dictionaries,
-                            instance.measurements)[0]
+    # one position per distinct miss, which every run that made it shares
+    miss = list({(draws[j], keys[j]): j for j, key in enumerate(keys)
+                 if key not in instances[draws[j]].memo}.values())
+    if miss:
+        rows = _rows([draws[j] for j in miss], L)
+        stacked = Y[rows]
+        if supports[miss[0]].size:
+            cols = np.repeat(np.array([supports[j] for j in miss]) - 1, L, axis=0)
+            # column-major slices, as column_submatrix gives, so that the
+            # product inside resid rounds as it does on one node's columns
+            stacked = resid(stacked, A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1))
+        # the stack rows from the first missing draw to the last are one view
+        # of A, so correlating it takes no copy: the k-th miss of a draw fills
+        # that draw's rows of layer k of a zero residual stack, and each
+        # row's product is the one it makes alone
+        layer, count = np.empty(len(miss), dtype=np.int64), {}
+        for n, j in enumerate(miss):
+            layer[n] = count[draws[j]] = count.get(draws[j], -1) + 1
+        first = min(count) * L
+        at = (np.repeat(layer, L), rows - first)
+        R = np.zeros((layer.max() + 1, rows.max() + 1 - first, Y.shape[1]))
+        R[at] = stacked
+        correlations = correlate(A[first:first + R.shape[1]], R)[at]
+        # one stacked product makes the same dot per row as r @ r does
+        energies = np.matmul(stacked[:, None, :], stacked[:, :, None]).ravel().tolist()
+        for array in (stacked, correlations):
+            array.flags.writeable = False
+        for n, j in enumerate(miss):
+            instance, span = instances[draws[j]], slice(n * L, (n + 1) * L)
+            r = stacked[span] if supports[j].size else instance.measurements.view()
+            r.flags.writeable = False
+            instance.memo[keys[j]] = _ResidualState(
+                r, correlations[span], tuple(energies[span]))
+    return [instances[d].memo[key] for d, key in zip(draws, keys)]
 
 
 def _project_candidates(A, Y, rows, candidates):
@@ -207,43 +212,47 @@ def _project_candidates(A, Y, rows, candidates):
     return magnitudes, sizes
 
 
-def _run_limits(config, topology, max_iters):
-    """Check a run's ``topology`` (if given) and iteration cap against the
-    :class:`ProblemConfig` ``config``; returns the cap, default ``3 * K``."""
-    if topology is not None and topology.L != config.L:
-        raise ValueError(f"topology has {topology.L} nodes, problem has L={config.L}")
+def _run_limits(config, algorithms, max_iters):
+    """Check run arguments against the :class:`ProblemConfig` ``config``;
+    returns the {algorithm: topology} map with ``None`` made full and the
+    cap, default ``3 * K``."""
+    if not algorithms:
+        raise ValueError("need at least one algorithm")
+    topologies = {}
+    for algorithm, topology in algorithms.items():
+        if algorithm not in SIMULATED_ALGORITHMS:
+            raise ValueError(f"cannot simulate {algorithm!r}")
+        topology = full_topology(config.L) if topology is None else topology
+        if topology.L != config.L:
+            raise ValueError(f"topology has {topology.L} nodes, problem has L={config.L}")
+        if algorithm == "ssp" and not topology.is_full():
+            raise ValueError("ssp requires full collaboration")
+        topologies[algorithm] = topology
     if max_iters is None:
-        return 3 * config.K
+        return topologies, 3 * config.K
     max_iters = _integer("max_iters", max_iters)
     if max_iters < 1:
         raise ValueError(f"need max_iters >= 1, got max_iters={max_iters}")
-    return max_iters
+    return topologies, max_iters
 
 
-def run_batch(algorithm, instances, topology, max_iters=None, dictionaries=None):
-    """Run ``algorithm`` ("ssp" or "dcsp") on each of ``instances``, draws
-    of one N, M, K and L that share ``topology`` (``None``: full, for ssp)
-    and the cap: the pursuit loop of the module docstring.  Returns one
-    :class:`RunResult` per instance, each equal to the run on it alone;
-    raises RankDeficientError if any run does.
+def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
+    """Run each of ``algorithms``, a map from "ssp" or "dcsp" to a topology
+    (``None``: full), on each of ``instances``, draws of one N, M, K and L,
+    under one cap: the pursuit loop of the module docstring.  Returns
+    {algorithm: one :class:`RunResult` per instance}, each equal to the
+    run on its draw alone; raises RankDeficientError if any run does.
 
     ``dictionaries`` is the (B, L, M, N) array that holds the instances'
     dictionaries in order, if the caller drew them into one (as a sweep
     does); it is read in place.  Without it, a batch of several draws
     copies their dictionaries into one stack.
     """
-    fuse = algorithm == "dcsp"
     cfg = instances[0].config
     N, K, L = cfg.N, cfg.K, cfg.L
-    if algorithm == "ssp":
-        topology = full_topology(L) if topology is None else topology
-        if not topology.is_full():
-            raise ValueError("ssp requires full collaboration")
-    elif not fuse:
-        raise ValueError(f"cannot simulate {algorithm!r}")
     if len({(i.config.N, i.config.M, i.config.K, i.config.L) for i in instances}) != 1:
         raise ValueError("a batch needs draws of one N, M, K and L")
-    max_iters = _run_limits(cfg, topology, max_iters)
+    topologies, max_iters = _run_limits(cfg, algorithms, max_iters)
 
     if dictionaries is None:
         A = _node_stack([instance.dictionaries for instance in instances])
@@ -253,71 +262,92 @@ def run_batch(algorithm, instances, topology, max_iters=None, dictionaries=None)
         raise ValueError(f"need a ({len(instances)}, L, M, N) dictionary stack, "
                          f"got shape {dictionaries.shape}")
     Y = _node_stack([instance.measurements for instance in instances])
-    counters = [WireCounter() for _ in instances]
-    share = exchange_neighbors if fuse else broadcast_all
+    # run r is algorithm names[r // B] on draw r % B, so the runs of one
+    # algorithm form one slice of any ascending list of runs
+    names, B = list(topologies), len(instances)
+    counters = [WireCounter() for _ in range(len(names) * B)]
 
-    def rank(runs, view):
-        # dcsp ranks a K-set per node, ssp one per run from the network sum
-        return max_ind(_ordered_sum(view if fuse else view.reshape(len(runs), L, -1)), K)
+    def split(live):
+        # (algorithm, first and past-last position in live) per algorithm
+        cuts = [bisect_left(live, a * B) for a in range(len(names) + 1)]
+        return [(names[a], cuts[a], cuts[a + 1]) for a in range(len(names))
+                if cuts[a] < cuts[a + 1]]
 
-    def settle(runs, ranked):
-        # fusion: a broadcast round hands every node all L local K-sets in
-        # node order, and the network keeps the K most frequent indices
-        if not fuse:
-            return list(ranked)
-        local = broadcast_all(ranked, topology, [counters[i] for i in runs], K, "local support")
-        return [max_occ(local[j * L:(j + 1) * L].ravel(), K) for j in range(len(runs))]
+    def rank(parts, stack, wires, length, label):
+        # one fabric round per algorithm, then one max_ind over dcsp's
+        # per-node neighborhood sums and ssp's per-run network sums
+        sums = []
+        for name, lo, hi in parts:
+            fuse = name == "dcsp"
+            view = (exchange_neighbors if fuse else broadcast_all)(
+                stack[lo * L:hi * L], topologies[name], wires[lo:hi], length, label)
+            sums.append(_ordered_sum(view if fuse else view.reshape(hi - lo, L, -1)))
+        ranked, cuts = max_ind(_node_stack(sums), K), [0, *accumulate(map(len, sums))]
+        return [ranked[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def settle(parts, ranked, wires):
+        # fusion: a broadcast round hands every dcsp node all L local K-sets
+        # in node order, and the network keeps the K most frequent indices
+        supports = []
+        for (name, lo, hi), part in zip(parts, ranked):
+            if name == "dcsp":
+                local = broadcast_all(part, topologies[name], wires[lo:hi], K, "local support")
+                part = [max_occ(local[j * L:(j + 1) * L].ravel(), K) for j in range(hi - lo)]
+            supports += list(part)
+        return supports
 
     # initialization: share measurement correlations, pick the K strongest
-    runs = list(range(len(instances)))
-    empty = _residual_states(instances, runs, [_NO_SUPPORT] * len(runs), A, Y)
-    c0 = share(_node_stack([state.correlations for state in empty]),
-               topology, counters, N, "correlation")
-    supports = settle(runs, rank(runs, c0))
-    states = _residual_states(instances, runs, supports, A, Y)
+    live = list(range(len(names) * B))  # the runs still improving
+    parts, draws = split(live), [r % B for r in live]
+    empty = _residual_states(instances, draws, [_NO_SUPPORT] * len(live), A, Y)
+    c0 = _node_stack([state.correlations for state in empty])
+    supports = settle(parts, rank(parts, c0, counters, N, "correlation"), counters)
+    states = _residual_states(instances, draws, supports, A, Y)
 
     results = [RunResult(support, 0, counter, [sum(state.energies)], [support])
                for support, counter, state in zip(supports, counters, states)]
-    live = runs  # the runs still improving
 
     for _ in range(max_iters):
         # share residual correlations, merge the K strongest into candidates
-        wires = [counters[i] for i in live]
-        rows = _rows(live, L)
-        c = share(_node_stack([states[i].correlations for i in live]),
-                  topology, wires, N, "correlation")
-        picked = rank(live, c)
+        parts, draws = split(live), [r % B for r in live]
+        wires, rows = [counters[r] for r in live], _rows(draws, L)
+        c = _node_stack([states[r].correlations for r in live])
+        picked = rank(parts, c, wires, N, "correlation")
         nodes = np.arange(rows.size)[:, None]
         candidates = np.zeros((rows.size, N), dtype=bool)
-        candidates[nodes, np.repeat([results[i].support for i in live], L, axis=0) - 1] = True
-        candidates[nodes, (picked if fuse else np.repeat(picked, L, axis=0)) - 1] = True
+        candidates[nodes, np.repeat([results[r].support for r in live], L, axis=0) - 1] = True
+        # a dcsp node merges its own K-set, an ssp node its run's
+        picked = [p if name == "dcsp" else np.repeat(p, L, axis=0)
+                  for (name, _, _), p in zip(parts, picked)]
+        candidates[nodes, np.concatenate(picked) - 1] = True
         magnitudes, sizes = _project_candidates(A, Y, rows, candidates)
 
         # share (candidate set, coefficients) and re-rank
-        magnitudes = share(magnitudes, topology, wires, 2 * K, "projection")
-        new_supports = settle(live, rank(live, magnitudes))
+        ranked = rank(parts, magnitudes, wires, 2 * K, "projection")
+        new_supports = settle(parts, ranked, wires)
 
-        new_states = _residual_states(instances, live, new_supports, A, Y)
-        broadcast_all([e for state in new_states for e in state.energies],
-                      topology, wires, 1, "residual norm")
+        new_states = _residual_states(instances, draws, new_supports, A, Y)
+        for name, lo, hi in parts:
+            broadcast_all([e for state in new_states[lo:hi] for e in state.energies],
+                          topologies[name], wires[lo:hi], 1, "residual norm")
 
         improved = []
-        for j, i in enumerate(live):
-            run = results[i]
+        for j, r in enumerate(live):
+            run = results[r]
             run.residual_trace.append(sum(new_states[j].energies))  # ascending node order
             run.support_trace.append(new_supports[j])
             run.candidate_sizes.append(sizes[j * L:(j + 1) * L].tolist())
             if run.residual_trace[-1] >= run.residual_trace[-2]:
                 continue  # no improvement: keep the previous support and stop
-            run.support, states[i] = new_supports[j], new_states[j]
-            improved.append(i)
+            run.support, states[r] = new_supports[j], new_states[j]
+            improved.append(r)
         live = improved
         if not live:
             break
 
-    for i, run in enumerate(results):
-        run.iterations, run.hit_max_iters = len(run.residual_trace) - 1, i in live
-    return results
+    for r, run in enumerate(results):
+        run.iterations, run.hit_max_iters = len(run.residual_trace) - 1, r in live
+    return {name: results[a * B:(a + 1) * B] for a, name in enumerate(names)}
 
 
 def ssp_run(instance: ProblemInstance, topology: Topology = None,
@@ -332,7 +362,7 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
     (default ``3 * K``).  The result's ``hit_max_iters`` is set when the
     cap fired before the residual stopping rule.
     """
-    return run_batch("ssp", [instance], topology, max_iters)[0]
+    return run_batch({"ssp": topology}, [instance], max_iters)["ssp"][0]
 
 
 def dcsp_run(instance: ProblemInstance, topology: Topology,
@@ -348,5 +378,5 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
 
     Parameters and result semantics match :func:`ssp_run`.
     """
-    return run_batch("dcsp", [instance], topology, max_iters)[0]
+    return run_batch({"dcsp": topology}, [instance], max_iters)["dcsp"][0]
 

@@ -30,6 +30,22 @@ class TestParseValues:
         with pytest.raises(ValueError):
             parse_values("10:5")
 
+    @pytest.mark.parametrize("command, flag, text", [
+        ("fig1", "--M", ""), ("fig1", "--M", "22:x"), ("fig1", "--M", "22,,26"),
+        ("fig1", "--M", "1:2:3:4"), ("fig2", "--L", "5:x:5"),
+    ])
+    def test_bad_values_name_the_flag_and_text(self, capsys, monkeypatch, command, flag, text):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        code = main([command, flag, text, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err
+        assert repr(text) in captured.err
+
 
 class TestCostCommand:
     def test_all_rows(self, capsys):
@@ -100,6 +116,13 @@ class TestTrialCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "topology=explicit" in out
+
+    def test_bad_topology_token_named(self, capsys):
+        code = main(self.ARGS + ["--topology", "1,x;2;3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "bad node id 'x' in listing '1,x;2;3'" in captured.err
 
     def test_m_below_2k_rejected(self, capsys):
         code = main(["trial", "--N", "50", "--M", "15", "--K", "10", "--L", "4"])

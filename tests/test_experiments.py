@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dcsp import experiments
+from dcsp import experiments, pursuit
 from dcsp.errors import InvalidDegreeError, RankDeficientError
 from dcsp.experiments import (
     ExperimentConfig,
@@ -286,24 +286,41 @@ def test_config_space_rejected_or_runs_exactly(kwargs):
             assert s.mean_messages == s.mean_analytic
 
 
+# the fabric round that only one algorithm's correlations travel through
+CORRELATION_FABRIC = {"ssp": "broadcast_all", "dcsp": "exchange_neighbors"}
+
+
+def _fail_correlations(monkeypatch, algorithm, when):
+    """Make ``algorithm``'s correlation round raise RankDeficientError
+    whenever ``when()`` holds, inside the one pursuit loop."""
+    name = CORRELATION_FABRIC[algorithm]
+    share = getattr(pursuit, name)
+
+    def round_(payloads, topology, counter, length, label):
+        if label == "correlation" and when():
+            raise RankDeficientError(f"forced in the {algorithm} correlation round")
+        return share(payloads, topology, counter, length, label)
+
+    monkeypatch.setattr(pursuit, name, round_)
+
+
 @pytest.mark.parametrize("failing", ["ssp", "dcsp"])
 def test_redraw_is_shared_by_all_algorithms(monkeypatch, failing):
-    # one driver fails on the trial's first draw: both must move to the redraw
-    seeds = {"ssp": [], "dcsp": []}
+    # one algorithm fails on the trial's first draw: both must move to the redraw
+    calls = []
     run_batch = experiments.run_batch
 
-    def recording(algorithm, instances, *args, **kwargs):
-        seeds[algorithm] += [instance.config.seed for instance in instances]
-        if algorithm == failing and len(seeds[algorithm]) == 1:
-            raise RankDeficientError("forced on the first draw")
-        return run_batch(algorithm, instances, *args, **kwargs)
+    def recording(algorithms, instances, *args, **kwargs):
+        calls.append((list(algorithms), [instance.config.seed for instance in instances]))
+        return run_batch(algorithms, instances, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_batch", recording)
+    _fail_correlations(monkeypatch, failing, lambda: len(calls) == 1)
     config = small_m_config(values=(20,), trials=1)
     rows = run_sweep(config)
 
-    redrawn = derive_trial_seed(config.seed, 20, 0, attempt=1)
-    assert seeds["ssp"][-1] == seeds["dcsp"][-1] == redrawn
+    first, redrawn = (derive_trial_seed(config.seed, 20, 0, attempt) for attempt in (0, 1))
+    assert calls == [(["ssp", "dcsp"], [first]), (["ssp", "dcsp"], [redrawn])]
     assert rows[0].stats["ssp"].aborted == rows[0].stats["dcsp"].aborted == 1
 
 
@@ -317,7 +334,7 @@ def test_redraw_exhaustion_names_the_trial(monkeypatch):
         draws.append(cfg.seed)
         return generate(cfg, out)
 
-    def always_deficient(algorithm, instances, *args, **kwargs):
+    def always_deficient(algorithms, instances, *args, **kwargs):
         seeds = [instance.config.seed for instance in instances]
         errors.append(RankDeficientError(f"forced on seeds {seeds}"))
         raise errors[-1]
@@ -350,17 +367,17 @@ def test_redraw_inside_a_batch_matches_one_at_a_time(monkeypatch, failing):
     assert experiments.NODES // config.L >= config.trials  # one batch
     deficient = derive_trial_seed(config.seed, 20, 2)
     run_batch = experiments.run_batch
+    current = []  # the seeds of the running batch
+    _fail_correlations(monkeypatch, failing, lambda: deficient in current)
 
     def sweep(nodes):
         used, sizes = set(), []
 
-        def run(algorithm, instances, *args, **kwargs):
-            seeds = [instance.config.seed for instance in instances]
-            sizes.append(len(seeds))
-            if algorithm == failing and deficient in seeds:
-                raise RankDeficientError(f"forced on seed {deficient}")
-            results = run_batch(algorithm, instances, *args, **kwargs)
-            used.update((algorithm, seed) for seed in seeds)
+        def run(algorithms, instances, *args, **kwargs):
+            current[:] = [instance.config.seed for instance in instances]
+            sizes.append(len(current))
+            results = run_batch(algorithms, instances, *args, **kwargs)
+            used.update((algorithm, seed) for algorithm in algorithms for seed in current)
             return results
 
         monkeypatch.setattr(experiments, "run_batch", run)
@@ -376,7 +393,22 @@ def test_redraw_inside_a_batch_matches_one_at_a_time(monkeypatch, failing):
     for algorithm in ("ssp", "dcsp"):
         assert rows[0].stats[algorithm].aborted == 1
         assert (algorithm, redrawn) in used
-    assert (failing, deficient) not in used
+        assert (algorithm, deficient) not in used
+
+
+@pytest.mark.parametrize("sweep, values", [("M", (12, 16, 20)), ("L", (2, 3, 6))])
+def test_algorithm_choice_does_not_change_a_column(sweep, values):
+    # each algorithm's columns must not depend on which other algorithms
+    # share its batches, or in which order
+    config = (small_m_config if sweep == "M" else small_l_config)(values=values, trials=8)
+    stats = {}
+    for algorithms in (("ssp", "dcsp"), ("dcsp", "ssp"), ("dcsp",), ("ssp",)):
+        rows = run_sweep(dataclasses.replace(config, algorithms=algorithms))
+        for algorithm in algorithms:
+            stats.setdefault(algorithm, []).append([row.stats[algorithm] for row in rows])
+    for runs in stats.values():
+        assert all(s.aborted == 0 for s in runs[0])  # no redraw moves a column
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestFigureWrappers:
@@ -494,6 +526,15 @@ class TestRunSingleTrial:
         trial = run_single_trial(cfg, "dcsp", g=2, emit=None)
         assert capsys.readouterr().out == ""
         assert trial.run.wire.total > 0
+
+    def test_rejects_ssp_on_a_partial_topology_before_running(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(experiments, "generate", lambda cfg: draws.append(cfg))
+        cfg = ProblemConfig(N=40, M=20, K=4, L=3, seed=1)
+        topology = topology_from_listing("1,2;2,3;3,1")
+        with pytest.raises(ValueError, match="ssp requires full collaboration"):
+            run_single_trial(cfg, "ssp", topology=topology, emit=None)
+        assert draws == []
 
     def test_rejects_unknown_algorithm(self):
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)

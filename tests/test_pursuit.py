@@ -6,18 +6,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsp.costs import cost_dcsp_general
+from dcsp import pursuit
 from dcsp.errors import RankDeficientError
 from dcsp.linalg import column_submatrix, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, success
 from dcsp.pursuit import (
-    _ordered_sum, _residual_state, dcsp_run, run_batch, ssp_run,
+    _ordered_sum, _residual_states, dcsp_run, run_batch, ssp_run,
 )
 from oracle import TooLargeError, exhaustive_decoder
 
 
 def tiny_instance(seed, N=12, M=8, K=2, L=3):
     return generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
+
+
+def _residual_state(instance, support):
+    """One instance's residual state, as a batch of one."""
+    return _residual_states([instance], [0], [support], instance.dictionaries,
+                            instance.measurements)[0]
 
 
 class TestSspRun:
@@ -357,55 +364,90 @@ def _fields_with_split(run):
     return _run_fields(run) + (run.wire.neighbor_scalars, run.wire.broadcast_scalars)
 
 
+# each batch call: ssp alone, and ssp with each dcsp topology in both
+# algorithm orders and alone
+BATCH_CALLS = [("ssp",)] + [
+    call for name in ("ring", "full", "graph") for call in (("ssp", name), (name, "ssp"), (name,))
+]
+
+
 @given(batches())
 @settings(max_examples=40, deadline=None)
 def test_batch_matches_single_runs(batch):
     config, seeds, g, listing, cap = batch
     L = config.L
-    drivers = {
-        "ssp": ("ssp", None),
-        "dcsp-ring": ("dcsp", ring_topology(L, g)),
-        "dcsp-full": ("dcsp", ring_topology(L, L)),
-        "dcsp-graph": ("dcsp", topology_from_listing(listing)),
+    topologies = {
+        "ssp": None,
+        "ring": ring_topology(L, g),
+        "full": ring_topology(L, L),
+        "graph": topology_from_listing(listing),
     }
 
     def draw(seed, out=None):
         return generate(dataclasses.replace(config, seed=seed), out=out)
 
     single = {}
-    for name, (algorithm, topology) in drivers.items():
-        run = ssp_run if algorithm == "ssp" else dcsp_run
+    for name, topology in topologies.items():
+        run = ssp_run if name == "ssp" else dcsp_run
         try:
             single[name] = {s: _fields_with_split(run(draw(s), topology, cap)) for s in seeds}
         except RankDeficientError:
             single[name] = None
 
     for order in (seeds, seeds[::-1]):
-        stack = None
-        if order is seeds:  # drawn into one stack, as a sweep draws a batch
-            stack = np.empty((len(order), L, config.M, config.N))
-            draws = [draw(s, stack[i]) for i, s in enumerate(order)]
-        else:
-            draws = [draw(s) for s in order]
-        runs = {}
-        for name, (algorithm, topology) in drivers.items():
-            if single[name] is None:
+        for call in BATCH_CALLS:
+            # fresh draws per call, so that runs share only their own memo
+            stack = None
+            if order is seeds:  # drawn into one stack, as a sweep draws a batch
+                stack = np.empty((len(order), L, config.M, config.N))
+                draws = [draw(s, stack[i]) for i, s in enumerate(order)]
+            else:
+                draws = [draw(s) for s in order]
+            algorithms = {"ssp" if n == "ssp" else "dcsp": topologies[n] for n in call}
+            if any(single[name] is None for name in call):
                 with pytest.raises(RankDeficientError):
-                    run_batch(algorithm, draws, topology, cap, stack)
+                    run_batch(algorithms, draws, cap, stack)
                 continue
-            runs[name] = run_batch(algorithm, draws, topology, cap, stack)
-            assert [_fields_with_split(r) for r in runs[name]] == [single[name][s] for s in order]
-        if "ssp" in runs and "dcsp-full" in runs:
-            for a, b in zip(runs["ssp"], runs["dcsp-full"]):
-                assert a.residual_trace == b.residual_trace  # exact float equality
-                assert _run_fields(a)[:2] == _run_fields(b)[:2]
-                assert _run_fields(a)[3] == _run_fields(b)[3]
+            runs = run_batch(algorithms, draws, cap, stack)
+            assert list(runs) == list(algorithms)
+            for name, algorithm in zip(call, algorithms):
+                assert [_fields_with_split(r) for r in runs[algorithm]] == \
+                    [single[name][s] for s in order]
+            if "full" in call and "ssp" in call:  # dcsp(g=L) beside ssp
+                for a, b in zip(runs["ssp"], runs["dcsp"]):
+                    assert a.residual_trace == b.residual_trace  # exact float equality
+                    assert _run_fields(a)[:2] == _run_fields(b)[:2]
+                    assert _run_fields(a)[3] == _run_fields(b)[3]
+
+
+@pytest.mark.parametrize("g", [2, 4])
+def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
+    # ssp and dcsp run in one batch reach many supports of a draw in the
+    # same round (at g = L, all of them): each (draw, support) pair must
+    # reach resid once, one slice per node
+    slices = []
+
+    def counting_resid(y, A):
+        slices.append(len(A))
+        return resid(y, A)
+
+    monkeypatch.setattr(pursuit, "resid", counting_resid)
+    config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
+    draws = [generate(dataclasses.replace(config, seed=s)) for s in range(8)]
+    runs = run_batch({"ssp": None, "dcsp": ring_topology(4, g)}, draws)
+    shared = sum(
+        len({s.tobytes() for s in a.support_trace} & {s.tobytes() for s in b.support_trace})
+        for a, b in zip(runs["ssp"], runs["dcsp"])
+    )
+    assert shared >= len(draws)  # at least the initial supports coincide
+    # the memo holds every support computed; the empty one needs no resid
+    assert sum(slices) == config.L * sum(len(d.memo) - 1 for d in draws)
 
 
 def test_batch_rejects_mixed_dimensions():
     draws = [tiny_instance(1), tiny_instance(2, M=9)]
     with pytest.raises(ValueError, match="one N, M, K and L"):
-        run_batch("ssp", draws, None)
+        run_batch({"ssp": None}, draws)
 
 
 def test_batch_reads_a_passed_stack_in_place():
@@ -421,7 +463,7 @@ def test_batch_reads_a_passed_stack_in_place():
             d.memo.clear()
         tracemalloc.start()
         try:
-            runs = run_batch("dcsp", draws, topology, dictionaries=dictionaries)
+            runs = run_batch({"dcsp": topology}, draws, dictionaries=dictionaries)["dcsp"]
             return [_run_fields(r) for r in runs], tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -433,4 +475,4 @@ def test_batch_reads_a_passed_stack_in_place():
     # the copy is held for the whole run; less would be part of it
     assert copied_peak - in_place_peak > 0.9 * stack.nbytes
     with pytest.raises(ValueError, match=r"need a \(4, L, M, N\) dictionary stack"):
-        run_batch("dcsp", draws, topology, dictionaries=stack[:3])
+        run_batch({"dcsp": topology}, draws, dictionaries=stack[:3])
