@@ -17,16 +17,18 @@ bumped, so the algorithms of a trial always share one draw and report the
 same count in their ``aborted`` columns; a trial with no full-rank draw
 in ``_MAX_REDRAWS + 1`` attempts stops the sweep with an error naming it.
 
-Trial batching: a point at L nodes runs consecutive trials in batches of
-``max(1, NODES // L)``, so a batch of several trials holds at most NODES
-node rows per algorithm.  A batch is drawn once into one (B, L, M, N)
-stack, and one :func:`~dcsp.pursuit.run_batch` call, handed the stack to
-read in place, runs every algorithm on it, so that each round's numpy
-calls serve ssp and dcsp together.  A batch that hits a rank-deficient projection runs again one trial at a
-time through the redraw loop, so every record, seed and ``aborted``
-count equals one-at-a-time running.  Workers return per-batch records
-that are merged in trial order, so parallel and serial runs produce
-identical tables.
+Trial batching: a point whose draw holds ``8·L·M·N`` dictionary bytes
+runs its trials in the fewest batches of at most ``max(1, BATCH_BYTES //
+(8·L·M·N))`` consecutive trials, split as evenly as possible, so a batch
+of several trials holds at most BATCH_BYTES of float64 dictionaries.  A
+batch is drawn once into one (B, L, M, N) stack, and one
+:func:`~dcsp.pursuit.run_batch` call, handed the stack to read in place,
+runs every algorithm on it, so that each round's numpy calls serve ssp
+and dcsp together.  A batch that hits a rank-deficient projection runs
+again one trial at a time through the redraw loop, so every record, seed
+and ``aborted`` count equals one-at-a-time running.  Workers return
+per-batch records that are merged in trial order, so parallel and serial
+runs produce identical tables.
 
 ``ProcessPoolExecutor`` is a lazily loaded module attribute: importing this
 module, and any ``jobs=1`` sweep, never loads ``concurrent.futures`` or
@@ -49,9 +51,9 @@ from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 5
-# node rows per trial batch (module docstring).  At fig1's L=6, 3 trials
-# per batch gave +20% trials/s for +1.7 MB peak RSS; 6 gave +32%, +4.0 MB
-NODES = 20
+# dictionary bytes per trial batch (module docstring): 30 node rows at
+# M=50, N=200.  Larger batches trade peak RSS for fewer pursuit calls
+BATCH_BYTES = 2_400_000
 
 
 def __getattr__(name):
@@ -223,6 +225,14 @@ def _run_trials(config: ExperimentConfig, value, trials, topologies):
     return records
 
 
+def _batches(trials, problem):
+    """Trials ``0..trials-1`` of one point in the fewest consecutive ranges
+    whose dictionaries fit BATCH_BYTES, sizes differing by at most one."""
+    fit = max(1, BATCH_BYTES // (8 * problem.L * problem.M * problem.N))
+    count = -(-trials // fit)
+    return [range(trials * i // count, trials * (i + 1) // count) for i in range(count)]
+
+
 def run_sweep(config: ExperimentConfig):
     """Execute the sweep and aggregate one :class:`SweepRow` per point."""
     tasks = []
@@ -231,9 +241,7 @@ def run_sweep(config: ExperimentConfig):
         # built once per point and shared by its trials, in table order
         shared = {a: full_topology(problem.L) if a == "ssp" else ring_topology(problem.L, g)
                   for a in config.algorithms}
-        size = max(1, NODES // problem.L)
-        tasks += [(config, value, range(t, min(t + size, config.trials)), shared)
-                  for t in range(0, config.trials, size)]
+        tasks += [(config, value, trials, shared) for trials in _batches(config.trials, problem)]
     if config.jobs > 1:
         pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
         with pool_class(max_workers=config.jobs) as pool:

@@ -142,21 +142,31 @@ def max_occ(m, K):
     """The ``K`` values of multiset ``m`` with the highest multiplicity.
 
     ``m`` is a flat multiset of nonnegative integers (1-based indices).
-    Ties are broken in favor of the smaller value.
+    Ties are broken in favor of the smaller value.  A stack ``m`` of shape
+    (n, k) ranks row by row and returns shape (n, K), each row equal to
+    the 1-d call on that row.
 
     Raises
     ------
     InsufficientDistinctError
-        If ``m`` holds fewer than ``K`` distinct values.
+        If ``m``, or a row of it, holds fewer than ``K`` distinct values.
     """
-    counts = np.bincount(np.asarray(m, dtype=np.int64))
-    values = np.flatnonzero(counts)  # values ascend
-    if values.size < K:
+    m = np.asarray(m, dtype=np.int64)
+    rows = np.atleast_2d(m)
+    if rows.min(initial=0) < 0:
+        raise ValueError("max_occ counts nonnegative integers")
+    # one bincount: row i counts its values from offset i * width on
+    width = int(rows.max(initial=0)) + 1
+    flat = (rows + width * np.arange(len(rows))[:, None]).ravel()
+    counts = np.bincount(flat, minlength=width * len(rows)).reshape(len(rows), width)
+    distinct = np.count_nonzero(counts, axis=1).min()
+    if distinct < K:
         raise InsufficientDistinctError(
-            f"need {K} distinct values, multiset has {values.size}"
+            f"need {K} distinct values, multiset has {distinct}"
         )
-    order = np.argsort(-counts[values], kind="stable")
-    return np.sort(values[order[:K]])
+    # a stable sort on descending count keeps equal counts in value order
+    top = np.sort(np.argsort(-counts, axis=1, kind="stable")[:, :K], axis=1)
+    return top if m.ndim > 1 else top[0]
 
 
 def column_submatrix(A, S):

@@ -48,11 +48,11 @@ batch of one).  Runs go algorithm by algorithm, each reading its draw's
 node rows of the one stack, and each round makes one stacked call over
 the node rows of every live run for the memo misses (once per distinct
 draw and support, so ssp and dcsp share a support they reach together),
-each candidate-size ``lstsq`` group and the top-K ranking, so a small
-network stops paying numpy's fixed cost per call on every run (on a
-2-core x86 VM, an ``lstsq`` of 36 x 15 slices took about 66 µs for one
-slice, 20 µs per slice for 16).  Fabric rounds, fusion, stopping, traces
-and wire counters stay per algorithm and per run, and a stopped run drops
+each candidate-size ``lstsq`` group, the top-K ranking and dcsp's fusion,
+so a small network stops paying numpy's fixed cost per call on every run
+(on a 2-core x86 VM, an ``lstsq`` of 36 x 15 slices took about 66 µs for
+one slice, 20 µs per slice for 16).  Fabric rounds, stopping, traces and
+wire counters stay per algorithm and per run, and a stopped run drops
 out.  Every slice computes as it does alone, so each result equals the
 run on its own draw; a rank-deficient projection in any run raises for
 the whole batch.
@@ -287,12 +287,13 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
 
     def settle(parts, ranked, wires):
         # fusion: a broadcast round hands every dcsp node all L local K-sets
-        # in node order, and the network keeps the K most frequent indices
+        # in node order, and the network keeps the K most frequent indices,
+        # ranked for every run in one max_occ call
         supports = []
         for (name, lo, hi), part in zip(parts, ranked):
             if name == "dcsp":
                 local = broadcast_all(part, topologies[name], wires[lo:hi], K, "local support")
-                part = [max_occ(local[j * L:(j + 1) * L].ravel(), K) for j in range(hi - lo)]
+                part = max_occ(local.reshape(hi - lo, L * K), K)
             supports += list(part)
         return supports
 

@@ -364,13 +364,14 @@ def test_redraw_inside_a_batch_matches_one_at_a_time(monkeypatch, failing):
     # deficient for one algorithm: the sweep must match running each trial
     # alone, row for row, redraw for redraw and seed for seed
     config = small_m_config(values=(20,), L=2, g=2, trials=5)
-    assert experiments.NODES // config.L >= config.trials  # one batch
+    draw = 8 * config.L * 20 * config.N  # dictionary bytes of one draw
+    assert experiments.BATCH_BYTES // draw >= config.trials  # one batch
     deficient = derive_trial_seed(config.seed, 20, 2)
     run_batch = experiments.run_batch
     current = []  # the seeds of the running batch
     _fail_correlations(monkeypatch, failing, lambda: deficient in current)
 
-    def sweep(nodes):
+    def sweep(budget):
         used, sizes = set(), []
 
         def run(algorithms, instances, *args, **kwargs):
@@ -381,11 +382,11 @@ def test_redraw_inside_a_batch_matches_one_at_a_time(monkeypatch, failing):
             return results
 
         monkeypatch.setattr(experiments, "run_batch", run)
-        monkeypatch.setattr(experiments, "NODES", nodes)
+        monkeypatch.setattr(experiments, "BATCH_BYTES", budget)
         return run_sweep(config), used, sizes
 
-    rows, used, sizes = sweep(experiments.NODES)
-    reference, reference_used, reference_sizes = sweep(config.L)
+    rows, used, sizes = sweep(experiments.BATCH_BYTES)
+    reference, reference_used, reference_sizes = sweep(draw - 1)  # batches of one
     assert max(sizes) == config.trials and max(reference_sizes) == 1
     assert rows == reference
     assert used == reference_used
@@ -394,6 +395,43 @@ def test_redraw_inside_a_batch_matches_one_at_a_time(monkeypatch, failing):
         assert rows[0].stats[algorithm].aborted == 1
         assert (algorithm, redrawn) in used
         assert (algorithm, deficient) not in used
+
+
+@given(
+    trials=st.integers(1, 40),
+    L=st.integers(2, 12),
+    M=st.integers(1, 60),
+    N=st.integers(1, 300),
+    budget=st.integers(1, 3_000_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_plan_splits_trials_evenly_within_the_budget(trials, L, M, N, budget):
+    draw = 8 * L * M * N
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "BATCH_BYTES", budget)
+        plan = experiments._batches(trials, ProblemConfig(N=N, M=M, K=1, L=L, seed=0))
+    assert [t for batch in plan for t in batch] == list(range(trials))
+    sizes = [len(batch) for batch in plan]
+    assert max(sizes) - min(sizes) <= 1
+    assert all(size * draw <= budget or size == 1 for size in sizes)
+    assert len(plan) == -(-trials // max(1, budget // draw))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sweep, values", [("M", (12, 20)), ("L", (2, 5))])
+def test_rows_do_not_depend_on_the_batch_budget(monkeypatch, sweep, values, jobs):
+    # 7 trials at the largest point's draws: batches of one, a ragged
+    # 2 + 2 + 3 split, the default budget and the whole point in one batch
+    config = (small_m_config if sweep == "M" else small_l_config)(
+        values=values, trials=7, jobs=jobs)
+    draw = 8 * max(
+        problem.L * problem.M * problem.N for problem, _ in map(config.point, values))
+    reference = None
+    for budget in (1, 3 * draw, experiments.BATCH_BYTES, 7 * draw):
+        monkeypatch.setattr(experiments, "BATCH_BYTES", budget)
+        rows = run_sweep(config)
+        reference = reference or rows
+        assert rows == reference
 
 
 @pytest.mark.parametrize("sweep, values", [("M", (12, 16, 20)), ("L", (2, 3, 6))])

@@ -104,6 +104,13 @@ class TestMaxOcc:
         with pytest.raises(InsufficientDistinctError):
             max_occ([3, 3, 3], 2)
 
+    def test_negative_value_rejected_in_any_row(self):
+        # a stack counts row i from offset i * width, where a negative
+        # value would land among the previous row's counts
+        for m in ([-1, 2], [[1, 2], [-1, 2]]):
+            with pytest.raises(ValueError):
+                max_occ(m, 1)
+
 
 class TestColumnSubmatrix:
     def test_selects_in_order(self):
@@ -264,6 +271,26 @@ def test_max_occ_matches_unique_formulation(pool, data):
             max_occ(m, K)
     else:
         assert np.array_equal(max_occ(m, K), unique_max_occ(m, K))
+
+
+# rows of a few shared values, so count ties are frequent within a row
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stacked_max_occ_matches_row_calls(pool, data):
+    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 24))
+    m = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n * k, max_size=n * k)))
+    m = m.reshape(n, k)
+    K = data.draw(st.integers(0, len(pool) + 1))
+    rows = []
+    for row in m:
+        try:
+            rows.append(max_occ(row, K))
+        except InsufficientDistinctError:
+            with pytest.raises(InsufficientDistinctError):
+                max_occ(m, K)
+            return
+    assert np.array_equal(max_occ(m, K), np.array(rows).reshape(n, K))
+    assert max_occ(m, K).dtype == np.int64
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from dcsp.costs import cost_dcsp_general
 from dcsp import pursuit
 from dcsp.errors import RankDeficientError
-from dcsp.linalg import column_submatrix, resid
+from dcsp.linalg import column_submatrix, max_occ, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, success
 from dcsp.pursuit import (
@@ -442,6 +442,24 @@ def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
     assert shared >= len(draws)  # at least the initial supports coincide
     # the memo holds every support computed; the empty one needs no resid
     assert sum(slices) == config.L * sum(len(d.memo) - 1 for d in draws)
+
+
+def test_fusion_ranks_every_run_of_a_round_in_one_call(monkeypatch):
+    # settle hands max_occ one (runs, L*K) stack per round: a dcsp run takes
+    # part in its initialization and in each of its iterations
+    stacks = []
+
+    def counting_max_occ(m, K):
+        stacks.append(len(m))
+        return max_occ(m, K)
+
+    monkeypatch.setattr(pursuit, "max_occ", counting_max_occ)
+    config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
+    draws = [generate(dataclasses.replace(config, seed=s)) for s in range(8)]
+    runs = run_batch({"ssp": None, "dcsp": ring_topology(4, 2)}, draws)["dcsp"]
+    iterations = [run.iterations for run in runs]
+    assert len(stacks) == 1 + max(iterations)
+    assert sum(stacks) == len(draws) + sum(iterations)
 
 
 def test_batch_rejects_mixed_dimensions():
