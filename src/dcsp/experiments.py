@@ -21,12 +21,13 @@ Trial batching: a point whose draw holds ``8·L·M·N`` dictionary bytes
 runs its trials in the fewest batches of at most ``max(1, BATCH_BYTES //
 (8·L·M·N))`` consecutive trials, split as evenly as possible, so a batch
 of several trials holds at most BATCH_BYTES of float64 dictionaries.  A
-batch is drawn once into one (B, L, M, N) stack, and one
-:func:`~dcsp.pursuit.run_batch` call, handed the stack to read in place,
-runs every algorithm on it, so that each round's numpy calls serve ssp
-and dcsp together.  A batch that hits a rank-deficient projection runs
-again one trial at a time through the redraw loop, so every record, seed
-and ``aborted`` count equals one-at-a-time running.  Workers return
+batch is drawn in one :func:`~dcsp.problems.generate_batch` call into one
+(B, L, M, N) stack, and one :func:`~dcsp.pursuit.run_batch` call, handed
+the stack to read in place, runs every algorithm on it, so that each
+round's numpy calls serve ssp and dcsp together.  A batch that hits a
+rank-deficient projection runs again one trial at a time through the
+redraw loop, so every record, seed and ``aborted`` count equals
+one-at-a-time running.  Workers return
 per-batch records that are merged in trial order, so parallel and serial
 runs produce identical tables.
 
@@ -46,14 +47,15 @@ import numpy as np
 from .costs import CostParams, cost_table1
 from .errors import RankDeficientError
 from .network import full_topology, ring_topology
-from .problems import ProblemConfig, _integer, generate, success
+from .problems import ProblemConfig, _integer, generate, generate_batch, success
 from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 5
-# dictionary bytes per trial batch (module docstring): 30 node rows at
-# M=50, N=200.  Larger batches trade peak RSS for fewer pursuit calls
-BATCH_BYTES = 2_400_000
+# dictionary bytes per trial batch (module docstring): 10 draws at L=6,
+# M=50, N=200, so each point of the default fig1 sweep at 10 trials runs
+# as one batch.  Larger batches trade peak RSS for fewer pursuit calls
+BATCH_BYTES = 4_800_000
 
 
 def __getattr__(name):
@@ -125,6 +127,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        # trial seeds keep the low 64 bits of the base seed (derive_trial_seed)
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"need 0 <= seed < 2**64, got seed={self.seed}")
         if not self.algorithms:
             raise ValueError("need at least one algorithm, got algorithms=()")
         if len(set(self.algorithms)) != len(self.algorithms):
@@ -189,9 +194,15 @@ def _attempt(config: ExperimentConfig, value, trials, topologies, attempt):
     ``topologies``' algorithms on it: one record per trial, {algorithm:
     (success, iterations, messages, redraws)}, or RankDeficientError."""
     problem, _ = config.point(value)
-    stack = np.empty((len(trials), problem.L, problem.M, problem.N))
-    seeds = [derive_trial_seed(config.seed, value, trial, attempt) for trial in trials]
-    draws = [generate(replace(problem, seed=seed), out=stack[i]) for i, seed in enumerate(seeds)]
+    # every batch takes a whole budget's block and fills what it needs, so
+    # that malloc reuses one freed block for all of them: blocks of mixed
+    # sizes left a freed one resident beside a new one in about half of
+    # the lsweep sweeps, +4 MB of peak RSS
+    size = len(trials) * problem.L * problem.M * problem.N
+    stack = np.empty(max(size, BATCH_BYTES // 8))[:size].reshape(
+        len(trials), problem.L, problem.M, problem.N)
+    draws = generate_batch([replace(problem, seed=derive_trial_seed(config.seed, value, trial, attempt))
+                            for trial in trials], out=stack)
     runs = run_batch(topologies, draws, dictionaries=stack)
     return [{a: (bool(success(runs[a][i].support, draw)), runs[a][i].iterations,
                  runs[a][i].wire.total, attempt) for a in runs}
@@ -258,7 +269,8 @@ def run_sweep(config: ExperimentConfig):
         stats = {}
         for algorithm in config.algorithms:
             oks, iters, wires, redraws = zip(*(rec[algorithm] for rec in point))
-            analytic = [cost_table1(algorithm, replace(costs, T=T)) for T in iters]
+            cost = {T: cost_table1(algorithm, replace(costs, T=T)) for T in set(iters)}
+            analytic = [cost[T] for T in iters]
             stats[algorithm] = AlgorithmStats(
                 success_rate=float(np.mean(oks)),
                 mean_iterations=float(np.mean(iters)),

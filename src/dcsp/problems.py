@@ -13,9 +13,10 @@ independent PCG64 stream per object class and node, each the stream of
     spawn_key (2, l)  -> signal values of node l
 
 so enlarging the network never perturbs earlier nodes' draws.  The 2L+1
-streams of a draw are seeded in one vectorized pass of numpy's
-``SeedSequence`` hash (:func:`_stream_states`) that yields the same PCG64
-states as the per-key ``SeedSequence`` objects, at a fraction of the cost.
+streams of every draw of a batch are seeded in one vectorized pass of
+numpy's ``SeedSequence`` hash (:func:`_stream_states`) that yields the
+same PCG64 states as the per-key ``SeedSequence`` objects, at a fraction
+of the cost.
 """
 
 import operator
@@ -121,26 +122,16 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _stream_states(seed, keys):
-    """PCG64 seed words of ``SeedSequence(seed, spawn_key=key)`` per key.
+def _seed_pool(seed, h):
+    """SeedSequence's pool for ``seed`` before the spawn key, as four
+    Python ints, and the index in ``h`` of the next hash constant.
 
-    ``keys`` is a sequence of n (class, node) pairs of 32-bit ints.
-    Returns uint64 words of shape (n, 4): row i equals
-    ``SeedSequence(seed, spawn_key=keys[i]).generate_state(4, np.uint64)``.
-
-    SeedSequence pads the seed's little-endian 32-bit words to the pool
-    size (4) and mixes them into the pool; that part is common to every
-    key and runs once, on Python ints.  The two spawn-key words come last
-    and only ever mix into the pool, so they run vectorized over the keys
-    in uint32 arithmetic, as does the final ``generate_state``.
+    The seed's little-endian 32-bit words are padded to the pool size (4)
+    and mixed into the pool; hashmix steps run one per pool word, one per
+    (source, destination) pool pair and four per word past the pool.
     """
-    seed = operator.index(seed)
-    keys = np.asarray(keys, dtype=np.uint32)
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (4 - len(words))
-    # hashmix steps: one per pool word, one per (source, destination) pool
-    # pair and four per word past the pool, 4 * (seed words + key words)
-    h = _hash_constants(_INIT_A, _MULT_A, 4 * (len(words) + keys.shape[1]))
     pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:4])]
     i = 4
     for src in range(4):
@@ -152,13 +143,36 @@ def _stream_states(seed, keys):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], _hashmix(w, h[i], h[i + 1]))
             i += 1
-    # each key word mixes into the four pool words, one hash constant each
-    h = np.array(h, dtype=np.uint32)
-    pool = np.array(pool, dtype=np.uint32)
-    for column in keys.T:
-        pool = _mix(pool, _hashmix(column[:, None], h[i:i + 4], h[i + 1:i + 5]))
-        i += 4
-    state = _hashmix(np.tile(pool, 2), _STATE_HASH[:8], _STATE_HASH[1:])
+    return pool, i
+
+
+def _stream_states(seeds, keys):
+    """PCG64 seed words of ``SeedSequence(seed, spawn_key=key)`` per seed
+    and key.
+
+    ``keys`` is a sequence of n (class, node) pairs of 32-bit ints.
+    Returns uint64 words of shape (len(seeds), n, 4): entry [s, i] equals
+    ``SeedSequence(seeds[s], spawn_key=keys[i]).generate_state(4, np.uint64)``.
+
+    The seed words mix into the pool alone (:func:`_seed_pool`, on Python
+    ints, once per seed).  The two spawn-key words come last and only ever
+    mix into the pool, so they run in one vectorized pass over every seed
+    and key in uint32 arithmetic, as does the final ``generate_state``.
+    A seed of more than four words takes more hash constants, so each
+    seed's key steps start at its own offset into one table of constants.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    keys = np.asarray(keys, dtype=np.uint32)
+    steps = 4 * keys.shape[1]  # one per pool word per key word
+    words = max(4, -(-max(seed.bit_length() for seed in seeds) // 32))
+    h = _hash_constants(_INIT_A, _MULT_A, 4 * words + steps)
+    pools, at = zip(*(_seed_pool(seed, h) for seed in seeds))
+    h = np.array(h, dtype=np.uint32)[np.add.outer(at, np.arange(steps + 1))][:, None]
+    pool = np.array(pools, dtype=np.uint32)[:, None]  # (seeds, 1, 4)
+    for c, column in enumerate(keys.T):
+        i = 4 * c
+        pool = _mix(pool, _hashmix(column[:, None], h[..., i:i + 4], h[..., i + 1:i + 5]))
+    state = _hashmix(np.concatenate([pool, pool], axis=-1), _STATE_HASH[:8], _STATE_HASH[1:])
     # pairs of 32-bit words read as little-endian uint64, as numpy does
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
@@ -177,40 +191,60 @@ class _SeedWords:
         return self.words
 
 
-def _streams(seed, keys):
-    """One ``numpy.random.Generator`` per spawn key, see :func:`_stream_states`."""
+def _streams(seeds, keys):
+    """Per seed, one ``numpy.random.Generator`` per spawn key, see
+    :func:`_stream_states`."""
     # numpy.random is imported on the first draw, not with the module:
     # loading it costs about 25 ms, which `import dcsp` would otherwise pay
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)  # a cached no-op after the first call
-    return [Generator(PCG64(_SeedWords(w))) for w in _stream_states(seed, keys)]
+    return [[Generator(PCG64(_SeedWords(w))) for w in states]
+            for states in _stream_states(seeds, keys)]
 
 
-def generate(config: ProblemConfig, out=None) -> ProblemInstance:
-    """Draw a problem instance, fully determined by ``config``.
+def generate_batch(configs, out=None) -> list:
+    """Draw one problem instance per config of ``configs``, configs of one
+    N, M, K and L; each instance is fully determined by its config.
 
     Dictionary entries and the nonzero signal entries are i.i.d. standard
     Gaussian, the support is drawn uniformly without replacement, and
-    measurements are exact matrix-vector products.  ``out``, a float64
-    array of shape (L, M, N), receives the dictionaries in place of a new
-    array (a sweep draws a batch into one stack this way).
+    measurements are exact matrix-vector products.  The batch is seeded in
+    one pass (:func:`_stream_states`), its signal values are scattered in
+    one assignment and its measurements come from one stacked product,
+    which makes the same dot per node as ``A_l @ x_l``.  Each instance's
+    arrays are views of the batch's (B, ...) arrays.  ``out``, a float64
+    array of shape (B, L, M, N), receives the dictionaries in place of a
+    new array (a sweep draws a batch into one stack this way).
     """
-    N, M, K, L = config.N, config.M, config.K, config.L
-    rngs = _streams(config.seed, [(0, 0)] + [(c, l) for c in (1, 2) for l in range(1, L + 1)])
+    if len({(c.N, c.M, c.K, c.L) for c in configs}) != 1:
+        raise ValueError("a batch needs configs of one N, M, K and L")
+    N, M, K, L = configs[0].N, configs[0].M, configs[0].K, configs[0].L
+    B = len(configs)
+    keys = [(0, 0)] + [(c, l) for c in (1, 2) for l in range(1, L + 1)]
 
-    support = np.sort(rngs[0].choice(N, size=K, replace=False).astype(np.int64) + 1)
+    dictionaries = np.empty((B, L, M, N)) if out is None else out
+    values = np.empty((B, L, K))
+    supports = np.empty((B, K), dtype=np.int64)
+    for b, rngs in enumerate(_streams([config.seed for config in configs], keys)):
+        supports[b] = np.sort(rngs[0].choice(N, size=K, replace=False)) + 1
+        for l in range(L):
+            rngs[1 + l].standard_normal(out=dictionaries[b, l])
+            rngs[1 + L + l].standard_normal(out=values[b, l])
+    signals = np.zeros((B, L, N))
+    signals[np.arange(B)[:, None, None], np.arange(L)[:, None], supports[:, None] - 1] = values
+    measurements = np.matmul(dictionaries, signals[..., None])[..., 0]
 
-    dictionaries = np.empty((L, M, N)) if out is None else out
-    signals = np.zeros((L, N))
-    measurements = np.empty((L, M))
-    for l, (A_rng, x_rng) in enumerate(zip(rngs[1:L + 1], rngs[L + 1:])):
-        A_rng.standard_normal(out=dictionaries[l])
-        signals[l, support - 1] = x_rng.standard_normal(K)
-        np.matmul(dictionaries[l], signals[l], out=measurements[l])
+    return [ProblemInstance(config, dictionaries[b], signals[b], measurements[b], supports[b])
+            for b, config in enumerate(configs)]
 
-    return ProblemInstance(config, dictionaries, signals, measurements, support)
+
+def generate(config: ProblemConfig, out=None) -> ProblemInstance:
+    """Draw a problem instance, fully determined by ``config``: a batch of
+    one of :func:`generate_batch`.  ``out``, a float64 array of shape (L,
+    M, N), receives the dictionaries in place of a new array."""
+    return generate_batch([config], None if out is None else out[None])[0]
 
 
 def success(estimate, instance: ProblemInstance) -> bool:

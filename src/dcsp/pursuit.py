@@ -110,19 +110,21 @@ class RunResult:
 
 
 def _ordered_sum(view):
-    """Sum a view over its sender axis (-2), sequentially in sender order.
+    """Sum a C-contiguous view over its sender axis (-2), sequentially in
+    sender order.
 
-    Every summand is a non-negative magnitude, so the zero pad rows of a
-    neighbor view and the zeros off a node's candidate set add ``+0.0``
-    exactly; the first addend is always a real row, since every node is in
-    its own neighborhood.  The loop beats ``np.add.accumulate`` over the
-    sender axis, which gives the same sums 13 times slower (226 against
-    17 µs at L=40, g=3, N=200).
+    numpy reduces an axis that is not the innermost one row after row, in
+    order, so ``sum(axis=-2)`` adds sender 0, then 1, and so on.  A view
+    one column wide would leave the sender axis innermost, which numpy
+    sums pairwise, so it runs as a running sum instead.  Every summand is
+    a non-negative magnitude, so the zero pad rows of a neighbor view and
+    the zeros off a node's candidate set add ``+0.0`` exactly; the first
+    addend is always a real row, since every node is in its own
+    neighborhood.
     """
-    total = view[..., 0, :].copy()
-    for k in range(1, view.shape[-2]):
-        total += view[..., k, :]
-    return total
+    if view.shape[-1] == 1:
+        return np.add.accumulate(view, axis=-2)[..., -1, :]
+    return view.sum(axis=-2)
 
 
 @dataclass

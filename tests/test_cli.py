@@ -35,10 +35,10 @@ class TestParseValues:
         ("fig1", "--M", "1:2:3:4"), ("fig2", "--L", "5:x:5"),
     ])
     def test_bad_values_name_the_flag_and_text(self, capsys, monkeypatch, command, flag, text):
-        def no_draw(config):
+        def no_draw(*args, **kwargs):
             raise AssertionError("drew an instance")
 
-        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
         code = main([command, flag, text, "--trials", "1"])
         captured = capsys.readouterr()
         assert code == 2
@@ -138,6 +138,18 @@ class TestTrialCommand:
         assert captured.out == ""
         assert "need seed >= 0, got seed=-5" in captured.err
 
+    def test_seed_past_64_bits_rejected_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
+        code = main(["fig1", "--M", "20", "--N", "40", "--K", "4", "--L", "3",
+                     "--trials", "1", "--seed", str(2**64 + 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"need 0 <= seed < 2**64, got seed={2**64 + 1}" in captured.err
+
     def test_topology_size_mismatch_rejected_before_any_draw(self, capsys, monkeypatch):
         def no_draw(config):
             raise AssertionError("drew an instance")
@@ -211,10 +223,10 @@ class TestFigureCommands:
         assert message in captured.err
 
     def test_repeated_sweep_value_rejected(self, capsys, monkeypatch):
-        def no_draw(config):
+        def no_draw(*args, **kwargs):
             raise AssertionError("drew an instance")
 
-        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
         code = main(["fig1", "--M", "20,20", "--N", "40", "--K", "4", "--L", "3",
                      "--trials", "1"])
         captured = capsys.readouterr()
@@ -223,10 +235,10 @@ class TestFigureCommands:
         assert "values=(20, 20) names 20 twice" in captured.err
 
     def test_missing_out_directory_rejected_before_any_draw(self, capsys, tmp_path, monkeypatch):
-        def no_draw(config):
+        def no_draw(*args, **kwargs):
             raise AssertionError("drew an instance")
 
-        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
         missing = tmp_path / "missing" / "x"
         code = main(["fig1", "--M", "20:24:2", "--N", "40", "--K", "4", "--L", "3",
                      "--trials", "30", "--out", str(missing)])

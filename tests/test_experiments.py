@@ -53,6 +53,17 @@ class TestSeedDerivation:
     def test_fits_in_64_bits(self):
         assert 0 <= derive_trial_seed(2**63, 40, 499) < 2**64
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_base_seed_outside_64_bits_rejected(self, seed):
+        # trial seeds keep the low 64 bits: 2**64 + 1 would draw seed 1's rows
+        message = f"need 0 <= seed < 2**64, got seed={seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_m_config(seed=seed)
+
+    def test_largest_base_seed_runs(self):
+        rows = run_sweep(small_m_config(seed=2**64 - 1, trials=1))
+        assert rows[0].trials == 1
+
 
 class TestConfigValidation:
     def test_bad_sweep(self):
@@ -328,18 +339,18 @@ def test_redraw_exhaustion_names_the_trial(monkeypatch):
     # every draw fails: the error must say which trial to rerun
     draws = []
     errors = []
-    generate = experiments.generate
+    generate_batch = experiments.generate_batch
 
-    def counting_generate(cfg, out=None):
-        draws.append(cfg.seed)
-        return generate(cfg, out)
+    def counting_generate(configs, out=None):
+        draws.extend(cfg.seed for cfg in configs)
+        return generate_batch(configs, out)
 
     def always_deficient(algorithms, instances, *args, **kwargs):
         seeds = [instance.config.seed for instance in instances]
         errors.append(RankDeficientError(f"forced on seeds {seeds}"))
         raise errors[-1]
 
-    monkeypatch.setattr(experiments, "generate", counting_generate)
+    monkeypatch.setattr(experiments, "generate_batch", counting_generate)
     monkeypatch.setattr(experiments, "run_batch", always_deficient)
     config = small_m_config(values=(20,), trials=2)
     with pytest.raises(RankDeficientError) as excinfo:

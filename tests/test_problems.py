@@ -2,10 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcsp.linalg import column_submatrix, resid
-from dcsp.problems import ProblemConfig, generate, success
+from dcsp.problems import ProblemConfig, generate, generate_batch, success
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +112,8 @@ def spawn_key_reference(config):
     return support, dictionaries, signals, measurements
 
 
-def assert_matches_spawn_keys(config):
-    inst = generate(config)
+def assert_matches_spawn_keys(config, inst=None):
+    inst = generate(config) if inst is None else inst
     support, dictionaries, signals, measurements = spawn_key_reference(config)
     assert np.array_equal(inst.true_support, support)
     assert np.array_equal(inst.dictionaries, dictionaries)
@@ -130,6 +130,35 @@ def test_generate_matches_spawn_key_streams(seed):
 @settings(max_examples=30, deadline=None)
 def test_generate_matches_spawn_key_streams_property(seed, L):
     assert_matches_spawn_keys(ProblemConfig(N=20, M=8, K=3, L=L, seed=seed))
+
+# seeds of one or two 32-bit words pad to SeedSequence's 4-word pool; from
+# 2**128 on, five words and more mix in past it, taking more hash constants
+SEED_SIZES = st.one_of(
+    st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+    st.integers(2**128, 2**200),
+)
+
+
+@given(st.lists(SEED_SIZES, min_size=1, max_size=12), st.integers(2, 12))
+@settings(max_examples=40, deadline=None)
+@example([0, 2**32 - 1, 2**64 - 1, 2**128, 2**200 + 3, 7], 2)
+@example([2**150 + 1, 0], 12)
+def test_generate_batch_matches_spawn_key_streams(seeds, L):
+    # one batch of mixed seed sizes draws what each seed's own streams give
+    configs = [ProblemConfig(N=20, M=8, K=3, L=L, seed=seed) for seed in seeds]
+    out = np.empty((len(seeds), L, 8, 20))
+    instances = generate_batch(configs, out=out)
+    assert [inst.config for inst in instances] == configs
+    for b, (config, inst) in enumerate(zip(configs, instances)):
+        assert np.shares_memory(inst.dictionaries, out[b])
+        assert_matches_spawn_keys(config, inst)
+
+
+def test_generate_batch_needs_one_shape():
+    configs = [ProblemConfig(N=20, M=8, K=3, L=2, seed=1), ProblemConfig(N=20, M=9, K=3, L=2, seed=1)]
+    with pytest.raises(ValueError, match="a batch needs configs of one N, M, K and L"):
+        generate_batch(configs)
+
 
 class TestSuccess:
     def test_exact_match(self, full_scale_instance):

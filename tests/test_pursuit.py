@@ -345,6 +345,43 @@ def test_padded_view_sum_equals_per_node_sum(listing, seed):
         assert np.array_equal(sums[l], expected)
 
 
+def _sender_loop(view):
+    """A view summed over its sender axis one sender row at a time, in order."""
+    total = view[..., 0, :].copy()
+    for k in range(1, view.shape[-2]):
+        total += view[..., k, :]
+    return total
+
+
+def _magnitudes(seed, shape):
+    # non-negative payloads over 16 decades, so that a reordered sum rounds
+    # differently
+    rng = np.random.default_rng(seed)
+    return np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+@given(listing=irregular_listing(L=st.integers(2, 40)), runs=st.integers(1, 4),
+       width=st.sampled_from([1, 2, 3, 9, 200]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_ordered_sum_adds_neighbor_views_in_sender_order(listing, runs, width, seed):
+    # dcsp's views: each node's neighbors in ascending order, then zero pads
+    topo = topology_from_listing(listing[0])
+    payloads = _magnitudes(seed, (runs * topo.L, width))
+    view = exchange_neighbors(payloads, topo, [WireCounter() for _ in range(runs)], width)
+    assert np.array_equal(_ordered_sum(view), _sender_loop(view))
+
+
+@given(L=st.integers(2, 40), runs=st.integers(1, 12),
+       width=st.sampled_from([1, 2, 3, 9, 200]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+@example(L=40, runs=1, width=200, seed=0)
+@example(L=40, runs=12, width=1, seed=1)
+def test_ordered_sum_adds_ssp_views_in_sender_order(L, runs, width, seed):
+    # ssp's views: every run's L node rows, summed network-wide
+    view = _magnitudes(seed, (runs * L, width)).reshape(runs, L, width)
+    assert np.array_equal(_ordered_sum(view), _sender_loop(view))
+
+
 @st.composite
 def batches(draw):
     """A batch of draws of one config: (config, seeds, g, listing, cap)."""
