@@ -1,23 +1,35 @@
 # Run both recovery algorithms on one seeded instance and inspect every
 # iteration: supports, residual energies, and exactly what went over the
-# wire.
+# wire.  `dcsp trial --algorithm ssp --seed 42` prints the full transcript
+# of one such run.
 
-from dcsp import ProblemConfig, run_single_trial
+from dcsp import ProblemConfig, run_single_trial, success
 
 config = ProblemConfig(N=200, M=50, K=10, L=6, seed=42)
 
+
+def show(instance, run):
+    for t, (support, energy) in enumerate(zip(run.support_trace, run.residual_trace)):
+        print(f"t={t}: support={support.tolist()} residual energy={energy:.3e}")
+    for label, kind, scalars in run.wire.rounds:
+        print(f"  {kind} round '{label}': {scalars} scalars")
+    print("recovered the true support:", success(run.support, instance))
+
+
 print("=== fully collaborative subspace pursuit ===")
-ssp = run_single_trial(config, "ssp")
+instance, ssp, _ = run_single_trial(config, "ssp")
+show(instance, ssp)
 
 print("\n=== neighborhood-collaborative variant, g=3 ===")
-dcsp = run_single_trial(config, "dcsp", g=3)
+instance, dcsp, _ = run_single_trial(config, "dcsp", g=3)
+show(instance, dcsp)
 
-ssp_scalars, dcsp_scalars = ssp.run.wire.total, dcsp.run.wire.total
+ssp_scalars, dcsp_scalars = ssp.wire.total, dcsp.wire.total
 print("\nmessage scalars: ssp =", ssp_scalars, " dcsp =", dcsp_scalars)
 print("dcsp saves a factor of", round(ssp_scalars / dcsp_scalars, 2))
 
 # With g = L the collaborative variant degenerates into the full version:
 # identical supports, iteration for iteration.
 print("\n=== same instance, g=L (degenerates into the full version) ===")
-full = run_single_trial(config, "dcsp", g=6, emit=None)
-print("g=L support equals ssp support:", (full.run.support == ssp.run.support).all())
+_, full, _ = run_single_trial(config, "dcsp", g=6)
+print("g=L support equals ssp support:", (full.support == ssp.support).all())

@@ -18,17 +18,9 @@ from .costs import (
     cost_ssp,
     cost_table1,
 )
-from .errors import (
-    DcspError,
-    IndexOutOfRangeError,
-    InsufficientDistinctError,
-    InvalidDegreeError,
-    RankDeficientError,
-)
 from .experiments import (
     ExperimentConfig,
     SweepRow,
-    TrialResult,
     default_l_grid,
     default_m_grid,
     derive_trial_seed,
@@ -38,8 +30,8 @@ from .experiments import (
     run_sweep,
 )
 from .linalg import (
+    RankDeficientError,
     as_index_set,
-    column_submatrix,
     correlate,
     lstsq,
     max_ind,
@@ -68,22 +60,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "CostParams",
-    "DcspError",
     "ExperimentConfig",
-    "IndexOutOfRangeError",
-    "InsufficientDistinctError",
-    "InvalidDegreeError",
     "ProblemConfig",
     "ProblemInstance",
     "RankDeficientError",
     "RunResult",
     "SweepRow",
     "Topology",
-    "TrialResult",
     "WireCounter",
     "as_index_set",
     "broadcast_all",
-    "column_submatrix",
     "correlate",
     "cost_dcsp",
     "cost_dcsp_general",

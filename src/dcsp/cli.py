@@ -13,12 +13,11 @@ import argparse
 import sys
 
 from .costs import ALGORITHMS, CostParams, cost_table1
-from .errors import DcspError
 from .network import topology_from_listing
 from .experiments import (
     ExperimentConfig, default_l_grid, default_m_grid, run_fig1, run_fig2, run_single_trial,
 )
-from .problems import ProblemConfig
+from .problems import ProblemConfig, success
 
 
 class _BadValues(ValueError, argparse.ArgumentTypeError):
@@ -85,10 +84,39 @@ def _run_figure(args):
 def _cmd_trial(args):
     config = ProblemConfig(N=args.N, M=args.M, K=args.K, L=args.L, seed=args.seed)
     topology = None if args.topology is None else topology_from_listing(args.topology)
-    trial = run_single_trial(
+    instance, run, g = run_single_trial(
         config, args.algorithm, g=args.g, topology=topology, max_iters=args.max_iters
     )
-    return 0 if trial.success or not args.expect_success else 1
+    ok = success(run.support, instance)
+    drawn = instance.config
+    shape = f"g={g}" if g is not None else "topology=explicit"
+    print(
+        f"trial: algorithm={args.algorithm} N={drawn.N} M={drawn.M} K={drawn.K} "
+        f"L={drawn.L} {shape} seed={drawn.seed}"
+    )
+    print(f"true support: {instance.true_support.tolist()}")
+    for t, (sup, energy) in enumerate(zip(run.support_trace, run.residual_trace)):
+        line = f"t={t}: support={sup.tolist()} residual_energy={energy:.6e}"
+        if t >= 1:
+            line += f" candidate_sizes={run.candidate_sizes[t - 1]}"
+        print(line)
+    if run.hit_max_iters:
+        print(f"stop: iteration cap reached after t={run.iterations}")
+    else:
+        print(f"stop: no improvement at t={run.iterations}, reverted")
+    per_label = {}
+    for label, kind, scalars in run.wire.rounds:
+        per_label[label] = per_label.get(label, 0) + scalars
+    for label, scalars in per_label.items():
+        print(f"wire[{label}]: {scalars}")
+    print(
+        f"wire total: {run.wire.total} "
+        f"(neighbor={run.wire.neighbor_scalars}, "
+        f"broadcast={run.wire.broadcast_scalars})"
+    )
+    print(f"recovered support: {run.support.tolist()}")
+    print(f"success: {ok}")
+    return 0 if ok or not args.expect_success else 1
 
 
 def _cmd_cost(args):
@@ -155,7 +183,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, OSError, DcspError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

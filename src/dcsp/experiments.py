@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import CostParams, cost_table1
-from .errors import RankDeficientError
+from .linalg import RankDeficientError
 from .network import full_topology, ring_topology
 from .problems import ProblemConfig, _integer, generate, generate_batch, success
 from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
@@ -367,70 +367,27 @@ def write_tables(rows, config: ExperimentConfig, figure):
 
 
 # ---------------------------------------------------------------------------
-# single verbose trial
-
-
-@dataclass
-class TrialResult:
-    """One trial's outcome; ``run`` is the :class:`RunResult` of the
-    pursuit, with the support, iteration count, wire tally and traces."""
-
-    algorithm: str
-    config: ProblemConfig
-    g: int
-    success: bool
-    run: object
+# single trial
 
 
 def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
-                     max_iters=None, emit=print):
-    """Run one seeded trial and hand a per-iteration transcript to ``emit``.
+                     max_iters=None):
+    """Run one seeded trial; returns ``(instance, run, g)``: the draw, its
+    :class:`~dcsp.pursuit.RunResult` and the neighborhood size the run
+    used, or ``None`` for an explicit ``topology``.
 
     ``g`` defaults to full collaboration for dcsp and is ignored for ssp;
-    an explicit ``topology`` overrides ``g``.  The transcript (supports,
-    residual energies, wire tallies) is a deterministic function of the
-    inputs; ``emit=None`` runs the trial silently.
+    an explicit ``topology`` overrides ``g``.  Every argument is checked
+    before the draw.
     """
     require_2k(config.M, config.K, "trial")
     if algorithm == "ssp":
-        g_used = config.L
+        g = config.L
     elif topology is not None:
-        g_used = None
+        g = None
     else:
-        g_used = config.L if g is None else g
-        topology = ring_topology(config.L, g_used)
+        g = config.L if g is None else g
+        topology = ring_topology(config.L, g)
     _run_limits(config, {algorithm: topology}, max_iters)
     instance = generate(config)
-    result = run_batch({algorithm: topology}, [instance], max_iters)[algorithm][0]
-    ok = success(result.support, instance)
-
-    if emit is not None:
-        shape = f"g={g_used}" if g_used is not None else "topology=explicit"
-        emit(
-            f"trial: algorithm={algorithm} N={config.N} M={config.M} K={config.K} "
-            f"L={config.L} {shape} seed={config.seed}"
-        )
-        emit(f"true support: {instance.true_support.tolist()}")
-        for t, (sup, energy) in enumerate(zip(result.support_trace, result.residual_trace)):
-            line = f"t={t}: support={sup.tolist()} residual_energy={energy:.6e}"
-            if t >= 1:
-                line += f" candidate_sizes={result.candidate_sizes[t - 1]}"
-            emit(line)
-        if result.hit_max_iters:
-            emit(f"stop: iteration cap reached after t={result.iterations}")
-        else:
-            emit(f"stop: no improvement at t={result.iterations}, reverted")
-        per_label = {}
-        for label, kind, scalars in result.wire.rounds:
-            per_label[label] = per_label.get(label, 0) + scalars
-        for label, scalars in per_label.items():
-            emit(f"wire[{label}]: {scalars}")
-        emit(
-            f"wire total: {result.wire.total} "
-            f"(neighbor={result.wire.neighbor_scalars}, "
-            f"broadcast={result.wire.broadcast_scalars})"
-        )
-        emit(f"recovered support: {result.support.tolist()}")
-        emit(f"success: {ok}")
-
-    return TrialResult(algorithm=algorithm, config=config, g=g_used, success=ok, run=result)
+    return instance, run_batch({algorithm: topology}, [instance], max_iters)[algorithm][0], g

@@ -13,25 +13,37 @@ Conventions used throughout the library:
   operator is deterministic across runs and platforms.
 """
 
-import numpy as np
+import numbers
 
-from .errors import IndexOutOfRangeError, InsufficientDistinctError, RankDeficientError
+import numpy as np
 
 # Relative threshold on the triangular factor's diagonal below which the
 # selected columns are declared rank deficient.
 RANK_TOL = 1e-10
 
 
+class RankDeficientError(np.linalg.LinAlgError, ValueError):
+    """Selected dictionary columns are numerically rank deficient.
+
+    Signals a degenerate random draw; Monte Carlo callers treat the
+    trial as aborted and redraw.  It is a ValueError on any numpy.
+    """
+
+
 def as_index_set(indices):
     """Canonicalize ``indices`` into a sorted 1-based index set array.
 
-    Raises ValueError if entries repeat or are < 1.
+    Raises ValueError if ``indices`` is not 1-d, or if entries repeat or
+    are < 1.
     """
-    s = np.unique(np.asarray(indices, dtype=np.int64))
-    if s.size != len(np.atleast_1d(indices)):
+    a = np.asarray(indices, dtype=np.int64)
+    if a.ndim > 1:
+        raise ValueError(f"index sets are 1-d, got shape {a.shape}")
+    s = np.unique(a)
+    if s.size != a.size:
         raise ValueError("index set entries must be distinct")
     if s.size and s[0] < 1:
-        raise IndexOutOfRangeError("index sets are 1-based; got index < 1")
+        raise ValueError("index sets are 1-based; got index < 1")
     return s
 
 
@@ -115,12 +127,12 @@ def max_ind(v, K):
     Ties are broken in favor of the smaller index, so the result is a
     deterministic function of the input.  A stack ``v`` of shape (n, N)
     selects row by row and returns shape (n, K), each row equal to the
-    1-d call on that row.
+    1-d call on that row.  Raises ValueError unless K is an integer 0..N.
     """
     key = -np.abs(np.asarray(v, dtype=np.float64))
     N = key.shape[-1]
-    if K > N:
-        raise ValueError(f"K={K} exceeds vector length {N}")
+    if not isinstance(K, numbers.Integral) or not 0 <= K <= N:
+        raise ValueError(f"need an integer 0 <= K <= {N}, got K={K!r}")
     if key.ndim == 2 and len(key) > 1 and 0 < K < N:
         # numpy's default sort ranks a stack several times faster than the
         # stable argsort.  Where each row's K-th smallest key is strictly
@@ -148,9 +160,11 @@ def max_occ(m, K):
 
     Raises
     ------
-    InsufficientDistinctError
-        If ``m``, or a row of it, holds fewer than ``K`` distinct values.
+    ValueError
+        If ``K`` is not an integer >= 0, or exceeds the distinct values of a row.
     """
+    if not isinstance(K, numbers.Integral) or K < 0:
+        raise ValueError(f"need an integer K >= 0, got K={K!r}")
     m = np.asarray(m, dtype=np.int64)
     rows = np.atleast_2d(m)
     if rows.min(initial=0) < 0:
@@ -161,26 +175,12 @@ def max_occ(m, K):
     counts = np.bincount(flat, minlength=width * len(rows)).reshape(len(rows), width)
     distinct = np.count_nonzero(counts, axis=1).min()
     if distinct < K:
-        raise InsufficientDistinctError(
+        raise ValueError(
             f"need {K} distinct values, multiset has {distinct}"
         )
     # a stable sort on descending count keeps equal counts in value order
     top = np.sort(np.argsort(-counts, axis=1, kind="stable")[:, :K], axis=1)
     return top if m.ndim > 1 else top[0]
-
-
-def column_submatrix(A, S):
-    """Columns of ``A`` selected by the 1-based index set ``S``, in order.
-
-    A stacked ``A`` of shape (n, M, N) is selected slice by slice.
-    """
-    A = np.asarray(A)
-    S = np.asarray(S, dtype=np.int64)
-    if S.size and (S.min() < 1 or S.max() > A.shape[-1]):
-        raise IndexOutOfRangeError(
-            f"indices must lie in [1, {A.shape[-1]}], got [{S.min()}, {S.max()}]"
-        )
-    return A[..., S - 1]
 
 
 def correlate(A, r):

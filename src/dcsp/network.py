@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDegreeError
-
 
 @dataclass
 class Topology:
@@ -77,7 +75,7 @@ def ring_topology(L: int, g: int) -> Topology:
     DCSP degenerates into decentralized SSP.
     """
     if not isinstance(g, numbers.Integral) or not 2 <= g <= L:
-        raise InvalidDegreeError(f"need an integer 2 <= g <= L, got g={g}, L={L}")
+        raise ValueError(f"need an integer 2 <= g <= L, got g={g}, L={L}")
     if g == L:
         return full_topology(L)
     l = np.arange(1, L + 1)[:, None]

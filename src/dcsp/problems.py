@@ -94,11 +94,8 @@ class ProblemInstance:
     * ``signals``: float64 array of shape (L, N);
     * ``measurements``: float64 array of shape (L, M).
 
-    Treated as immutable after generation: ``memo`` caches the per-support
-    residual state that :mod:`dcsp.pursuit` derives from the arrays, so
-    they must not be modified once a driver has run.  Safe to share across
-    parallel trial workers, each process holding its own copy and so its
-    own memo.
+    Safe to share across parallel trial workers, each process holding its
+    own copy.
     """
 
     config: ProblemConfig
@@ -106,7 +103,6 @@ class ProblemInstance:
     signals: np.ndarray
     measurements: np.ndarray
     true_support: np.ndarray = field(default=None)  # index set, size K
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _hashmix(value, h, h_next):
@@ -240,11 +236,10 @@ def generate_batch(configs, out=None) -> list:
             for b, config in enumerate(configs)]
 
 
-def generate(config: ProblemConfig, out=None) -> ProblemInstance:
+def generate(config: ProblemConfig) -> ProblemInstance:
     """Draw a problem instance, fully determined by ``config``: a batch of
-    one of :func:`generate_batch`.  ``out``, a float64 array of shape (L,
-    M, N), receives the dictionaries in place of a new array."""
-    return generate_batch([config], None if out is None else out[None])[0]
+    one of :func:`generate_batch`."""
+    return generate_batch([config])[0]
 
 
 def success(estimate, instance: ProblemInstance) -> bool:

@@ -57,16 +57,16 @@ out.  Every slice computes as it does alone, so each result equals the
 run on its own draw; a rank-deficient projection in any run raises for
 the whole batch.
 
-Per-draw memo: the residuals, residual energies and correlations against
-a support depend only on the draw and the support, and both drivers keep
-revisiting supports (each iteration starts from where the last ended; in
-the easy regime both sit on the true support from initialization on).
-So they are computed at most once per instance and support and kept
-read-only in ``instance.memo`` under ``support.tobytes()``; the empty
-support's residuals are a read-only view of the measurements.  A cached
-value is what a recomputation returns, so results are bit-identical; a
-projection that raises caches nothing.  An instance's arrays must not be
-modified once a driver has run on it.
+Residual memo: the residuals, residual energies and correlations against
+a support depend only on the draw and the support, and both algorithms
+keep revisiting supports (each iteration starts from where the last
+ended; in the easy regime both sit on the true support from
+initialization on).  So one ``run_batch`` call computes them at most once
+per draw and support and keeps them read-only in a dict of its own, under
+the draw's batch position and ``support.tobytes()``; the empty support's
+residuals are a read-only view of the measurements.  A cached value is
+what a recomputation returns, so results are bit-identical; a projection
+that raises caches nothing.
 """
 
 from bisect import bisect_left
@@ -152,23 +152,21 @@ def _rows(draws, L):
     return (np.multiply(draws, L)[:, None] + np.arange(L)).ravel()
 
 
-def _residual_states(instances, draws, supports, A, Y):
-    """The :class:`_ResidualState` of ``instances[draws[j]]`` against
-    ``supports[j]`` (sorted, all one size), from the instance's memo when
-    an earlier run made it, else from one stacked :func:`resid` and one
-    :func:`correlate` over the distinct (draw, support) misses; ``A``,
-    ``Y`` are the node stacks."""
-    L = instances[0].config.L
-    keys = [s.tobytes() for s in supports]
+def _residual_states(memo, L, draws, supports, A, Y):
+    """The :class:`_ResidualState` of batch draw ``draws[j]`` against
+    ``supports[j]`` (sorted, all one size), from ``memo`` when an earlier
+    round made it, else from one stacked :func:`resid` and one
+    :func:`correlate` over the distinct (draw, support) misses, which join
+    ``memo``; ``A``, ``Y`` are the node stacks of ``L`` rows per draw."""
+    keys = [(d, s.tobytes()) for d, s in zip(draws, supports)]
     # one position per distinct miss, which every run that made it shares
-    miss = list({(draws[j], keys[j]): j for j, key in enumerate(keys)
-                 if key not in instances[draws[j]].memo}.values())
+    miss = list({key: j for j, key in enumerate(keys) if key not in memo}.values())
     if miss:
         rows = _rows([draws[j] for j in miss], L)
         stacked = Y[rows]
         if supports[miss[0]].size:
             cols = np.repeat(np.array([supports[j] for j in miss]) - 1, L, axis=0)
-            # column-major slices, as column_submatrix gives, so that the
+            # column-major slices, as A[..., S - 1] gives, so that the
             # product inside resid rounds as it does on one node's columns
             stacked = resid(stacked, A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1))
         # the stack rows from the first missing draw to the last are one view
@@ -188,12 +186,12 @@ def _residual_states(instances, draws, supports, A, Y):
         for array in (stacked, correlations):
             array.flags.writeable = False
         for n, j in enumerate(miss):
-            instance, span = instances[draws[j]], slice(n * L, (n + 1) * L)
-            r = stacked[span] if supports[j].size else instance.measurements.view()
+            span, own = slice(n * L, (n + 1) * L), slice(draws[j] * L, (draws[j] + 1) * L)
+            r = stacked[span] if supports[j].size else Y[own]
             r.flags.writeable = False
-            instance.memo[keys[j]] = _ResidualState(
+            memo[keys[j]] = _ResidualState(
                 r, correlations[span], tuple(energies[span]))
-    return [instances[d].memo[key] for d, key in zip(draws, keys)]
+    return [memo[key] for key in keys]
 
 
 def _project_candidates(A, Y, rows, candidates):
@@ -268,6 +266,7 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
     # algorithm form one slice of any ascending list of runs
     names, B = list(topologies), len(instances)
     counters = [WireCounter() for _ in range(len(names) * B)]
+    memo = {}  # residual states by (draw, support), see the module docstring
 
     def split(live):
         # (algorithm, first and past-last position in live) per algorithm
@@ -302,10 +301,10 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
     # initialization: share measurement correlations, pick the K strongest
     live = list(range(len(names) * B))  # the runs still improving
     parts, draws = split(live), [r % B for r in live]
-    empty = _residual_states(instances, draws, [_NO_SUPPORT] * len(live), A, Y)
+    empty = _residual_states(memo, L, draws, [_NO_SUPPORT] * len(live), A, Y)
     c0 = _node_stack([state.correlations for state in empty])
     supports = settle(parts, rank(parts, c0, counters, N, "correlation"), counters)
-    states = _residual_states(instances, draws, supports, A, Y)
+    states = _residual_states(memo, L, draws, supports, A, Y)
 
     results = [RunResult(support, 0, counter, [sum(state.energies)], [support])
                for support, counter, state in zip(supports, counters, states)]
@@ -329,7 +328,7 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
         ranked = rank(parts, magnitudes, wires, 2 * K, "projection")
         new_supports = settle(parts, ranked, wires)
 
-        new_states = _residual_states(instances, draws, new_supports, A, Y)
+        new_states = _residual_states(memo, L, draws, new_supports, A, Y)
         for name, lo, hi in parts:
             broadcast_all([e for state in new_states[lo:hi] for e in state.energies],
                           topologies[name], wires[lo:hi], 1, "residual norm")

@@ -1,21 +1,27 @@
-"""Regenerate ``runs.json``, the golden record of pursuit runs and tables.
+"""Regenerate ``runs.json``, the golden record of pursuit runs and tables,
+and ``transcripts.json``, the pinned ``dcsp trial`` transcripts.
 
     PYTHONPATH=src python3 tests/golden/generate.py
 
-The file pins what a refactor must not change.  It holds about 300 seeded
-small instances, each run four ways (ssp; dcsp on a ring with g < L, or
-g = 2 at L = 2; dcsp with g = L; dcsp on a random explicit topology),
+The files pin what a refactor must not change.  ``runs.json`` holds
+about 300 seeded small instances, each run four ways (ssp; dcsp on a ring
+with g < L, or g = 2 at L = 2; dcsp with g = L; dcsp on a random explicit
+topology),
 and the sha256 of the fig1 and fig2 ``.csv`` tables at three base seeds.
 Per run it stores a digest of the exact fields (support, iterations,
 support trace, candidate sizes, wire rounds, cap hit) and the residual
 trace rounded to 15 significant digits; the first instances also keep
 their exact fields in full, so a failure can be read field by field.
+``transcripts.json`` holds the exact stdout and exit code of ``dcsp trial``
+for each argument list of ``TRANSCRIPTS``.
 
-Regenerate the file only in a change that declares an output change.
+Regenerate the files only in a change that declares an output change.
 ``tests/test_golden.py`` recomputes everything here and compares.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -24,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from dcsp.errors import RankDeficientError
+from dcsp.cli import main as cli_main
 from dcsp.experiments import ExperimentConfig, default_l_grid, default_m_grid, run_fig1, run_fig2
+from dcsp.linalg import RankDeficientError
 from dcsp.network import full_topology, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, generate
 from dcsp.pursuit import dcsp_run, ssp_run
@@ -36,6 +43,16 @@ EXAMPLES = 2  # instances whose runs are also stored field by field
 RUNS = ("ssp", "dcsp-ring", "dcsp-full", "dcsp-graph")
 TABLE_SEEDS = (1, 7, 99)
 TABLE_TRIALS = 2
+TRANSCRIPT_PATH = Path(__file__).with_name("transcripts.json")
+# `dcsp trial` arguments, split on spaces: the README command, the default
+# trial, ssp, an explicit topology, and a failed run stopped by its cap
+TRANSCRIPTS = (
+    "--algorithm dcsp --N 200 --M 50 --K 10 --L 6 --g 3 --seed 7",
+    "",
+    "--algorithm ssp --expect-success",
+    "--topology 1,2;2,3;3,1 --L 3 --N 40 --M 20 --K 4",
+    "--M 24 --g 3 --max-iters 1 --expect-success",
+)
 
 
 def instance_params(count=INSTANCES, seed=20141):
@@ -117,6 +134,20 @@ def table_digests(trials=TABLE_TRIALS):
     return digests
 
 
+def transcript(args):
+    """The stdout and exit code of ``dcsp trial`` with ``args``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["trial", *args.split()])
+    return {"args": args, "stdout": out.getvalue(), "exit": code}
+
+
+def write_transcripts():
+    with open(TRANSCRIPT_PATH, "w") as fh:
+        json.dump([transcript(args) for args in TRANSCRIPTS], fh, indent=1)
+        fh.write("\n")
+
+
 def _stored(fields):
     return fields if isinstance(fields, str) else digest(fields)
 
@@ -142,6 +173,8 @@ def main():
         fh.write('{"header":' + json.dumps(header, separators=(",", ":")) + ',\n"instances":[\n')
         fh.write(",\n".join(lines) + "\n]}\n")
     print(f"wrote {PATH} ({PATH.stat().st_size} bytes, {len(lines)} instances)", file=sys.stderr)
+    write_transcripts()
+    print(f"wrote {TRANSCRIPT_PATH}", file=sys.stderr)
 
 
 if __name__ == "__main__":

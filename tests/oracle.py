@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 
-from dcsp.linalg import column_submatrix, resid
+from dcsp.linalg import resid
 
 EXHAUSTIVE_CAP = 10**6
 
@@ -35,7 +35,7 @@ def exhaustive_decoder(instance, cap=EXHAUSTIVE_CAP):
     for combo in combinations(range(1, N + 1), K):
         s = np.array(combo, dtype=np.int64)
         value = 0.0
-        for r in resid(instance.measurements, column_submatrix(instance.dictionaries, s)):
+        for r in resid(instance.measurements, instance.dictionaries[..., s - 1]):
             value += float(r @ r)
         if value < best_value:
             best_support, best_value = s, value

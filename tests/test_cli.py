@@ -9,6 +9,7 @@ import pytest
 import dcsp
 import dcsp.cli
 from dcsp.cli import build_parser, main, parse_values
+from dcsp.linalg import RankDeficientError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -174,6 +175,17 @@ class TestTrialCommand:
 
 
 class TestFigureCommands:
+    def test_exhausted_redraws_exit_2_naming_the_trial(self, capsys, monkeypatch):
+        def always_deficient(algorithms, instances, *args, **kwargs):
+            raise RankDeficientError("forced")
+
+        monkeypatch.setattr(dcsp.experiments, "run_batch", always_deficient)
+        code = main(["fig1", "--M", "20", "--N", "40", "--K", "4", "--L", "3", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: M=20 trial 0: all 6 draws were rank deficient" in captured.err
+
     def test_fig1_tiny(self, capsys, tmp_path):
         out = tmp_path / "f1"
         code = main([
@@ -277,15 +289,21 @@ def _subparsers():
 @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
 def test_every_option_reaches_the_library(monkeypatch, command):
     received = []
+    trial = dcsp.cli.run_single_trial(dcsp.ProblemConfig(N=12, M=8, K=2, L=3, seed=0), "dcsp")
 
     def record(*args, **kwargs):
         received.extend(args)
         received.extend(kwargs.values())
-        return types.SimpleNamespace(sweep="M", out=None, success=True)
+        return types.SimpleNamespace(sweep="M", out=None)
+
+    def record_trial(*args, **kwargs):
+        record(*args, **kwargs)
+        return trial  # a real run, for the transcript
 
     for name in ("ExperimentConfig", "ProblemConfig", "CostParams", "cost_table1",
-                 "run_single_trial", "topology_from_listing"):
+                 "topology_from_listing"):
         monkeypatch.setattr(dcsp.cli, name, record)
+    monkeypatch.setattr(dcsp.cli, "run_single_trial", record_trial)
     for name in ("run_fig1", "run_fig2"):
         monkeypatch.setattr(dcsp.cli, name, lambda config: [])
     options = EVERY_OPTION[command]

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsp import experiments, pursuit
-from dcsp.errors import InvalidDegreeError, RankDeficientError
+from dcsp.cli import main
 from dcsp.experiments import (
     ExperimentConfig,
-    TrialResult,
     default_l_grid,
     default_m_grid,
     derive_trial_seed,
@@ -19,8 +18,9 @@ from dcsp.experiments import (
     run_single_trial,
     run_sweep,
 )
+from dcsp.linalg import RankDeficientError
 from dcsp.network import topology_from_listing
-from dcsp.problems import ProblemConfig
+from dcsp.problems import ProblemConfig, success
 
 
 def small_m_config(**kw):
@@ -495,30 +495,33 @@ class TestFigureWrappers:
 
 class TestRunSingleTrial:
     def test_transcript_deterministic(self):
+        # everything `dcsp trial` prints comes from the returned run
         cfg = ProblemConfig(N=40, M=20, K=3, L=4, seed=123)
-        lines_a, lines_b = [], []
-        ta = run_single_trial(cfg, "dcsp", g=3, emit=lines_a.append)
-        tb = run_single_trial(cfg, "dcsp", g=3, emit=lines_b.append)
-        assert lines_a == lines_b
-        assert np.array_equal(ta.run.support, tb.run.support)
-        assert isinstance(ta, TrialResult)
+        (ia, ta, ga), (ib, tb, gb) = (run_single_trial(cfg, "dcsp", g=3) for _ in range(2))
+        assert np.array_equal(ia.true_support, ib.true_support)
+        assert [s.tolist() for s in ta.support_trace] == [s.tolist() for s in tb.support_trace]
+        assert ta.residual_trace == tb.residual_trace
+        assert ta.candidate_sizes == tb.candidate_sizes
+        assert ta.wire.rounds == tb.wire.rounds
+        assert ga == gb == 3
 
     def test_known_success_params(self):
         cfg = ProblemConfig(N=40, M=24, K=3, L=5, seed=2)
-        trial = run_single_trial(cfg, "ssp", emit=None)
-        assert trial.success
+        instance, run, g = run_single_trial(cfg, "ssp")
+        assert success(run.support, instance)
+        assert g == 5
 
     def test_ssp_matches_dcsp_at_full_collaboration(self):
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=77)
-        a = run_single_trial(cfg, "ssp", emit=None)
-        b = run_single_trial(cfg, "dcsp", g=4, emit=None)
-        assert np.array_equal(a.run.support, b.run.support)
+        _, a, _ = run_single_trial(cfg, "ssp")
+        _, b, g = run_single_trial(cfg, "dcsp")  # g defaults to L
+        assert np.array_equal(a.support, b.support)
+        assert g == 4
 
-    def test_transcript_contains_wire_summary(self):
-        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
-        lines = []
-        run_single_trial(cfg, "dcsp", g=2, emit=lines.append)
-        text = "\n".join(lines)
+    def test_transcript_contains_wire_summary(self, capsys):
+        assert main(["trial", "--N", "30", "--M", "16", "--K", "3", "--L", "4",
+                     "--seed", "9", "--g", "2"]) == 0
+        text = capsys.readouterr().out
         assert "wire total:" in text
         assert "true support:" in text
         assert "t=0:" in text
@@ -530,7 +533,7 @@ class TestRunSingleTrial:
         monkeypatch.setattr(experiments, "generate", no_draw)
         cfg = ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
         with pytest.raises(ValueError, match="trial: need M >= 2K, got M=15 and K=10"):
-            run_single_trial(cfg, "dcsp", emit=None)
+            run_single_trial(cfg, "dcsp")
 
     @pytest.mark.parametrize("algorithm", ["ssp", "dcsp"])
     def test_rejects_topology_size_mismatch_before_running(self, monkeypatch, algorithm):
@@ -541,7 +544,7 @@ class TestRunSingleTrial:
         cfg = ProblemConfig(N=30, M=16, K=3, L=6, seed=9)
         topology = topology_from_listing("1,2;2,3;3,1")
         with pytest.raises(ValueError, match="topology has 3 nodes, problem has L=6"):
-            run_single_trial(cfg, algorithm, topology=topology, emit=None)
+            run_single_trial(cfg, algorithm, topology=topology)
 
     def test_rejects_max_iters_below_1_before_running(self, monkeypatch):
         def no_draw(config):
@@ -550,7 +553,7 @@ class TestRunSingleTrial:
         monkeypatch.setattr(experiments, "generate", no_draw)
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
         with pytest.raises(ValueError, match="need max_iters >= 1, got max_iters=0"):
-            run_single_trial(cfg, "dcsp", max_iters=0, emit=None)
+            run_single_trial(cfg, "dcsp", max_iters=0)
 
     def test_rejects_non_integer_max_iters_before_running(self, monkeypatch):
         def no_draw(config):
@@ -559,7 +562,7 @@ class TestRunSingleTrial:
         monkeypatch.setattr(experiments, "generate", no_draw)
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
         with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
-            run_single_trial(cfg, "dcsp", max_iters=2.5, emit=None)
+            run_single_trial(cfg, "dcsp", max_iters=2.5)
 
     def test_rejects_non_integer_g_before_running(self, monkeypatch):
         def no_draw(config):
@@ -567,14 +570,15 @@ class TestRunSingleTrial:
 
         monkeypatch.setattr(experiments, "generate", no_draw)
         cfg = ProblemConfig(N=60, M=30, K=3, L=6, seed=1)
-        with pytest.raises(InvalidDegreeError, match="got g=2.5, L=6"):
-            run_single_trial(cfg, "dcsp", g=2.5, emit=None)
+        with pytest.raises(ValueError, match="got g=2.5, L=6"):
+            run_single_trial(cfg, "dcsp", g=2.5)
 
     def test_silent_without_emit(self, capsys):
+        # the transcript is the CLI's: the library prints nothing
         cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
-        trial = run_single_trial(cfg, "dcsp", g=2, emit=None)
+        _, run, _ = run_single_trial(cfg, "dcsp", g=2)
         assert capsys.readouterr().out == ""
-        assert trial.run.wire.total > 0
+        assert run.wire.total > 0
 
     def test_rejects_ssp_on_a_partial_topology_before_running(self, monkeypatch):
         draws = []
@@ -582,7 +586,7 @@ class TestRunSingleTrial:
         cfg = ProblemConfig(N=40, M=20, K=4, L=3, seed=1)
         topology = topology_from_listing("1,2;2,3;3,1")
         with pytest.raises(ValueError, match="ssp requires full collaboration"):
-            run_single_trial(cfg, "ssp", topology=topology, emit=None)
+            run_single_trial(cfg, "ssp", topology=topology)
         assert draws == []
 
     def test_rejects_unknown_algorithm(self):

@@ -1,7 +1,8 @@
-"""Golden regression: pursuit runs and sweep tables match ``golden/runs.json``.
+"""Golden regression: pursuit runs and sweep tables match ``golden/runs.json``,
+and ``dcsp trial`` prints ``golden/transcripts.json`` byte for byte.
 
-The file was written by ``golden/generate.py``; regenerate it only in a
-change that declares an output change.  Exact fields are compared through
+The files were written by ``golden/generate.py``; regenerate them only in
+a change that declares an output change.  Exact fields are compared through
 their digests (and in full for the stored examples).  A residual trace
 entry may differ by 1e-12 of the larger of its own value and the trace's
 first entry, since a different BLAS kernel may round differently and
@@ -13,7 +14,8 @@ import json
 import pytest
 
 from golden.generate import (
-    EXAMPLES, PATH, RUNS, _stored, instance_params, run_instance, table_digests,
+    EXAMPLES, PATH, RUNS, TRANSCRIPT_PATH, _stored, instance_params,
+    run_instance, table_digests, transcript,
 )
 
 RTOL = 1e-12
@@ -54,3 +56,12 @@ def test_runs_match_golden(golden):
 def test_tables_match_golden(golden):
     header = golden["header"]
     assert table_digests(header["table_trials"]) == header["tables"]
+
+
+with open(TRANSCRIPT_PATH) as fh:
+    PINNED = json.load(fh)
+
+
+@pytest.mark.parametrize("pinned", PINNED, ids=[p["args"] or "default" for p in PINNED])
+def test_transcript_matches_golden(pinned):
+    assert transcript(pinned["args"]) == pinned

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dcsp.errors import InvalidDegreeError
 from dcsp.network import (
     Topology,
     WireCounter,
@@ -40,14 +39,14 @@ class TestRingTopology:
         assert topo.neighbors[1].tolist() == [1, 2]
 
     def test_invalid_degree(self):
-        with pytest.raises(InvalidDegreeError):
+        with pytest.raises(ValueError, match="got g=1, L=4"):
             ring_topology(4, 1)
-        with pytest.raises(InvalidDegreeError):
+        with pytest.raises(ValueError, match="got g=5, L=4"):
             ring_topology(4, 5)
 
     @pytest.mark.parametrize("g", [2.5, 3.0, "3"])
     def test_non_integer_degree_rejected(self, g):
-        with pytest.raises(InvalidDegreeError, match=f"got g={g}, L=6"):
+        with pytest.raises(ValueError, match=f"got g={g}, L=6"):
             ring_topology(6, g)
         assert ring_topology(6, np.int64(3)).neighbor_link_count == 12
 

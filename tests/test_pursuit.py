@@ -7,10 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from dcsp.costs import cost_dcsp_general
 from dcsp import pursuit
-from dcsp.errors import RankDeficientError
-from dcsp.linalg import column_submatrix, max_occ, resid
+from dcsp.linalg import RankDeficientError, max_occ, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
-from dcsp.problems import ProblemConfig, ProblemInstance, generate, success
+from dcsp.problems import ProblemConfig, ProblemInstance, generate, generate_batch, success
 from dcsp.pursuit import (
     _ordered_sum, _residual_states, dcsp_run, run_batch, ssp_run,
 )
@@ -21,10 +20,10 @@ def tiny_instance(seed, N=12, M=8, K=2, L=3):
     return generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
 
 
-def _residual_state(instance, support):
-    """One instance's residual state, as a batch of one."""
-    return _residual_states([instance], [0], [support], instance.dictionaries,
-                            instance.measurements)[0]
+def _residual_state(instance, support, memo=None):
+    """One instance's residual state, as a batch of one, kept in ``memo``."""
+    return _residual_states({} if memo is None else memo, instance.config.L, [0], [support],
+                            instance.dictionaries, instance.measurements)[0]
 
 
 class TestSspRun:
@@ -178,7 +177,7 @@ class TestStoppingRule:
         result = ssp_run(inst)
         assert success(result.support, inst)
         total = sum(
-            float(np.linalg.norm(resid(y, column_submatrix(A, result.support))) ** 2)
+            float(np.linalg.norm(resid(y, A[:, result.support - 1])) ** 2)
             for A, y in zip(inst.dictionaries, inst.measurements)
         )
         energy = sum(float(y @ y) for y in inst.measurements)
@@ -263,12 +262,19 @@ def test_shared_draw_matches_fresh_draws(K, extra_m, extra_n, L, g_offset, seed)
             assert _outcome(drivers[i], shared) == fresh[i]
 
 
-def test_cached_state_is_read_only():
+def test_cached_state_is_read_only(monkeypatch):
+    states = []
+
+    def keeping_states(*args):
+        made = _residual_states(*args)
+        states.extend(made)
+        return made
+
+    monkeypatch.setattr(pursuit, "_residual_states", keeping_states)
     inst = tiny_instance(4)
-    dcsp_run(inst, ring_topology(3, 2))
-    ssp_run(inst)
-    assert inst.memo
-    for state in inst.memo.values():
+    run_batch({"ssp": None, "dcsp": ring_topology(3, 2)}, [inst])
+    assert states
+    for state in states:
         for array in (state.residuals, state.correlations):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
@@ -279,20 +285,23 @@ def test_cached_state_is_read_only():
 
 
 def test_state_is_computed_once_per_support():
-    inst = tiny_instance(6)
-    first = _residual_state(inst, inst.true_support)
-    assert _residual_state(inst, inst.true_support.copy()) is first
-    assert first.correlations is first.correlations
+    inst, memo = tiny_instance(6), {}
+    first = _residual_state(inst, inst.true_support, memo)
+    assert _residual_state(inst, inst.true_support.copy(), memo) is first
+    support = inst.true_support
+    both = _residual_states({}, 3, [0, 0], [support, support.copy()],
+                            inst.dictionaries, inst.measurements)
+    assert both[0] is both[1]
 
 
 def test_rank_deficient_support_is_not_cached():
     inst = tiny_instance(8)
     inst.dictionaries[1][:, 1] = inst.dictionaries[1][:, 0]  # columns 1 and 2 coincide
-    support = np.array([1, 2], dtype=np.int64)
+    support, memo = np.array([1, 2], dtype=np.int64), {}
     for _ in range(2):
         with pytest.raises(RankDeficientError):
-            _residual_state(inst, support)
-    assert support.tobytes() not in inst.memo
+            _residual_state(inst, support, memo)
+    assert not memo
 
 
 @st.composite
@@ -420,8 +429,8 @@ def test_batch_matches_single_runs(batch):
         "graph": topology_from_listing(listing),
     }
 
-    def draw(seed, out=None):
-        return generate(dataclasses.replace(config, seed=seed), out=out)
+    def draw(seed):
+        return generate(dataclasses.replace(config, seed=seed))
 
     single = {}
     for name, topology in topologies.items():
@@ -433,11 +442,11 @@ def test_batch_matches_single_runs(batch):
 
     for order in (seeds, seeds[::-1]):
         for call in BATCH_CALLS:
-            # fresh draws per call, so that runs share only their own memo
             stack = None
             if order is seeds:  # drawn into one stack, as a sweep draws a batch
                 stack = np.empty((len(order), L, config.M, config.N))
-                draws = [draw(s, stack[i]) for i, s in enumerate(order)]
+                draws = generate_batch(
+                    [dataclasses.replace(config, seed=s) for s in order], out=stack)
             else:
                 draws = [draw(s) for s in order]
             algorithms = {"ssp" if n == "ssp" else "dcsp": topologies[n] for n in call}
@@ -477,8 +486,11 @@ def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
         for a, b in zip(runs["ssp"], runs["dcsp"])
     )
     assert shared >= len(draws)  # at least the initial supports coincide
-    # the memo holds every support computed; the empty one needs no resid
-    assert sum(slices) == config.L * sum(len(d.memo) - 1 for d in draws)
+    # each support a run computes joins its support trace; the empty one
+    # needs no resid
+    distinct = sum(len({s.tobytes() for s in a.support_trace + b.support_trace})
+                   for a, b in zip(runs["ssp"], runs["dcsp"]))
+    assert sum(slices) == config.L * distinct
 
 
 def test_fusion_ranks_every_run_of_a_round_in_one_call(monkeypatch):
@@ -510,12 +522,10 @@ def test_batch_reads_a_passed_stack_in_place():
     # copy: without the stack it copies the dictionaries once, with it never
     config = ProblemConfig(N=400, M=40, K=4, L=4, seed=0)
     stack = np.empty((4, 4, 40, 400))
-    draws = [generate(dataclasses.replace(config, seed=s), out=stack[s]) for s in range(4)]
+    draws = generate_batch([dataclasses.replace(config, seed=s) for s in range(4)], out=stack)
     topology = ring_topology(4, 2)
 
     def traced(dictionaries):
-        for d in draws:
-            d.memo.clear()
         tracemalloc.start()
         try:
             runs = run_batch({"dcsp": topology}, draws, dictionaries=dictionaries)["dcsp"]
