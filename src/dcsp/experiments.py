@@ -31,8 +31,9 @@ one-at-a-time running.  Workers return
 per-batch records that are merged in trial order, so parallel and serial
 runs produce identical tables.
 
+A sweep runs ``min(jobs, batches)`` pool workers, serially if that is 1.
 ``ProcessPoolExecutor`` is a lazily loaded module attribute: importing this
-module, and any ``jobs=1`` sweep, never loads ``concurrent.futures`` or
+module, and any serial sweep, never loads ``concurrent.futures`` or
 ``multiprocessing``.  ``run_sweep`` reads the class through the module, so
 a class assigned to ``dcsp.experiments.ProcessPoolExecutor`` is the one it
 starts.
@@ -253,9 +254,11 @@ def run_sweep(config: ExperimentConfig):
         shared = {a: full_topology(problem.L) if a == "ssp" else ring_topology(problem.L, g)
                   for a in config.algorithms}
         tasks += [(config, value, trials, shared) for trials in _batches(config.trials, problem)]
-    if config.jobs > 1:
+    # a fork pool starts every worker at its first submit, needed or not
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
         pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
-        with pool_class(max_workers=config.jobs) as pool:
+        with pool_class(max_workers=workers) as pool:
             batches = list(pool.map(_run_trials, *zip(*tasks), chunksize=8))
     else:
         batches = list(map(_run_trials, *zip(*tasks)))

@@ -187,8 +187,8 @@ def correlate(A, r):
     """Entrywise magnitudes of the correlations ``|A.T @ r|``.
 
     ``A`` of shape (n, M, N) with ``r`` of shape (n, M) correlates each
-    slice with its own residual and returns shape (n, N); an ``r`` of shape
-    (..., n, M) correlates each layer so and returns shape (..., n, N).
+    slice with its own residual and returns shape (n, N), each row equal
+    to the 2-d call on that slice.
     """
     A, r, single = _stack(A, r)
     c = np.abs(np.matmul(A.transpose(0, 2, 1), r[..., None])[..., 0])

@@ -40,6 +40,11 @@ class Topology:
     def __post_init__(self):
         if len(self.neighbors) != self.L:
             raise ValueError("need one neighbor set per node")
+        for l, g in enumerate(self.neighbors, start=1):
+            # the int64 cast below would truncate 2.7 and parse "3"
+            if len(g) and np.asarray(g).dtype.kind not in "iu":
+                bad = next((v for v in g if not isinstance(v, numbers.Integral)), g[0])
+                raise ValueError(f"node {l} has a non-integer neighbor id {bad!r}")
         # a new list: the caller's sequence (a tuple, say) is left as it was
         self.neighbors = [np.sort(np.asarray(g, dtype=np.int64)) for g in self.neighbors]
         self.index = np.full((self.L, max(map(len, self.neighbors), default=0)), self.L)

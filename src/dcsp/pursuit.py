@@ -46,7 +46,7 @@ Trial batching: ``run_batch`` runs each requested algorithm, on its own
 topology, on B draws of one config (``ssp_run``/``dcsp_run`` run one on a
 batch of one).  Runs go algorithm by algorithm, each reading its draw's
 node rows of the one stack, and each round makes one stacked call over
-the node rows of every live run for the memo misses (once per distinct
+the node rows of every live run for missed residuals (once per distinct
 draw and support, so ssp and dcsp share a support they reach together),
 each candidate-size ``lstsq`` group, the top-K ranking and dcsp's fusion,
 so a small network stops paying numpy's fixed cost per call on every run
@@ -57,16 +57,16 @@ out.  Every slice computes as it does alone, so each result equals the
 run on its own draw; a rank-deficient projection in any run raises for
 the whole batch.
 
-Residual memo: the residuals, residual energies and correlations against
-a support depend only on the draw and the support, and both algorithms
-keep revisiting supports (each iteration starts from where the last
-ended; in the easy regime both sit on the true support from
-initialization on).  So one ``run_batch`` call computes them at most once
-per draw and support and keeps them read-only in a dict of its own, under
-the draw's batch position and ``support.tobytes()``; the empty support's
-residuals are a read-only view of the measurements.  A cached value is
-what a recomputation returns, so results are bit-identical; a projection
-that raises caches nothing.
+Residual memo: the residual energies and correlations against a support
+depend only on the draw and the support, and both algorithms keep
+revisiting supports (each iteration starts from where the last ended; in
+the easy regime both sit on the true support from initialization on).  So
+one ``run_batch`` call computes them at most once per draw and support,
+correlating each miss on a view of its draw's rows, and keeps them, the
+correlations read-only, in a dict of its own under the draw's batch
+position and ``support.tobytes()``; the residuals are not kept.  A cached
+value is what a recomputation returns, so results are bit-identical; a
+projection that raises caches nothing.
 """
 
 from bisect import bisect_left
@@ -129,14 +129,10 @@ def _ordered_sum(view):
 
 @dataclass
 class _ResidualState:
-    """Every node's residual against one support, read-only.
+    """What the pursuit reads of every node's residual ``r_l`` against one
+    support: ``correlations``, the read-only (L, N) stack ``|A_l.T @ r_l|``,
+    and ``energies``, the residual energies ``r_l @ r_l`` in node order."""
 
-    ``residuals`` is the (L, M) stack; ``correlations`` the (L, N) stack
-    ``|A_l.T @ r_l|``; ``energies`` the per-node residual energies
-    ``r_l @ r_l`` in node order.
-    """
-
-    residuals: np.ndarray
     correlations: np.ndarray
     energies: tuple
 
@@ -155,8 +151,8 @@ def _rows(draws, L):
 def _residual_states(memo, L, draws, supports, A, Y):
     """The :class:`_ResidualState` of batch draw ``draws[j]`` against
     ``supports[j]`` (sorted, all one size), from ``memo`` when an earlier
-    round made it, else from one stacked :func:`resid` and one
-    :func:`correlate` over the distinct (draw, support) misses, which join
+    round made it, else from one stacked :func:`resid` over the distinct
+    (draw, support) misses and one :func:`correlate` per miss, which join
     ``memo``; ``A``, ``Y`` are the node stacks of ``L`` rows per draw."""
     keys = [(d, s.tobytes()) for d, s in zip(draws, supports)]
     # one position per distinct miss, which every run that made it shares
@@ -169,28 +165,14 @@ def _residual_states(memo, L, draws, supports, A, Y):
             # column-major slices, as A[..., S - 1] gives, so that the
             # product inside resid rounds as it does on one node's columns
             stacked = resid(stacked, A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1))
-        # the stack rows from the first missing draw to the last are one view
-        # of A, so correlating it takes no copy: the k-th miss of a draw fills
-        # that draw's rows of layer k of a zero residual stack, and each
-        # row's product is the one it makes alone
-        layer, count = np.empty(len(miss), dtype=np.int64), {}
-        for n, j in enumerate(miss):
-            layer[n] = count[draws[j]] = count.get(draws[j], -1) + 1
-        first = min(count) * L
-        at = (np.repeat(layer, L), rows - first)
-        R = np.zeros((layer.max() + 1, rows.max() + 1 - first, Y.shape[1]))
-        R[at] = stacked
-        correlations = correlate(A[first:first + R.shape[1]], R)[at]
         # one stacked product makes the same dot per row as r @ r does
         energies = np.matmul(stacked[:, None, :], stacked[:, :, None]).ravel().tolist()
-        for array in (stacked, correlations):
-            array.flags.writeable = False
         for n, j in enumerate(miss):
-            span, own = slice(n * L, (n + 1) * L), slice(draws[j] * L, (draws[j] + 1) * L)
-            r = stacked[span] if supports[j].size else Y[own]
-            r.flags.writeable = False
-            memo[keys[j]] = _ResidualState(
-                r, correlations[span], tuple(energies[span]))
+            span = slice(n * L, (n + 1) * L)
+            # the draw's own rows of A are a view, so correlating takes no copy
+            correlations = correlate(A[draws[j] * L:(draws[j] + 1) * L], stacked[span])
+            correlations.flags.writeable = False
+            memo[keys[j]] = _ResidualState(correlations, tuple(energies[span]))
     return [memo[key] for key in keys]
 
 
@@ -248,10 +230,10 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
     does); it is read in place.  Without it, a batch of several draws
     copies their dictionaries into one stack.
     """
+    if len({(i.config.N, i.config.M, i.config.K, i.config.L) for i in instances}) != 1:
+        raise ValueError("a batch needs one or more draws of one N, M, K and L")
     cfg = instances[0].config
     N, K, L = cfg.N, cfg.K, cfg.L
-    if len({(i.config.N, i.config.M, i.config.K, i.config.L) for i in instances}) != 1:
-        raise ValueError("a batch needs draws of one N, M, K and L")
     topologies, max_iters = _run_limits(cfg, algorithms, max_iters)
 
     if dictionaries is None:

@@ -222,6 +222,30 @@ class TestRunSweep:
         run_sweep(small_l_config(trials=1))
         assert len(started) == 1  # a jobs=1 sweep starts no pool
 
+    def test_pool_starts_no_more_workers_than_batches(self, monkeypatch):
+        # a recording stand-in that starts no process and maps in order
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        serial = run_sweep(small_l_config(values=(2, 3, 4), trials=2))
+        assert run_sweep(small_l_config(values=(2, 3, 4), trials=2, jobs=64)) == serial
+        assert started == [3]  # one batch per point
+        one = run_sweep(small_l_config(values=(2,), trials=2, jobs=64))
+        assert started == [3] and one == serial[:1]  # one batch runs serially
+
     def test_wire_exactness_carries_into_means(self):
         # analytic column averages the closed form at each trial's own
         # iteration count, which the counter matches exactly

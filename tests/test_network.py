@@ -44,11 +44,16 @@ class TestRingTopology:
         with pytest.raises(ValueError, match="got g=5, L=4"):
             ring_topology(4, 5)
 
-    @pytest.mark.parametrize("g", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("g", [2.5, 3.0, "3", 2.7])
     def test_non_integer_degree_rejected(self, g):
         with pytest.raises(ValueError, match=f"got g={g}, L=6"):
             ring_topology(6, g)
         assert ring_topology(6, np.int64(3)).neighbor_link_count == 12
+        # the same value as a neighbor id is rejected too, naming its node
+        with pytest.raises(ValueError, match=f"node 2 has a non-integer neighbor id {g!r}"):
+            Topology(3, [[1, 2], [2, g], [3]])
+        assert Topology(3, [[1, 2], np.array([2, 3], dtype=np.int32), [3]]).index.tolist() == \
+            [[0, 1], [1, 2], [2, 3]]
 
     @pytest.mark.parametrize("L,g", [(2, 2), (5, 2), (6, 3), (8, 5), (9, 9)])
     def test_link_count_matches_formula(self, L, g):

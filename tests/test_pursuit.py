@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dcsp.costs import cost_dcsp_general
 from dcsp import pursuit
-from dcsp.linalg import RankDeficientError, max_occ, resid
+from dcsp.linalg import RankDeficientError, correlate, max_occ, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, generate_batch, success
 from dcsp.pursuit import (
@@ -214,8 +214,8 @@ def test_residual_energies_match_norms():
     inst = tiny_instance(9)
     state = _residual_state(inst, inst.true_support)
     assert len(state.energies) == 3
-    for r, energy in zip(state.residuals, state.energies):
-        true_norm = float(np.linalg.norm(r) ** 2)
+    for A, y, energy in zip(inst.dictionaries, inst.measurements, state.energies):
+        true_norm = float(np.linalg.norm(resid(y, A[:, inst.true_support - 1])) ** 2)
         assert abs(energy - true_norm) <= 1e-12 * max(true_norm, 1.0)
 
 
@@ -275,12 +275,10 @@ def test_cached_state_is_read_only(monkeypatch):
     run_batch({"ssp": None, "dcsp": ring_topology(3, 2)}, [inst])
     assert states
     for state in states:
-        for array in (state.residuals, state.correlations):
-            with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            state.correlations[0, 0] = 1.0
     empty = _residual_state(inst, np.empty(0, dtype=np.int64))
-    assert np.shares_memory(empty.residuals, inst.measurements)
-    assert np.array_equal(empty.residuals, inst.measurements)
+    assert np.array_equal(empty.correlations, correlate(inst.dictionaries, inst.measurements))
     inst.measurements[0, 0] = inst.measurements[0, 0]  # the instance stays writeable
 
 
@@ -292,6 +290,46 @@ def test_state_is_computed_once_per_support():
     both = _residual_states({}, 3, [0, 0], [support, support.copy()],
                             inst.dictionaries, inst.measurements)
     assert both[0] is both[1]
+
+
+def test_each_miss_state_equals_its_own_round(monkeypatch):
+    # ssp and dcsp of one batch reach different supports of a draw in one
+    # round, so that draw misses twice: each state must be the one its draw
+    # and support make in a round of their own, correlated on a view of the
+    # draw's rows of the batch stack
+    rounds, views = [], []
+
+    def recording_states(memo, L, draws, supports, A, Y):
+        fresh = {(d, s.tobytes()): (d, s) for d, s in zip(draws, supports)
+                 if (d, s.tobytes()) not in memo}
+        views.clear()
+        made = _residual_states(memo, L, draws, supports, A, Y)
+        rounds.append((fresh, {(d, s.tobytes()): m for d, s, m in zip(draws, supports, made)},
+                       A, list(views)))
+        return made
+
+    def recording_correlate(A, r):
+        views.append(A)
+        return correlate(A, r)
+
+    monkeypatch.setattr(pursuit, "_residual_states", recording_states)
+    monkeypatch.setattr(pursuit, "correlate", recording_correlate)
+    config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
+    draws = [generate(dataclasses.replace(config, seed=s)) for s in range(8)]
+    run_batch({"ssp": None, "dcsp": ring_topology(4, 2)}, draws)
+    monkeypatch.undo()
+
+    twice = [fresh for fresh, _, _, _ in rounds
+             if len({d for d, _ in fresh.values()}) < len(fresh)]
+    assert twice  # some draw had two misses in one round
+    for fresh, made, A, called in rounds:
+        assert len(called) == len(fresh)  # one correlate per miss
+        for view in called:
+            assert view.shape == (4, 12, 40) and np.shares_memory(view, A)
+        for key, (d, support) in fresh.items():
+            alone = _residual_state(draws[d], support)
+            assert np.array_equal(made[key].correlations, alone.correlations)
+            assert made[key].energies == alone.energies
 
 
 def test_rank_deficient_support_is_not_cached():
@@ -515,6 +553,8 @@ def test_batch_rejects_mixed_dimensions():
     draws = [tiny_instance(1), tiny_instance(2, M=9)]
     with pytest.raises(ValueError, match="one N, M, K and L"):
         run_batch({"ssp": None}, draws)
+    with pytest.raises(ValueError, match="one or more draws"):
+        run_batch({"ssp": None}, [])
 
 
 def test_batch_reads_a_passed_stack_in_place():
