@@ -75,16 +75,15 @@ def cost_table1(algorithm: str, p: CostParams) -> int:
     ``jsp_jomp`` and ``somp`` are T-free; ``dcomp`` needs g and T; ``ssp``
     and ``dcsp`` defer to their dedicated formulas.
     """
-    key = algorithm.lower()
-    if key == "jsp_jomp":
+    if algorithm == "jsp_jomp":
         return p.K * (p.L - 1) * p.L
-    if key == "somp":
+    if algorithm == "somp":
         return p.K * p.N * (p.L - 1) * p.L
-    if key == "dcomp":
+    if algorithm == "dcomp":
         p.require("g", "T")
         return p.T * ((p.g - 1) * p.N * p.L + (p.L - 1) * p.L)
-    if key == "ssp":
+    if algorithm == "ssp":
         return cost_ssp(p)
-    if key == "dcsp":
+    if algorithm == "dcsp":
         return cost_dcsp(p)
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -4,8 +4,9 @@ Every node observes ``y_l = A_l x_l`` where the ``x_l`` are K-sparse with a
 single support set shared by all L nodes.  Dictionaries and nonzero entries
 are standard i.i.d. Gaussian; measurements are noiseless.
 
-Reproducibility: draws are keyed off ``ProblemConfig.seed``, one
-independent PCG64 stream per object class and node, each the stream of
+Reproducibility: draws are keyed off ``ProblemConfig.seed``, an int in
+``0 .. 2**64 - 1``, one independent PCG64 stream per object class and
+node, each the stream of
 ``default_rng(SeedSequence(seed, spawn_key=key))``::
 
     spawn_key (0, 0)  -> support set
@@ -40,6 +41,8 @@ def _hash_constants(init, mult, count):
     return h
 
 
+# the pool's 16 hashmix steps, then 4 per spawn-key word, take the A constants
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * 2)
 # generate_state(4, uint64) reads 8 words, hashed with the B constants
 _STATE_HASH = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
 
@@ -57,8 +60,10 @@ class ProblemConfig:
     """Problem dimensions and the master seed.
 
     N: ambient dimension, M: measurements per node, K: shared sparsity,
-    L: node count, each stored as an int.  A draw needs M >= 1; sweeps and
-    trials need M >= 2K.
+    L: node count, each stored as an int.  M >= 2K, since subspace
+    pursuit's candidate sets reach 2K columns.  The seed lies in
+    ``0 .. 2**64 - 1``, the range of a sweep's trial seeds, so it fills at
+    most two 32-bit words of the seeding hash.
     """
 
     N: int
@@ -72,14 +77,14 @@ class ProblemConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.K < 1:
             raise ValueError(f"need K >= 1, got K={self.K}")
+        if self.M < 2 * self.K:
+            raise ValueError(f"need M >= 2K, got M={self.M} and K={self.K}")
         if self.L < 2:
             raise ValueError(f"need L >= 2, got L={self.L}")
-        if self.M < 1:
-            raise ValueError(f"need M >= 1, got M={self.M}")
         if self.K > self.N:
             raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
-        if self.seed < 0:
-            raise ValueError(f"need seed >= 0, got seed={self.seed}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"need 0 <= seed < 2**64, got seed={self.seed}")
 
 
 @dataclass
@@ -118,28 +123,23 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _seed_pool(seed, h):
+def _seed_pool(seed):
     """SeedSequence's pool for ``seed`` before the spawn key, as four
-    Python ints, and the index in ``h`` of the next hash constant.
+    Python ints.
 
-    The seed's little-endian 32-bit words are padded to the pool size (4)
-    and mixed into the pool; hashmix steps run one per pool word, one per
-    (source, destination) pool pair and four per word past the pool.
+    The seed's two little-endian 32-bit words, padded with zeros to the
+    pool size (4), are mixed into the pool; hashmix steps run one per pool
+    word, then one per (source, destination) pool pair.
     """
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate(words[:4])]
+    h = _POOL_HASH
+    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
     i = 4
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[i], h[i + 1]))
                 i += 1
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(w, h[i], h[i + 1]))
-            i += 1
-    return pool, i
+    return pool
 
 
 def _stream_states(seeds, keys):
@@ -154,20 +154,14 @@ def _stream_states(seeds, keys):
     ints, once per seed).  The two spawn-key words come last and only ever
     mix into the pool, so they run in one vectorized pass over every seed
     and key in uint32 arithmetic, as does the final ``generate_state``.
-    A seed of more than four words takes more hash constants, so each
-    seed's key steps start at its own offset into one table of constants.
     """
-    seeds = [operator.index(seed) for seed in seeds]
     keys = np.asarray(keys, dtype=np.uint32)
-    steps = 4 * keys.shape[1]  # one per pool word per key word
-    words = max(4, -(-max(seed.bit_length() for seed in seeds) // 32))
-    h = _hash_constants(_INIT_A, _MULT_A, 4 * words + steps)
-    pools, at = zip(*(_seed_pool(seed, h) for seed in seeds))
-    h = np.array(h, dtype=np.uint32)[np.add.outer(at, np.arange(steps + 1))][:, None]
+    h = np.array(_POOL_HASH[16:], dtype=np.uint32)
+    pools = [_seed_pool(seed) for seed in seeds]
     pool = np.array(pools, dtype=np.uint32)[:, None]  # (seeds, 1, 4)
     for c, column in enumerate(keys.T):
         i = 4 * c
-        pool = _mix(pool, _hashmix(column[:, None], h[..., i:i + 4], h[..., i + 1:i + 5]))
+        pool = _mix(pool, _hashmix(column[:, None], h[i:i + 4], h[i + 1:i + 5]))
     state = _hashmix(np.concatenate([pool, pool], axis=-1), _STATE_HASH[:8], _STATE_HASH[1:])
     # pairs of 32-bit words read as little-endian uint64, as numpy does
     return state.astype("<u4").view("<u8").astype(np.uint64)

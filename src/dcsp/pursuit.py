@@ -85,7 +85,6 @@ from .network import (
 )
 from .problems import ProblemInstance, _integer
 
-_NO_SUPPORT = np.empty(0, dtype=np.int64)
 SIMULATED_ALGORITHMS = ("ssp", "dcsp")
 
 
@@ -159,12 +158,10 @@ def _residual_states(memo, L, draws, supports, A, Y):
     miss = list({key: j for j, key in enumerate(keys) if key not in memo}.values())
     if miss:
         rows = _rows([draws[j] for j in miss], L)
-        stacked = Y[rows]
-        if supports[miss[0]].size:
-            cols = np.repeat(np.array([supports[j] for j in miss]) - 1, L, axis=0)
-            # column-major slices, as A[..., S - 1] gives, so that the
-            # product inside resid rounds as it does on one node's columns
-            stacked = resid(stacked, A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1))
+        cols = np.repeat(np.array([supports[j] for j in miss]) - 1, L, axis=0)
+        # column-major slices, as A[..., S - 1] gives, so that the product
+        # inside resid rounds as it does on one node's columns
+        stacked = resid(Y[rows], A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1))
         # one stacked product makes the same dot per row as r @ r does
         energies = np.matmul(stacked[:, None, :], stacked[:, :, None]).ravel().tolist()
         for n, j in enumerate(miss):
@@ -283,8 +280,7 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
     # initialization: share measurement correlations, pick the K strongest
     live = list(range(len(names) * B))  # the runs still improving
     parts, draws = split(live), [r % B for r in live]
-    empty = _residual_states(memo, L, draws, [_NO_SUPPORT] * len(live), A, Y)
-    c0 = _node_stack([state.correlations for state in empty])
+    c0 = correlate(A, Y)[_rows(draws, L)]
     supports = settle(parts, rank(parts, c0, counters, N, "correlation"), counters)
     states = _residual_states(memo, L, draws, supports, A, Y)
 

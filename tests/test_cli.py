@@ -130,14 +130,14 @@ class TestTrialCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "trial: need M >= 2K, got M=15 and K=10" in captured.err
+        assert "error: need M >= 2K, got M=15 and K=10" in captured.err
 
     def test_negative_seed_rejected(self, capsys):
         code = main(["trial", "--seed", "-5", "--N", "40", "--M", "20", "--K", "4", "--L", "3"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "need seed >= 0, got seed=-5" in captured.err
+        assert "need 0 <= seed < 2**64, got seed=-5" in captured.err
 
     def test_seed_past_64_bits_rejected_before_any_draw(self, capsys, monkeypatch):
         def no_draw(*args, **kwargs):

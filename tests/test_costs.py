@@ -78,8 +78,9 @@ class TestTable1:
         assert cost_table1("dcsp", p) == cost_dcsp(p)
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            cost_table1("bp", CostParams(N=10, K=2, L=3))
+        for name in ("bp", "SSP"):  # names are compared as given
+            with pytest.raises(ValueError, match="unknown algorithm"):
+                cost_table1(name, CostParams(N=10, K=2, L=3))
 
 
 class TestMonotonicity:

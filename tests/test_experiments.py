@@ -77,6 +77,9 @@ class TestConfigValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             ExperimentConfig(sweep="M", values=(30,), algorithms=("somp",))
+        # a plain string is one value, not a sequence of letters
+        with pytest.raises(ValueError, match="got algorithms='ssp'"):
+            ExperimentConfig(sweep="M", values=(30,), algorithms="ssp")
 
     def test_m_below_2k_rejected(self):
         with pytest.raises(ValueError, match="M=15: need M >= 2K"):
@@ -435,7 +438,7 @@ def test_redraw_inside_a_batch_matches_one_at_a_time(monkeypatch, failing):
 @given(
     trials=st.integers(1, 40),
     L=st.integers(2, 12),
-    M=st.integers(1, 60),
+    M=st.integers(2, 60),
     N=st.integers(1, 300),
     budget=st.integers(1, 3_000_000),
 )
@@ -550,14 +553,10 @@ class TestRunSingleTrial:
         assert "true support:" in text
         assert "t=0:" in text
 
-    def test_rejects_m_below_2k_before_running(self, monkeypatch):
-        def no_draw(config):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(experiments, "generate", no_draw)
-        cfg = ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
-        with pytest.raises(ValueError, match="trial: need M >= 2K, got M=15 and K=10"):
-            run_single_trial(cfg, "dcsp")
+    def test_rejects_m_below_2k_before_running(self):
+        # no trial can draw such a problem: its config is not built
+        with pytest.raises(ValueError, match="need M >= 2K, got M=15 and K=10"):
+            ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
 
     @pytest.mark.parametrize("algorithm", ["ssp", "dcsp"])
     def test_rejects_topology_size_mismatch_before_running(self, monkeypatch, algorithm):
