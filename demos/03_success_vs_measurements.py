@@ -3,7 +3,7 @@
 # N=200, K=10, 500 trials per point (see README for the CLI call); this
 # scaled-down run finishes in a few seconds.
 
-from dcsp import ExperimentConfig, run_fig1
+from dcsp import ExperimentConfig, run_sweep
 
 config = ExperimentConfig(
     sweep="M",
@@ -15,7 +15,7 @@ config = ExperimentConfig(
     trials=40,
     seed=3,
 )
-rows = run_fig1(config)
+rows = run_sweep(config)
 
 print(f"N={config.N} K={config.K} L={config.L} g={config.g}, "
       f"{config.trials} trials per point\n")

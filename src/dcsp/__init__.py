@@ -5,9 +5,9 @@ network, under exact per-scalar communication accounting.  One pursuit
 loop runs as a fully collaborative variant (``ssp_run``) or as a
 neighborhood-collaborative variant with majority-rule fusion
 (``dcsp_run``).  Closed-form cost models cover both plus the standard
-comparison baselines, and a Monte Carlo harness sweeps measurement count
-(``run_fig1``) or network scale (``run_fig2``, whose table gives both the
-message and the iteration view).
+comparison baselines, and a Monte Carlo harness, ``run_sweep``, sweeps
+measurement count (figure fig1) or network scale (figure fig2, whose table
+gives both the message and the iteration view).
 """
 
 from .costs import (
@@ -24,8 +24,6 @@ from .experiments import (
     default_l_grid,
     default_m_grid,
     derive_trial_seed,
-    run_fig1,
-    run_fig2,
     run_single_trial,
     run_sweep,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "max_occ",
     "resid",
     "ring_topology",
-    "run_fig1",
-    "run_fig2",
     "run_single_trial",
     "run_sweep",
     "ssp_run",

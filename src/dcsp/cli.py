@@ -12,12 +12,12 @@ library call it feeds; a figure flag left unset takes the default of
 import argparse
 import sys
 
+from . import experiments
 from .costs import ALGORITHMS, CostParams, cost_table1
 from .network import topology_from_listing
-from .experiments import (
-    ExperimentConfig, default_l_grid, default_m_grid, run_fig1, run_fig2, run_single_trial,
-)
+from .experiments import ExperimentConfig, default_l_grid, default_m_grid, run_single_trial
 from .problems import ProblemConfig, success
+from .pursuit import SIMULATED_ALGORITHMS
 
 
 class _BadValues(ValueError, argparse.ArgumentTypeError):
@@ -67,7 +67,8 @@ def _run_figure(args):
         if value is not None and key not in ("command", "func")
     }
     config = ExperimentConfig(**options)
-    rows = (run_fig1 if config.sweep == "M" else run_fig2)(config)
+    # through the module, so that a patched experiments.run_sweep is the one run
+    rows = experiments.run_sweep(config)
     for row in rows:
         parts = [f"{config.sweep}={row.value}"]
         for name, s in row.stats.items():
@@ -154,7 +155,7 @@ def build_parser():
         p.set_defaults(func=_run_figure, sweep=sweep)
 
     pt = sub.add_parser("trial", help="run one seeded trial with a transcript")
-    pt.add_argument("--algorithm", choices=("ssp", "dcsp"), default="dcsp")
+    pt.add_argument("--algorithm", choices=SIMULATED_ALGORITHMS, default="dcsp")
     _add_ints(pt, "N M K L g seed", N=200, M=50, K=10, L=6, seed=1)
     pt.add_argument("--max-iters", dest="max_iters", type=int)
     pt.add_argument(

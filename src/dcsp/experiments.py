@@ -1,12 +1,12 @@
 """Monte Carlo sweeps over measurement count and network scale.
 
-The harness reproduces the standard views of the recovery problem:
-success frequency vs measurements per node (``run_fig1``, an M sweep) and,
-from one network-scale sweep (``run_fig2``, an L sweep), transmitted
-messages and executed iterations vs network scale: the ``*_mean_messages``
-and ``*_mean_iterations`` columns of the same table.  Results are emitted
-as CSV plus a gnuplot-style ``.dat`` twin; plotting is left to external
-tools.
+The harness reproduces the standard views of the recovery problem with
+one call, ``run_sweep``: success frequency vs measurements per node (an M
+sweep, figure fig1) and, from one network-scale sweep (an L sweep, figure
+fig2), transmitted messages and executed iterations vs network scale: the
+``*_mean_messages`` and ``*_mean_iterations`` columns of the same table.
+With ``out`` set, results are emitted as CSV plus a gnuplot-style ``.dat``
+twin, each naming its figure; plotting is left to external tools.
 
 Reproducibility: the seed of trial ``i`` at sweep value ``v`` is
 ``base_seed XOR splitmix64-chain(v, i, attempt)``, so any point can be
@@ -107,11 +107,16 @@ class ExperimentConfig:
             raise ValueError("sweep must be 'M' or 'L'")
         for name in ("N", "K", "M", "L", "g", "trials", "seed", "jobs"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("values", "algorithms"):
+            items = getattr(self, name)
+            try:
+                if isinstance(items, str):  # tuple() would split it into letters
+                    raise TypeError
+                object.__setattr__(self, name, tuple(items))
+            except TypeError:  # not iterable, a 0-d array among them
+                raise ValueError(f"need a sequence, got {name}={items!r}") from None
         values = tuple(_integer(self.sweep, v) for v in self.values)
         object.__setattr__(self, "values", values)
-        if isinstance(self.algorithms, str):  # tuple() would split it into letters
-            raise ValueError(f"need a sequence of names, got algorithms={self.algorithms!r}")
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not values:
             raise ValueError("sweep range is empty")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -123,13 +128,15 @@ class ExperimentConfig:
             raise ValueError("jobs must be >= 1")
         if not self.algorithms:
             raise ValueError("need at least one algorithm, got algorithms=()")
+        unknown = [a for a in self.algorithms if a not in SIMULATED_ALGORITHMS]
+        if unknown:  # before set(), which an unhashable name would break
+            raise ValueError(f"cannot simulate {unknown}, got algorithms={self.algorithms}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError(f"algorithms={self.algorithms} names one twice")
-        unknown = set(self.algorithms) - set(SIMULATED_ALGORITHMS)
-        if unknown:
-            raise ValueError(f"cannot simulate {sorted(unknown)}")
         if self.g < 2:
             raise ValueError(f"need g >= 2, got g={self.g}")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ValueError(f"need a path, got out={self.out!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(
                 f"out={self.out}: directory {os.path.dirname(self.out)} does not exist"
@@ -234,7 +241,8 @@ def _batches(trials, problem):
 
 
 def run_sweep(config: ExperimentConfig):
-    """Execute the sweep and aggregate one :class:`SweepRow` per point."""
+    """Execute the sweep and aggregate one :class:`SweepRow` per point;
+    with ``config.out`` set, also write the rows' tables."""
     tasks = []
     for value in config.values:
         problem, g = config.point(value)
@@ -277,27 +285,8 @@ def run_sweep(config: ExperimentConfig):
                 name: cost_table1(name, base) for name in ("jsp_jomp", "somp", "dcomp")
             }
         rows.append(SweepRow(value, config.trials, stats, references))
-    return rows
-
-
-def run_fig1(config: ExperimentConfig):
-    """Success frequency vs measurements per node (M sweep)."""
-    if config.sweep != "M":
-        raise ValueError("fig1 sweeps M")
-    rows = run_sweep(config)
     if config.out:
-        write_tables(rows, config, "fig1")
-    return rows
-
-
-def run_fig2(config: ExperimentConfig):
-    """Mean transmitted messages and executed iterations vs network scale
-    (L sweep)."""
-    if config.sweep != "L":
-        raise ValueError("fig2 sweeps L")
-    rows = run_sweep(config)
-    if config.out:
-        write_tables(rows, config, "fig2")
+        write_tables(rows, config)
     return rows
 
 
@@ -322,13 +311,13 @@ def _cells(config: ExperimentConfig, row: SweepRow):
     return cells
 
 
-def _header_lines(config: ExperimentConfig, figure):
+def _header_lines(config: ExperimentConfig):
     fixed = (
         f"N={config.N} K={config.K} g={config.g} "
         + (f"L={config.L}" if config.sweep == "M" else f"M={config.M}")
     )
     lines = [
-        f"figure: {figure}",
+        f"figure: {'fig1' if config.sweep == 'M' else 'fig2'}",
         f"sweep: {config.sweep} over {list(config.values)}",
         f"fixed: {fixed}",
         f"trials-per-point: {config.trials}  base-seed: {config.seed}",
@@ -342,19 +331,17 @@ def _header_lines(config: ExperimentConfig, figure):
     return lines
 
 
-def write_tables(rows, config: ExperimentConfig, figure):
-    """Write ``<out>.csv`` and a gnuplot-style ``<out>.dat``."""
+def write_tables(rows, config: ExperimentConfig):
+    """Write ``<out>.csv`` and a gnuplot-style ``<out>.dat``, named fig1
+    for an M sweep and fig2 for an L sweep."""
     table = [_cells(config, row) for row in rows]
-    header = _header_lines(config, figure)
-    paths = []
+    header = _header_lines(config)
     # the .dat twin separates with spaces and comments out the column names
     for suffix, sep, mark in ((".csv", ",", ""), (".dat", " ", "# ")):
-        paths.append(f"{config.out}{suffix}")
-        with open(paths[-1], "w") as fh:
+        with open(f"{config.out}{suffix}", "w") as fh:
             fh.writelines(f"# {line}\n" for line in header)
             fh.write(mark + sep.join(column for column, _ in table[0]) + "\n")
             fh.writelines(sep.join(cell for _, cell in cells) + "\n" for cells in table)
-    return tuple(paths)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from dcsp.cli import main as cli_main
-from dcsp.experiments import ExperimentConfig, default_l_grid, default_m_grid, run_fig1, run_fig2
+from dcsp.experiments import ExperimentConfig, default_l_grid, default_m_grid, run_sweep
 from dcsp.linalg import RankDeficientError
 from dcsp.network import full_topology, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, generate
@@ -123,12 +123,12 @@ def table_digests(trials=TABLE_TRIALS):
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in TABLE_SEEDS:
-            for figure, sweep, values, run in (
-                ("fig1", "M", default_m_grid(), run_fig1),
-                ("fig2", "L", default_l_grid(), run_fig2),
+            for figure, sweep, values in (
+                ("fig1", "M", default_m_grid()),
+                ("fig2", "L", default_l_grid()),
             ):
                 out = os.path.join(tmp, f"{figure}-seed{seed}")
-                run(ExperimentConfig(sweep=sweep, values=values, trials=trials, seed=seed, out=out))
+                run_sweep(ExperimentConfig(sweep=sweep, values=values, trials=trials, seed=seed, out=out))
                 with open(out + ".csv", "rb") as fh:
                     digests[f"{figure}-seed{seed}.csv"] = hashlib.sha256(fh.read()).hexdigest()
     return digests

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dcsp.costs import CostParams, cost_dcsp, cost_ssp
-from dcsp.experiments import ExperimentConfig, default_l_grid, run_fig1, run_fig2
+from dcsp.experiments import ExperimentConfig, default_l_grid, run_sweep
 from dcsp.linalg import lstsq, max_ind, max_occ, resid
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate, success
@@ -63,7 +63,7 @@ def l_sweep_rows():
         seed=BASE_SEED,
         jobs=2,
     )
-    return run_fig2(config)
+    return run_sweep(config)
 
 
 def test_criterion_1_success_thresholds():
@@ -78,7 +78,7 @@ def test_criterion_1_success_thresholds():
         seed=BASE_SEED,
         jobs=2,
     )
-    rows = {row.value: row for row in run_fig1(config)}
+    rows = {row.value: row for row in run_sweep(config)}
     ssp_at_26 = rows[26].stats["ssp"].success_rate
     dcsp_at_30 = rows[30].stats["dcsp"].success_rate
     report(

@@ -304,8 +304,7 @@ def test_every_option_reaches_the_library(monkeypatch, command):
                  "topology_from_listing"):
         monkeypatch.setattr(dcsp.cli, name, record)
     monkeypatch.setattr(dcsp.cli, "run_single_trial", record_trial)
-    for name in ("run_fig1", "run_fig2"):
-        monkeypatch.setattr(dcsp.cli, name, lambda config: [])
+    monkeypatch.setattr(dcsp.experiments, "run_sweep", lambda config: [])
     options = EVERY_OPTION[command]
     flags = {
         flag for action in _subparsers()[command]._actions for flag in action.option_strings

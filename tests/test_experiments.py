@@ -13,8 +13,6 @@ from dcsp.experiments import (
     default_l_grid,
     default_m_grid,
     derive_trial_seed,
-    run_fig1,
-    run_fig2,
     run_single_trial,
     run_sweep,
 )
@@ -73,6 +71,10 @@ class TestConfigValidation:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             ExperimentConfig(sweep="M", values=())
+        # a value that is no sequence at all names the field
+        for values in (22, None):
+            with pytest.raises(ValueError, match=f"got values={values}"):
+                ExperimentConfig(sweep="M", values=values)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -80,6 +82,9 @@ class TestConfigValidation:
         # a plain string is one value, not a sequence of letters
         with pytest.raises(ValueError, match="got algorithms='ssp'"):
             ExperimentConfig(sweep="M", values=(30,), algorithms="ssp")
+        for algorithms in (None, 5, ("ssp", ["x"])):  # ["x"] cannot go into a set
+            with pytest.raises(ValueError, match=re.escape(f"algorithms={algorithms}")):
+                ExperimentConfig(sweep="M", values=(30,), algorithms=algorithms)
 
     def test_m_below_2k_rejected(self):
         with pytest.raises(ValueError, match="M=15: need M >= 2K"):
@@ -119,6 +124,8 @@ class TestConfigValidation:
             ExperimentConfig(sweep="M", values=(30,), out=str(missing))
         ExperimentConfig(sweep="M", values=(30,), out=str(tmp_path / "x"))
         ExperimentConfig(sweep="M", values=(30,), out="x")  # the working directory
+        with pytest.raises(ValueError, match="need a path, got out=5"):
+            ExperimentConfig(sweep="M", values=(30,), out=5)
 
     def test_repeated_algorithm_rejected(self):
         with pytest.raises(ValueError, match=r"algorithms=\('ssp', 'ssp'\) names one twice"):
@@ -488,17 +495,33 @@ def test_algorithm_choice_does_not_change_a_column(sweep, values):
 
 
 class TestFigureWrappers:
-    def test_fig1_requires_m_sweep(self):
-        with pytest.raises(ValueError):
-            run_fig1(small_l_config())
+    @pytest.mark.parametrize("make, figure", [(small_m_config, "fig1"), (small_l_config, "fig2")],
+                             ids=("fig1", "fig2"))
+    def test_run_sweep_writes_tables_named_by_the_sweep(self, tmp_path, make, figure):
+        out = tmp_path / "table"
+        rows = run_sweep(make(out=str(out)))
+        csv_lines, dat_lines = ((tmp_path / f"table{suffix}").read_text().splitlines()
+                                for suffix in (".csv", ".dat"))
+        assert csv_lines[0] == dat_lines[0] == f"# figure: {figure}"
+        columns, *data = [line.split(",") for line in csv_lines if not line.startswith("#")]
+        assert len(data) == len(rows)
+        for cells, row in zip(data, rows):
+            cell = dict(zip(columns, cells))
+            assert (cell[columns[0]], cell["trials"]) == (str(row.value), str(row.trials))
+            for a, s in row.stats.items():
+                assert cell[f"{a}_success"] == f"{s.success_rate:.6g}"
+                assert cell[f"{a}_mean_iterations"] == f"{s.mean_iterations:.6g}"
+                assert cell[f"{a}_mean_messages"] == f"{s.mean_messages:.6g}"
+                assert cell[f"{a}_aborted"] == str(s.aborted)
 
-    def test_fig2_requires_l_sweep(self):
-        with pytest.raises(ValueError):
-            run_fig2(small_m_config())
+    def test_run_sweep_without_out_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_sweep(small_l_config(trials=1))
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig2_emits_reference_columns(self, tmp_path):
         out = tmp_path / "fig2"
-        rows = run_fig2(small_l_config(out=str(out)))
+        rows = run_sweep(small_l_config(out=str(out)))
         assert set(rows[0].references) == {"jsp_jomp", "somp", "dcomp"}
         csv_text = (tmp_path / "fig2.csv").read_text()
         header = [l for l in csv_text.splitlines() if not l.startswith("#")][0]
@@ -511,7 +534,7 @@ class TestFigureWrappers:
 
     def test_fig1_csv_round_numbers(self, tmp_path):
         out = tmp_path / "fig1"
-        rows = run_fig1(small_m_config(out=str(out)))
+        rows = run_sweep(small_m_config(out=str(out)))
         lines = (tmp_path / "fig1.csv").read_text().splitlines()
         data = [l for l in lines if not l.startswith("#")]
         header = data[0].split(",")

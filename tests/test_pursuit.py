@@ -14,6 +14,7 @@ from dcsp.pursuit import (
     _ordered_sum, _residual_states, dcsp_run, run_batch, ssp_run,
 )
 from oracle import TooLargeError, exhaustive_decoder
+from reference import reference_run
 
 
 def tiny_instance(seed, N=12, M=8, K=2, L=3):
@@ -502,6 +503,50 @@ def test_batch_matches_single_runs(batch):
                     assert a.residual_trace == b.residual_trace  # exact float equality
                     assert _run_fields(a)[:2] == _run_fields(b)[:2]
                     assert _run_fields(a)[3] == _run_fields(b)[3]
+
+
+@st.composite
+def reference_cases(draw):
+    """Draws of one config, the algorithms in call order with dcsp's
+    topology, a cap and whether the draws share one stack."""
+    # M near 2K and N well above M, so that nodes disagree and fusion ties
+    K = draw(st.integers(1, 3))
+    M = 2 * K + draw(st.integers(0, 4))
+    L = draw(st.integers(2, 8))
+    config = ProblemConfig(N=M + draw(st.integers(1, 30)), M=M, K=K, L=L, seed=0)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True))
+    topology = draw(st.sampled_from([
+        None, ring_topology(L, draw(st.integers(2, L))),
+        topology_from_listing(draw(irregular_listing(st.just(L)))[0]),
+    ]))
+    order = draw(st.sampled_from([("ssp",), ("dcsp",), ("ssp", "dcsp"), ("dcsp", "ssp")]))
+    algorithms = {a: topology if a == "dcsp" else None for a in order}
+    cap = draw(st.sampled_from([None, 1, 2, 3]))
+    return config, seeds, algorithms, cap, draw(st.booleans())
+
+
+@given(reference_cases())
+@settings(max_examples=100, deadline=None)
+# a fusion tie at the cut, and a second draw that misses a support
+@example((ProblemConfig(N=17, M=4, K=2, L=3, seed=0), [0],
+          {"dcsp": topology_from_listing("1,3;1,2;2,3")}, None, False))
+@example((ProblemConfig(N=3, M=2, K=1, L=2, seed=0), [0, 3], {"ssp": None}, None, False))
+def test_batch_matches_the_reference_pursuit(case):
+    # tests/reference.py runs each draw, node and message alone, so every
+    # field of every run must come out of the batched loop bit for bit
+    config, seeds, algorithms, cap, stacked = case
+    configs = [dataclasses.replace(config, seed=s) for s in seeds]
+    stack = np.empty((len(seeds), config.L, config.M, config.N)) if stacked else None
+    draws = generate_batch(configs, out=stack)
+    try:
+        expected = {a: [_fields_with_split(reference_run(a, d, topology, cap)) for d in draws]
+                    for a, topology in algorithms.items()}
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            run_batch(algorithms, draws, cap, stack)
+        return
+    runs = run_batch(algorithms, draws, cap, stack)
+    assert {a: [_fields_with_split(r) for r in rs] for a, rs in runs.items()} == expected
 
 
 @pytest.mark.parametrize("g", [2, 4])
