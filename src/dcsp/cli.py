@@ -55,6 +55,12 @@ _HELP = dict(
 )
 
 
+# the default problem, read once from its one home, ExperimentConfig; an
+# unset g means full collaboration to trial, and this g to cost's g rows
+_DEFAULT_PROBLEM = {name: getattr(ExperimentConfig, name) for name in ("N", "M", "K", "L", "seed")}
+_DEFAULT_G = ExperimentConfig.g
+
+
 def _add_ints(sub, names, **defaults):
     for name in names.split():
         sub.add_argument(f"--{name}", type=int, default=defaults.get(name), help=_HELP[name])
@@ -105,24 +111,21 @@ def _cmd_trial(args):
         print(f"stop: iteration cap reached after t={run.iterations}")
     else:
         print(f"stop: no improvement at t={run.iterations}, reverted")
-    per_label = {}
-    for label, kind, scalars in run.wire.rounds:
+    wire, per_label = run.wire, {}
+    for label, kind, scalars in wire.rounds:
         per_label[label] = per_label.get(label, 0) + scalars
     for label, scalars in per_label.items():
         print(f"wire[{label}]: {scalars}")
-    print(
-        f"wire total: {run.wire.total} "
-        f"(neighbor={run.wire.neighbor_scalars}, "
-        f"broadcast={run.wire.broadcast_scalars})"
-    )
+    print(f"wire total: {wire.total} (neighbor={wire.neighbor_scalars}, "
+          f"broadcast={wire.broadcast_scalars})")
     print(f"recovered support: {run.support.tolist()}")
     print(f"success: {ok}")
     return 0 if ok or not args.expect_success else 1
 
 
 def _cmd_cost(args):
-    # g defaults to 3 only for the rows that read it, dcomp and dcsp
-    g = 3 if args.g is None and args.algorithm in ("all", "dcomp", "dcsp") else args.g
+    # g takes its default only for the rows that read it, dcomp and dcsp
+    g = _DEFAULT_G if args.g is None and args.algorithm in ("all", "dcomp", "dcsp") else args.g
     params = CostParams(N=args.N, K=args.K, L=args.L, g=g, T=args.T)
     names = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
     for name in names:
@@ -156,11 +159,12 @@ def build_parser():
 
     pt = sub.add_parser("trial", help="run one seeded trial with a transcript")
     pt.add_argument("--algorithm", choices=SIMULATED_ALGORITHMS, default="dcsp")
-    _add_ints(pt, "N M K L g seed", N=200, M=50, K=10, L=6, seed=1)
+    _add_ints(pt, "N M K L g seed", **_DEFAULT_PROBLEM)
     pt.add_argument("--max-iters", dest="max_iters", type=int)
     pt.add_argument(
         "--topology",
-        help="explicit adjacency listing, per-node groups like '1,3;2,3;1,3'",
+        help="explicit adjacency listing, per-node groups like '1,3;2,3;1,3' "
+        "(an empty group is the node alone; a trailing ';' is ignored)",
     )
     pt.add_argument(
         "--expect-success",
@@ -171,7 +175,7 @@ def build_parser():
 
     pc = sub.add_parser("cost", help="closed-form message counts")
     pc.add_argument("--algorithm", default="all", choices=ALGORITHMS + ("all",))
-    _add_ints(pc, "N K L g T", N=200, K=10, L=6)
+    _add_ints(pc, "N K L g T", **_DEFAULT_PROBLEM)
     pc.set_defaults(func=_cmd_cost)
 
     return parser

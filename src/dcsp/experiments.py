@@ -27,20 +27,16 @@ the stack to read in place, runs every algorithm on it, so that each
 round's numpy calls serve ssp and dcsp together.  A batch that hits a
 rank-deficient projection runs again one trial at a time through the
 redraw loop, so every record, seed and ``aborted`` count equals
-one-at-a-time running.  Workers return
-per-batch records that are merged in trial order, so parallel and serial
-runs produce identical tables.
+one-at-a-time running.  Workers return per-batch records that are merged
+in trial order, so parallel and serial runs produce identical tables.
 
 A sweep runs ``min(jobs, batches)`` pool workers, serially if that is 1.
-``ProcessPoolExecutor`` is a lazily loaded module attribute: importing this
-module, and any serial sweep, never loads ``concurrent.futures`` or
-``multiprocessing``.  ``run_sweep`` reads the class through the module, so
-a class assigned to ``dcsp.experiments.ProcessPoolExecutor`` is the one it
-starts.
+Only a pooled sweep imports ``concurrent.futures.ProcessPoolExecutor``, so
+importing this module, and any serial sweep, never loads
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 import os
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,15 +53,6 @@ _MAX_REDRAWS = 5
 # M=50, N=200, so each point of the default fig1 sweep at 10 trials runs
 # as one batch.  Larger batches trade peak RSS for fewer pursuit calls
 BATCH_BYTES = 4_800_000
-
-
-def __getattr__(name):
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _splitmix64(z):
@@ -105,8 +92,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in ("M", "L"):
             raise ValueError("sweep must be 'M' or 'L'")
+        least = dict(g=2, trials=1, jobs=1)
         for name in ("N", "K", "M", "L", "g", "trials", "seed", "jobs"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least.get(name)))
         for name in ("values", "algorithms"):
             items = getattr(self, name)
             try:
@@ -122,10 +110,6 @@ class ExperimentConfig:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"values={values} names {repeated[0]} twice")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if not self.algorithms:
             raise ValueError("need at least one algorithm, got algorithms=()")
         unknown = [a for a in self.algorithms if a not in SIMULATED_ALGORITHMS]
@@ -133,8 +117,6 @@ class ExperimentConfig:
             raise ValueError(f"cannot simulate {unknown}, got algorithms={self.algorithms}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError(f"algorithms={self.algorithms} names one twice")
-        if self.g < 2:
-            raise ValueError(f"need g >= 2, got g={self.g}")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"need a path, got out={self.out!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
@@ -253,8 +235,9 @@ def run_sweep(config: ExperimentConfig):
     # a fork pool starts every worker at its first submit, needed or not
     workers = min(config.jobs, len(tasks))
     if workers > 1:
-        pool_class = getattr(sys.modules[__name__], "ProcessPoolExecutor")
-        with pool_class(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_trials, *zip(*tasks), chunksize=8))
     else:
         batches = list(map(_run_trials, *zip(*tasks)))

@@ -14,13 +14,17 @@ per-message objects: neighbor exchange gathers each node's ``G_l`` rows in
 ascending order into an (L, g_max, ...) array (shorter neighborhoods are
 padded with zero rows), and a broadcast hands every node the whole stack.
 The charge for a neighbor round comes from the topology's links,
-``sum_l (|G_l| - 1)`` times the frame.
+``sum_l (|G_l| - 1)`` times the frame.  A :class:`WireCounter` keeps only
+the list of charged rounds; its neighbor/broadcast split and total are
+sums over that list.
 """
 
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .problems import _integer
 
 
 @dataclass
@@ -38,6 +42,7 @@ class Topology:
     index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.L = _integer("L", self.L, 1)
         if len(self.neighbors) != self.L:
             raise ValueError("need one neighbor set per node")
         for l, g in enumerate(self.neighbors, start=1):
@@ -47,12 +52,13 @@ class Topology:
                 raise ValueError(f"node {l} has a non-integer neighbor id {bad!r}")
         # a new list: the caller's sequence (a tuple, say) is left as it was
         self.neighbors = [np.sort(np.asarray(g, dtype=np.int64)) for g in self.neighbors]
-        self.index = np.full((self.L, max(map(len, self.neighbors), default=0)), self.L)
+        self.index = np.full((self.L, max(map(len, self.neighbors))), self.L)
         for l, g in enumerate(self.neighbors, start=1):
             if l not in g:
                 raise ValueError(f"node {l} missing from its own neighborhood")
             if g.min() < 1 or g.max() > self.L:
-                raise ValueError("neighbor ids must lie in [1, L]")
+                bad = g.min() if g.min() < 1 else g.max()
+                raise ValueError(f"node {l} has neighbor id {bad}, outside [1, L={self.L}]")
             if np.unique(g).size != g.size:
                 raise ValueError("neighbor ids must be distinct")
             self.index[l - 1, : g.size] = g - 1
@@ -68,6 +74,7 @@ class Topology:
 
 def full_topology(L: int) -> Topology:
     """Full collaboration: every node neighbors every other."""
+    L = _integer("L", L, 1)
     return Topology(L, list(np.tile(np.arange(1, L + 1), (L, 1))))
 
 
@@ -79,6 +86,7 @@ def ring_topology(L: int, g: int) -> Topology:
     neighborhood is the whole network (full collaboration), at which point
     DCSP degenerates into decentralized SSP.
     """
+    L = _integer("L", L, 1)
     if not isinstance(g, numbers.Integral) or not 2 <= g <= L:
         raise ValueError(f"need an integer 2 <= g <= L, got g={g}, L={L}")
     if g == L:
@@ -92,9 +100,12 @@ def topology_from_listing(text) -> Topology:
 
     One semicolon-separated group of comma-separated node ids per node,
     e.g. ``"1,3,4; 2,4,5; 3,5,6; ..."``; group l is node l's neighborhood
-    and is completed with l itself if the listing omits it.
+    and is completed with l itself if the listing omits it, so an empty
+    group is node l alone.  A trailing ``;`` ends the last group.
     """
-    groups = [grp.strip() for grp in str(text).split(";") if grp.strip()]
+    groups = str(text).split(";")
+    if not groups[-1].strip():
+        groups.pop()
     neighbors = []
     for l, grp in enumerate(groups, start=1):
         ids = {l}
@@ -109,22 +120,22 @@ def topology_from_listing(text) -> Topology:
 
 @dataclass
 class WireCounter:
-    """Running tally of transmitted scalars, split by message class."""
+    """Transmitted scalars, one (label, class, scalars) entry per charged
+    round, class "neighbor" or "broadcast"; the tallies are sums of it."""
 
-    neighbor_scalars: int = 0
-    broadcast_scalars: int = 0
-    rounds: list = field(default_factory=list)  # (label, class, scalars)
+    rounds: list = field(default_factory=list)
+
+    @property
+    def neighbor_scalars(self):
+        return sum(s for _, kind, s in self.rounds if kind == "neighbor")
+
+    @property
+    def broadcast_scalars(self):
+        return sum(s for _, kind, s in self.rounds if kind == "broadcast")
 
     @property
     def total(self):
-        return self.neighbor_scalars + self.broadcast_scalars
-
-    def _add(self, kind, label, scalars):
-        if kind == "neighbor":
-            self.neighbor_scalars += scalars
-        else:
-            self.broadcast_scalars += scalars
-        self.rounds.append((label, kind, scalars))
+        return sum(s for _, _, s in self.rounds)
 
 
 def _charge(counter, topology, payloads, kind, label, scalars):
@@ -133,7 +144,7 @@ def _charge(counter, topology, payloads, kind, label, scalars):
     if len(payloads) != len(counters) * topology.L:
         raise ValueError("need one payload per node")
     for c in counters:
-        c._add(kind, label, scalars)
+        c.rounds.append((label, kind, scalars))
     return len(counters)
 
 

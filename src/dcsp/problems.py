@@ -14,10 +14,10 @@ node, each the stream of
     spawn_key (2, l)  -> signal values of node l
 
 so enlarging the network never perturbs earlier nodes' draws.  The 2L+1
-streams of every draw of a batch are seeded in one vectorized pass of
-numpy's ``SeedSequence`` hash (:func:`_stream_states`) that yields the
-same PCG64 states as the per-key ``SeedSequence`` objects, at a fraction
-of the cost.
+streams of every draw of a batch are seeded from one ``SeedSequence(seed)``
+pool per draw and one vectorized pass of numpy's ``SeedSequence`` hash over
+the spawn keys (:func:`_stream_states`), which yields the same PCG64 states
+as the per-key ``SeedSequence`` objects, at a fraction of the cost.
 """
 
 import operator
@@ -34,25 +34,28 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_constants(init, mult, count):
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    return h
+def _hash_constants(init, mult, steps):
+    # the hash constant before hashmix step i is init * mult**i mod 2**32
+    return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in steps], dtype=np.uint32)
 
 
-# the pool's 16 hashmix steps, then 4 per spawn-key word, take the A constants
-_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * 2)
-# generate_state(4, uint64) reads 8 words, hashed with the B constants
-_STATE_HASH = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+# SeedSequence(seed).pool spends A constants 0..16 in its 16 hashmix
+# steps; the 4 steps per spawn-key word then take 16..24
+_KEY_HASH = _hash_constants(_INIT_A, _MULT_A, range(16, 25))
+# generate_state(4, uint64) reads 8 words, hashed with B constants 0..8
+_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, range(9))
 
 
-def _integer(name, value):
-    """``operator.index(value)``, or a ValueError naming ``name``."""
+def _integer(name, value, least=None):
+    """``operator.index(value)``, or a ValueError naming ``name`` if that
+    fails or gives less than ``least``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,11 @@ class ProblemConfig:
     seed: int
 
     def __post_init__(self):
+        least = dict(K=1, L=2)
         for name in ("N", "M", "K", "L", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.K < 1:
-            raise ValueError(f"need K >= 1, got K={self.K}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least.get(name)))
         if self.M < 2 * self.K:
             raise ValueError(f"need M >= 2K, got M={self.M} and K={self.K}")
-        if self.L < 2:
-            raise ValueError(f"need L >= 2, got L={self.L}")
         if self.K > self.N:
             raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
         if not 0 <= self.seed < 1 << 64:
@@ -111,9 +111,9 @@ class ProblemInstance:
 
 
 def _hashmix(value, h, h_next):
-    # SeedSequence's hashmix; ``h`` is the hash constant before the step,
-    # ``h_next`` the one after.  Exact on Python ints and on uint32 arrays
-    # (whose products wrap mod 2**32 as the C code's do)
+    # SeedSequence's hashmix on uint32 arrays, whose products wrap mod
+    # 2**32 as the C code's do; ``h`` is the hash constant before the
+    # step, ``h_next`` the one after
     x = (value ^ h) * h_next & _MASK32
     return x ^ x >> 16
 
@@ -121,25 +121,6 @@ def _hashmix(value, h, h_next):
 def _mix(x, y):
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return r ^ r >> 16
-
-
-def _seed_pool(seed):
-    """SeedSequence's pool for ``seed`` before the spawn key, as four
-    Python ints.
-
-    The seed's two little-endian 32-bit words, padded with zeros to the
-    pool size (4), are mixed into the pool; hashmix steps run one per pool
-    word, then one per (source, destination) pool pair.
-    """
-    h = _POOL_HASH
-    pool = [_hashmix(w, h[i], h[i + 1]) for i, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
-    i = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[i], h[i + 1]))
-                i += 1
-    return pool
 
 
 def _stream_states(seeds, keys):
@@ -150,18 +131,18 @@ def _stream_states(seeds, keys):
     Returns uint64 words of shape (len(seeds), n, 4): entry [s, i] equals
     ``SeedSequence(seeds[s], spawn_key=keys[i]).generate_state(4, np.uint64)``.
 
-    The seed words mix into the pool alone (:func:`_seed_pool`, on Python
-    ints, once per seed).  The two spawn-key words come last and only ever
-    mix into the pool, so they run in one vectorized pass over every seed
-    and key in uint32 arithmetic, as does the final ``generate_state``.
+    The seed words mix into the pool alone, so each seed's pool is read
+    from ``SeedSequence(seed).pool``.  The two spawn-key words come last
+    and only ever mix into the pool, so they run in one vectorized pass
+    over every seed and key in uint32 arithmetic, as does the final
+    ``generate_state``.
     """
-    keys = np.asarray(keys, dtype=np.uint32)
-    h = np.array(_POOL_HASH[16:], dtype=np.uint32)
-    pools = [_seed_pool(seed) for seed in seeds]
-    pool = np.array(pools, dtype=np.uint32)[:, None]  # (seeds, 1, 4)
-    for c, column in enumerate(keys.T):
-        i = 4 * c
-        pool = _mix(pool, _hashmix(column[:, None], h[i:i + 4], h[i + 1:i + 5]))
+    from numpy.random import SeedSequence  # on the first draw, see _streams
+
+    pool = np.array([SeedSequence(seed).pool for seed in seeds])[:, None]  # (seeds, 1, 4)
+    for c, column in enumerate(np.asarray(keys, dtype=np.uint32).T):
+        h = _KEY_HASH[4 * c:]
+        pool = _mix(pool, _hashmix(column[:, None], h[:4], h[1:5]))
     state = _hashmix(np.concatenate([pool, pool], axis=-1), _STATE_HASH[:8], _STATE_HASH[1:])
     # pairs of 32-bit words read as little-endian uint64, as numpy does
     return state.astype("<u4").view("<u8").astype(np.uint64)

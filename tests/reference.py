@@ -113,6 +113,5 @@ def reference_run(algorithm, instance, topology=None, max_iters=None):
             hit_max_iters = False  # no improvement: keep the previous support
             break
         support, correlations = new, new_correlations
-    neighbor = sum(s for _, k, s in rounds if k == "neighbor")
-    wire = WireCounter(neighbor, sum(s for _, _, s in rounds) - neighbor, rounds)
-    return RunResult(support, len(trace) - 1, wire, trace, supports, sizes, hit_max_iters)
+    return RunResult(support, len(trace) - 1, WireCounter(rounds), trace, supports, sizes,
+                     hit_max_iters)

@@ -356,17 +356,22 @@ def test_readme_commands_parse():
 def test_import_does_not_load_scipy():
     # keeps package import, and with it sweep start-up, free of scipy, of
     # the process pool, which only a jobs > 1 sweep loads, and of
-    # numpy.random (about 25 ms), which the first draw loads
+    # numpy.random (about 25 ms), which the first draw loads; a serial
+    # sweep then loads no process pool either
     src = str(Path(dcsp.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     code = (
         "import sys, dcsp, dcsp.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m in ('concurrent.futures', 'multiprocessing', 'numpy.random')))"
+        "loaded = lambda names: sorted(m for m in sys.modules if m in names "
+        "or m.split('.')[0] in names); "
+        "print(loaded(('scipy', 'concurrent.futures', 'multiprocessing', 'numpy.random'))); "
+        "dcsp.run_sweep(dcsp.ExperimentConfig(sweep='L', values=(2,), N=20, M=8, K=2, "
+        "g=2, trials=1, jobs=1)); "
+        "print(loaded(('concurrent.futures', 'multiprocessing')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]

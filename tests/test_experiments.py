@@ -97,6 +97,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="need g >= 2, got g=1"):
             ExperimentConfig(sweep="L", values=(5,), g=1)
         ExperimentConfig(sweep="L", values=(5,), g=2)
+        # trials and jobs share the bound check, which names the value
+        for name in ("trials", "jobs"):
+            with pytest.raises(ValueError, match=f"need {name} >= 1, got {name}=0"):
+                ExperimentConfig(sweep="L", values=(5,), **{name: 0})
 
     def test_l_below_2_rejected(self):
         with pytest.raises(ValueError, match="L=1: need L >= 2, got L=1"):
@@ -214,11 +218,8 @@ class TestRunSweep:
             assert rs.stats == rp.stats
             assert rs.references == rp.references
 
-    def test_pool_class_is_a_module_attribute(self):
-        assert experiments.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
-
     def test_parallel_sweep_starts_the_patched_pool(self, monkeypatch):
-        # hooks that swap the module's pool class must see every jobs > 1 sweep
+        # hooks that swap concurrent.futures' pool class must see every jobs > 1 sweep
         started = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -226,7 +227,7 @@ class TestRunSweep:
                 started.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_sweep(small_l_config(trials=2, jobs=2))
         assert started == [{"max_workers": 2}]
         run_sweep(small_l_config(trials=1))
@@ -249,7 +250,7 @@ class TestRunSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         serial = run_sweep(small_l_config(values=(2, 3, 4), trials=2))
         assert run_sweep(small_l_config(values=(2, 3, 4), trials=2, jobs=64)) == serial
         assert started == [3]  # one batch per point

@@ -94,8 +94,33 @@ class TestTopologyFromListing:
         assert all(l in topo.neighbors[l - 1] for l in range(1, 4))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"node 1 has neighbor id 5, outside \[1, L=2\]"):
             topology_from_listing("1,5; 1,2")
+
+    @pytest.mark.parametrize("text,groups", [
+        ("2;;1", [[1, 2], [2], [1, 3]]),  # an empty group is its node alone
+        (" ;1,2", [[1], [1, 2]]),
+        ("1,2;2,1;", [[1, 2], [1, 2]]),  # a trailing ";" adds no node
+    ])
+    def test_empty_groups_keep_node_numbers(self, text, groups):
+        topo = topology_from_listing(text)
+        assert topo.L == len(groups)
+        assert [g.tolist() for g in topo.neighbors] == groups
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: full_topology(2.5), "need an integer L, got L=2.5"),
+    (lambda: Topology(2.0, [[1, 2], [1, 2]]), "need an integer L, got L=2.0"),
+    (lambda: ring_topology(6.0, 3), "need an integer L, got L=6.0"),
+    (lambda: full_topology(-1), "need L >= 1, got L=-1"),
+    (lambda: Topology(0, []), "need L >= 1, got L=0"),
+    (lambda: topology_from_listing(""), "need L >= 1, got L=0"),
+    (lambda: Topology(2, [[0, 1], [1, 2]]), r"node 1 has neighbor id 0, outside \[1, L=2\]"),
+    (lambda: Topology(3, [[1], [2, 4], [3]]), r"node 2 has neighbor id 4, outside \[1, L=3\]"),
+])
+def test_node_count_and_ids_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestExchangeNeighbors:
