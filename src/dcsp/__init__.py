@@ -24,7 +24,6 @@ from .experiments import (
     default_l_grid,
     default_m_grid,
     derive_trial_seed,
-    run_single_trial,
     run_sweep,
 )
 from .linalg import (
@@ -85,7 +84,6 @@ __all__ = [
     "max_occ",
     "resid",
     "ring_topology",
-    "run_single_trial",
     "run_sweep",
     "ssp_run",
     "success",

@@ -2,8 +2,9 @@
 
 Subcommands: ``fig1`` (success vs measurements), ``fig2`` (messages and
 iterations vs network scale; the iteration view is the table's
-``*_mean_iterations`` columns), ``trial`` (one verbose run) and ``cost``
-(closed-form message counts).  Values for the swept variable accept
+``*_mean_iterations`` columns), ``trial`` (one verbose run of
+:func:`~dcsp.pursuit.run_batch` on one draw) and ``cost`` (closed-form
+message counts).  Values for the swept variable accept
 ``start:stop:step`` or comma lists.  Each flag maps onto a field of the
 library call it feeds; a figure flag left unset takes the default of
 :class:`~dcsp.experiments.ExperimentConfig`.
@@ -14,10 +15,10 @@ import sys
 
 from . import experiments
 from .costs import ALGORITHMS, CostParams, cost_table1
-from .network import topology_from_listing
-from .experiments import ExperimentConfig, default_l_grid, default_m_grid, run_single_trial
-from .problems import ProblemConfig, success
-from .pursuit import SIMULATED_ALGORITHMS
+from .experiments import ExperimentConfig, default_l_grid, default_m_grid
+from .network import ring_topology, topology_from_listing
+from .problems import ProblemConfig, generate, success
+from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
 
 
 class _BadValues(ValueError, argparse.ArgumentTypeError):
@@ -90,10 +91,14 @@ def _run_figure(args):
 
 def _cmd_trial(args):
     config = ProblemConfig(N=args.N, M=args.M, K=args.K, L=args.L, seed=args.seed)
-    topology = None if args.topology is None else topology_from_listing(args.topology)
-    instance, run, g = run_single_trial(
-        config, args.algorithm, g=args.g, topology=topology, max_iters=args.max_iters
-    )
+    if args.topology is not None:  # an explicit listing overrides g
+        g, topology = None, topology_from_listing(args.topology)
+    else:  # an unset g, and ssp's, is full collaboration
+        g = config.L if args.g is None or args.algorithm == "ssp" else args.g
+        topology = ring_topology(config.L, g)
+    _run_limits(config, {args.algorithm: topology}, args.max_iters)  # before the draw
+    instance = generate(config)
+    run = run_batch({args.algorithm: topology}, [instance], args.max_iters)[args.algorithm][0]
     ok = success(run.support, instance)
     drawn = instance.config
     shape = f"g={g}" if g is not None else "topology=explicit"

@@ -26,18 +26,13 @@ class CostParams:
     T: int = None
 
     def __post_init__(self):
-        for name in ("N", "K", "L", "g", "T"):
+        for name, least in (("N", 1), ("K", 1), ("L", 1), ("T", 0)):
             if getattr(self, name) is not None:  # as in ProblemConfig
-                object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("N", "K", "L"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"need {name} >= 1, got {name}={getattr(self, name)}")
+                object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if self.K > self.N:  # as in ProblemConfig
             raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
-        if self.g is not None and not 2 <= self.g <= self.L:  # as in ring_topology
-            raise ValueError(f"need 2 <= g <= L, got g={self.g} and L={self.L}")
-        if self.T is not None and self.T < 0:
-            raise ValueError(f"need T >= 0, got T={self.T}")
+        if self.g is not None:  # as in ring_topology
+            object.__setattr__(self, "g", _integer("g", self.g, 2, ("L", self.L)))
 
     def require(self, *names):
         for name in names:

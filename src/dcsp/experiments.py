@@ -6,7 +6,8 @@ sweep, figure fig1) and, from one network-scale sweep (an L sweep, figure
 fig2), transmitted messages and executed iterations vs network scale: the
 ``*_mean_messages`` and ``*_mean_iterations`` columns of the same table.
 With ``out`` set, results are emitted as CSV plus a gnuplot-style ``.dat``
-twin, each naming its figure; plotting is left to external tools.
+twin, each naming its figure; plotting is left to external tools.  One
+trial needs no sweep: ``run_batch(algorithms, [generate(config)])``.
 
 Reproducibility: the seed of trial ``i`` at sweep value ``v`` is
 ``base_seed XOR splitmix64-chain(v, i, attempt)``, so any point can be
@@ -44,8 +45,8 @@ import numpy as np
 from .costs import CostParams, cost_table1
 from .linalg import RankDeficientError
 from .network import full_topology, ring_topology
-from .problems import ProblemConfig, _integer, generate, generate_batch, success
-from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
+from .problems import ProblemConfig, _integer, generate_batch, success
+from .pursuit import SIMULATED_ALGORITHMS, run_batch
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 5
@@ -119,6 +120,9 @@ class ExperimentConfig:
             raise ValueError(f"algorithms={self.algorithms} names one twice")
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"need a path, got out={self.out!r}")
+        # "/tmp/" would write /tmp/.csv, "" nothing, a directory's stem its tables beside it
+        if self.out is not None and (not os.path.basename(self.out) or os.path.isdir(self.out)):
+            raise ValueError(f"out={self.out}: need a file name stem, not a directory")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ValueError(
                 f"out={self.out}: directory {os.path.dirname(self.out)} does not exist"
@@ -128,8 +132,8 @@ class ExperimentConfig:
                 self.point(value)
             except ValueError as err:
                 raise ValueError(f"{self.sweep}={value}: {err}") from None
-        if self.sweep == "M" and self.g > self.L:
-            raise ValueError(f"need g <= L, got g={self.g} and L={self.L}")
+        if self.sweep == "M":  # an L sweep clips g to each point's L
+            _integer("g", self.g, 2, ("L", self.L))
 
     def point(self, value):
         """One sweep point: its :class:`ProblemConfig`, with the base seed,
@@ -325,29 +329,3 @@ def write_tables(rows, config: ExperimentConfig):
             fh.writelines(f"# {line}\n" for line in header)
             fh.write(mark + sep.join(column for column, _ in table[0]) + "\n")
             fh.writelines(sep.join(cell for _, cell in cells) + "\n" for cells in table)
-
-
-# ---------------------------------------------------------------------------
-# single trial
-
-
-def run_single_trial(config: ProblemConfig, algorithm, g=None, topology=None,
-                     max_iters=None):
-    """Run one seeded trial; returns ``(instance, run, g)``: the draw, its
-    :class:`~dcsp.pursuit.RunResult` and the neighborhood size the run
-    used, or ``None`` for an explicit ``topology``.
-
-    ``g`` defaults to full collaboration for dcsp and is ignored for ssp;
-    an explicit ``topology`` overrides ``g``.  Every argument is checked
-    before the draw.
-    """
-    if algorithm == "ssp":
-        g = config.L
-    elif topology is not None:
-        g = None
-    else:
-        g = config.L if g is None else g
-        topology = ring_topology(config.L, g)
-    _run_limits(config, {algorithm: topology}, max_iters)
-    instance = generate(config)
-    return instance, run_batch({algorithm: topology}, [instance], max_iters)[algorithm][0], g

@@ -30,13 +30,24 @@ class RankDeficientError(np.linalg.LinAlgError, ValueError):
     """
 
 
+def _int64(values, what):
+    """``values`` as an int64 array, or a ValueError naming an entry of
+    another dtype, which the cast would truncate (2.7 to 2) or parse ("3")."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        flat = a.ravel().tolist()
+        bad = next((v for v in flat if not isinstance(v, int)), flat[0])
+        raise ValueError(f"need integer entries in {what}, got {bad!r}")
+    return np.asarray(a, dtype=np.int64)
+
+
 def as_index_set(indices):
     """Canonicalize ``indices`` into a sorted 1-based index set array.
 
-    Raises ValueError if ``indices`` is not 1-d, or if entries repeat or
-    are < 1.
+    Raises ValueError if ``indices`` is not 1-d, holds a non-integer, or
+    if entries repeat or are < 1.  An empty set is valid.
     """
-    a = np.asarray(indices, dtype=np.int64)
+    a = _int64(indices, "an index set")
     if a.ndim > 1:
         raise ValueError(f"index sets are 1-d, got shape {a.shape}")
     s = np.unique(a)
@@ -161,11 +172,12 @@ def max_occ(m, K):
     Raises
     ------
     ValueError
-        If ``K`` is not an integer >= 0, or exceeds the distinct values of a row.
+        If ``K`` is not an integer >= 0, ``m`` holds a non-integer, or
+        ``K`` exceeds the distinct values of a row.
     """
     if not isinstance(K, numbers.Integral) or K < 0:
         raise ValueError(f"need an integer K >= 0, got K={K!r}")
-    m = np.asarray(m, dtype=np.int64)
+    m = _int64(m, "a multiset")
     rows = np.atleast_2d(m)
     if rows.min(initial=0) < 0:
         raise ValueError("max_occ counts nonnegative integers")

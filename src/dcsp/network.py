@@ -46,19 +46,19 @@ class Topology:
         if len(self.neighbors) != self.L:
             raise ValueError("need one neighbor set per node")
         for l, g in enumerate(self.neighbors, start=1):
-            # the int64 cast below would truncate 2.7 and parse "3"
-            if len(g) and np.asarray(g).dtype.kind not in "iu":
-                bad = next((v for v in g if not isinstance(v, numbers.Integral)), g[0])
-                raise ValueError(f"node {l} has a non-integer neighbor id {bad!r}")
+            # each id is checked before the int64 cast below, which would
+            # truncate 2.7, parse "3" and overflow on an id past 2**63
+            for v in g:
+                if not isinstance(v, numbers.Integral):
+                    raise ValueError(f"node {l} has a non-integer neighbor id {v!r}")
+                if not 1 <= v <= self.L:
+                    raise ValueError(f"node {l} has neighbor id {v}, outside [1, L={self.L}]")
         # a new list: the caller's sequence (a tuple, say) is left as it was
         self.neighbors = [np.sort(np.asarray(g, dtype=np.int64)) for g in self.neighbors]
         self.index = np.full((self.L, max(map(len, self.neighbors))), self.L)
         for l, g in enumerate(self.neighbors, start=1):
             if l not in g:
                 raise ValueError(f"node {l} missing from its own neighborhood")
-            if g.min() < 1 or g.max() > self.L:
-                bad = g.min() if g.min() < 1 else g.max()
-                raise ValueError(f"node {l} has neighbor id {bad}, outside [1, L={self.L}]")
             if np.unique(g).size != g.size:
                 raise ValueError("neighbor ids must be distinct")
             self.index[l - 1, : g.size] = g - 1
@@ -87,8 +87,7 @@ def ring_topology(L: int, g: int) -> Topology:
     DCSP degenerates into decentralized SSP.
     """
     L = _integer("L", L, 1)
-    if not isinstance(g, numbers.Integral) or not 2 <= g <= L:
-        raise ValueError(f"need an integer 2 <= g <= L, got g={g}, L={L}")
+    g = _integer("g", g, 2, ("L", L))
     if g == L:
         return full_topology(L)
     l = np.arange(1, L + 1)[:, None]
@@ -114,7 +113,7 @@ def topology_from_listing(text) -> Topology:
                 ids.add(int(tok))
             except ValueError:
                 raise ValueError(f"bad node id {tok.strip()!r} in listing {text!r}") from None
-        neighbors.append(np.array(sorted(ids), dtype=np.int64))
+        neighbors.append(sorted(ids))
     return Topology(len(groups), neighbors)
 
 

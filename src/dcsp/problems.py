@@ -46,15 +46,18 @@ _KEY_HASH = _hash_constants(_INIT_A, _MULT_A, range(16, 25))
 _STATE_HASH = _hash_constants(_INIT_B, _MULT_B, range(9))
 
 
-def _integer(name, value, least=None):
+def _integer(name, value, least=None, most=None):
     """``operator.index(value)``, or a ValueError naming ``name`` if that
-    fails or gives less than ``least``."""
+    fails, gives less than ``least`` or more than ``most``, a (name, bound)
+    pair: ``_integer("g", g, 2, ("L", L))`` is the one check of 2 <= g <= L."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
     if least is not None and value < least:
         raise ValueError(f"need {name} >= {least}, got {name}={value}")
+    if most is not None and value > most[1]:
+        raise ValueError(f"need {name} <= {most[0]}, got {name}={value} and {most[0]}={most[1]}")
     return value
 
 

@@ -147,6 +147,14 @@ def _rows(draws, L):
     return (np.multiply(draws, L)[:, None] + np.arange(L)).ravel()
 
 
+def _columns(A, rows, cols):
+    """The (n, M, k) stack of 0-based columns ``cols[i]`` of ``A[rows[i]]``,
+    gathered through the (n, N, M) view: one index pair per column, not
+    one triple per entry.  It comes out column-major, as ``A[r][:, c]``
+    does, so a stacked product on it rounds as the per-node product does."""
+    return A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1)
+
+
 def _residual_states(memo, L, draws, supports, A, Y):
     """The :class:`_ResidualState` of batch draw ``draws[j]`` against
     ``supports[j]`` (sorted, all one size), from ``memo`` when an earlier
@@ -159,9 +167,7 @@ def _residual_states(memo, L, draws, supports, A, Y):
     if miss:
         rows = _rows([draws[j] for j in miss], L)
         cols = np.repeat(np.array([supports[j] for j in miss]) - 1, L, axis=0)
-        # column-major slices, as A[..., S - 1] gives, so that the product
-        # inside resid rounds as it does on one node's columns
-        stacked = resid(Y[rows], A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1))
+        stacked = resid(Y[rows], _columns(A, rows, cols))
         # one stacked product makes the same dot per row as r @ r does
         energies = np.matmul(stacked[:, None, :], stacked[:, :, None]).ravel().tolist()
         for n, j in enumerate(miss):
@@ -178,15 +184,12 @@ def _project_candidates(A, Y, rows, candidates):
     candidate set (a row of the (n, N) mask ``candidates``, for the node at
     stack row ``rows[i]``), scattered into an (n, N) stack, and the sizes.
     Nodes with equal-size sets share one stacked :func:`lstsq` call."""
-    # gathering whole columns from the (n, N, M) view takes one index pair
-    # per column rather than one index triple per entry
-    columns = A.transpose(0, 2, 1)
     sizes = np.count_nonzero(candidates, axis=1)
     magnitudes = np.zeros(candidates.shape)
     for size in np.unique(sizes):
         nodes = np.flatnonzero(sizes == size)
         cols = np.nonzero(candidates[nodes])[1].reshape(nodes.size, size)
-        sub = columns[rows[nodes, None], cols].transpose(0, 2, 1)  # (nodes, M, size)
+        sub = _columns(A, rows[nodes], cols)
         magnitudes[nodes[:, None], cols] = np.abs(lstsq(sub, Y[rows[nodes]]))
     return magnitudes, sizes
 
@@ -209,10 +212,7 @@ def _run_limits(config, algorithms, max_iters):
         topologies[algorithm] = topology
     if max_iters is None:
         return topologies, 3 * config.K
-    max_iters = _integer("max_iters", max_iters)
-    if max_iters < 1:
-        raise ValueError(f"need max_iters >= 1, got max_iters={max_iters}")
-    return topologies, max_iters
+    return topologies, _integer("max_iters", max_iters, 1)
 
 
 def run_batch(algorithms, instances, max_iters=None, dictionaries=None):

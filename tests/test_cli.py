@@ -65,9 +65,9 @@ class TestCostCommand:
         assert "ssp: 12630" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags, message", [
-        (["--g", "1"], "need 2 <= g <= L, got g=1 and L=6"),
+        (["--g", "1"], "need g >= 2, got g=1"),
         (["--K", "300"], "need K <= N, got K=300 and N=200"),
-        (["--g", "9", "--L", "6"], "need 2 <= g <= L, got g=9 and L=6"),
+        (["--g", "9", "--L", "6"], "need g <= L, got g=9 and L=6"),
     ])
     def test_out_of_bounds_rejected(self, capsys, flags, message):
         code = main(["cost", "--T", "3"] + flags)
@@ -83,7 +83,7 @@ class TestCostCommand:
         assert capsys.readouterr().out == "ssp: 1726\n"
         code = main(["cost", "--algorithm", "dcsp", "--L", "2", "--T", "3"])
         assert code == 2
-        assert "need 2 <= g <= L, got g=3 and L=2" in capsys.readouterr().err
+        assert "need g <= L, got g=3 and L=2" in capsys.readouterr().err
 
     def test_missing_T_fails_cleanly(self, capsys):
         code = main(["cost", "--algorithm", "ssp"])
@@ -155,7 +155,7 @@ class TestTrialCommand:
         def no_draw(config):
             raise AssertionError("drew an instance")
 
-        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        monkeypatch.setattr(dcsp.cli, "generate", no_draw)
         code = main(["trial", "--topology", "1,2;2,3;3,1"])
         captured = capsys.readouterr()
         assert code == 2
@@ -166,7 +166,7 @@ class TestTrialCommand:
         def no_draw(config):
             raise AssertionError("drew an instance")
 
-        monkeypatch.setattr(dcsp.experiments, "generate", no_draw)
+        monkeypatch.setattr(dcsp.cli, "generate", no_draw)
         code = main(self.ARGS + ["--max-iters", "0"])
         captured = capsys.readouterr()
         assert code == 2
@@ -289,21 +289,27 @@ def _subparsers():
 @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
 def test_every_option_reaches_the_library(monkeypatch, command):
     received = []
-    trial = dcsp.cli.run_single_trial(dcsp.ProblemConfig(N=12, M=8, K=2, L=3, seed=0), "dcsp")
+    instance = dcsp.generate(dcsp.ProblemConfig(N=12, M=8, K=2, L=3, seed=0))
+    run = dcsp.dcsp_run(instance, None)
 
     def record(*args, **kwargs):
-        received.extend(args)
-        received.extend(kwargs.values())
-        return types.SimpleNamespace(sweep="M", out=None)
+        for value in (*args, *kwargs.values()):  # an {algorithm: topology} map by its keys
+            received.extend(value if isinstance(value, dict) else [value])
+        return types.SimpleNamespace(sweep="M", out=None, L=7)  # trial's L for its ring
 
-    def record_trial(*args, **kwargs):
-        record(*args, **kwargs)
-        return trial  # a real run, for the transcript
+    def record_draw(*args):
+        record(*args)
+        return instance  # a real draw and run, for the transcript
+
+    def record_run(algorithms, *args):
+        record(algorithms, *args)
+        return {algorithm: [run] for algorithm in algorithms}
 
     for name in ("ExperimentConfig", "ProblemConfig", "CostParams", "cost_table1",
-                 "topology_from_listing"):
+                 "topology_from_listing", "ring_topology", "_run_limits"):
         monkeypatch.setattr(dcsp.cli, name, record)
-    monkeypatch.setattr(dcsp.cli, "run_single_trial", record_trial)
+    monkeypatch.setattr(dcsp.cli, "generate", record_draw)
+    monkeypatch.setattr(dcsp.cli, "run_batch", record_run)
     monkeypatch.setattr(dcsp.experiments, "run_sweep", lambda config: [])
     options = EVERY_OPTION[command]
     flags = {
@@ -314,8 +320,30 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     assert flags == set(options)
     argv = [command] + [token for flag, (text, _) in options.items() for token in (flag, text)]
     assert main(argv) == 0
+    if command == "trial":  # an explicit listing, and ssp, override g
+        assert main(["trial", "--g", "4"]) == 0
     for flag, (_, value) in options.items():
         assert any(type(v) is type(value) and v == value for v in received), flag
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trial", "--g", "1"], "need g >= 2, got g=1"),
+    (["cost", "--g", "1", "--T", "1"], "need g >= 2, got g=1"),
+    (["fig1", "--M", "22", "--trials", "1", "--g", "1"], "need g >= 2, got g=1"),
+    (["fig2", "--L", "5", "--trials", "1", "--g", "1"], "need g >= 2, got g=1"),
+    (["trial", "--g", "9"], "need g <= L, got g=9 and L=6"),
+    (["cost", "--g", "9", "--T", "1"], "need g <= L, got g=9 and L=6"),
+    (["fig1", "--M", "22", "--trials", "1", "--g", "9"], "need g <= L, got g=9 and L=6"),
+])
+def test_g_bound_has_one_message_per_violation(capsys, monkeypatch, argv, message):
+    # 2 <= g <= L is checked in one place, before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew an instance")
+
+    monkeypatch.setattr(dcsp.cli, "generate", no_draw)
+    monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, sweep", [

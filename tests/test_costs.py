@@ -24,8 +24,9 @@ class TestCostSsp:
 class TestCostParamsBounds:
     # the bounds of ring_topology (2 <= g <= L) and ProblemConfig (K <= N)
     @pytest.mark.parametrize("kw, message", [
-        (dict(g=1), "need 2 <= g <= L, got g=1 and L=6"),
-        (dict(g=9), "need 2 <= g <= L, got g=9 and L=6"),
+        (dict(g=1), "need g >= 2, got g=1"),
+        pytest.param(dict(g=9), "need g <= L, got g=9 and L=6",
+                     id="kw1-g above L"),
         (dict(K=300), "need K <= N, got K=300 and N=200"),
         (dict(N=0), "need N >= 1, got N=0"),
         (dict(T=-1), "need T >= 0, got T=-1"),

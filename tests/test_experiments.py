@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dcsp import experiments, pursuit
+from dcsp import cli, experiments, pursuit
 from dcsp.cli import main
 from dcsp.experiments import (
     ExperimentConfig,
     default_l_grid,
     default_m_grid,
     derive_trial_seed,
-    run_single_trial,
     run_sweep,
 )
 from dcsp.linalg import RankDeficientError
-from dcsp.network import topology_from_listing
-from dcsp.problems import ProblemConfig, success
+from dcsp.network import ring_topology
+from dcsp.problems import ProblemConfig, generate
+from dcsp.pursuit import run_batch
 
 
 def small_m_config(**kw):
@@ -130,6 +130,14 @@ class TestConfigValidation:
         ExperimentConfig(sweep="M", values=(30,), out="x")  # the working directory
         with pytest.raises(ValueError, match="need a path, got out=5"):
             ExperimentConfig(sweep="M", values=(30,), out=5)
+
+    def test_out_without_a_file_name_rejected(self, tmp_path):
+        # "dir/" wrote the hidden dir/.csv, "" no table at all, and a
+        # directory's stem put the tables beside it
+        for out in (f"{tmp_path}/", str(tmp_path), tmp_path, ""):
+            with pytest.raises(ValueError, match="need a file name stem, not a directory"):
+                ExperimentConfig(sweep="M", values=(30,), out=out)
+        ExperimentConfig(sweep="M", values=(30,), out=tmp_path / "fig1")
 
     def test_repeated_algorithm_rejected(self):
         with pytest.raises(ValueError, match=r"algorithms=\('ssp', 'ssp'\) names one twice"):
@@ -545,29 +553,50 @@ class TestFigureWrappers:
 
 
 class TestRunSingleTrial:
+    """One seeded trial: ``dcsp trial``, which runs ``run_batch`` on one
+    ``generate`` draw once every argument has passed."""
+
+    ARGS = ["trial", "--N", "30", "--M", "16", "--K", "3", "--L", "6", "--seed", "9"]
+
+    @pytest.fixture
+    def no_draw(self, monkeypatch):
+        def no_draw(config):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(cli, "generate", no_draw)
+
+    @pytest.fixture
+    def no_pursuit(self, monkeypatch):
+        def no_pursuit(*args):
+            raise AssertionError("ran the pursuit")
+
+        monkeypatch.setattr(pursuit, "correlate", no_pursuit)
+
     def test_transcript_deterministic(self):
-        # everything `dcsp trial` prints comes from the returned run
+        # everything `dcsp trial` prints comes from the draw and its run
         cfg = ProblemConfig(N=40, M=20, K=3, L=4, seed=123)
-        (ia, ta, ga), (ib, tb, gb) = (run_single_trial(cfg, "dcsp", g=3) for _ in range(2))
+        ia, ib = generate(cfg), generate(cfg)
+        (ta,), (tb,) = (run_batch({"dcsp": ring_topology(4, 3)}, [i])["dcsp"] for i in (ia, ib))
         assert np.array_equal(ia.true_support, ib.true_support)
         assert [s.tolist() for s in ta.support_trace] == [s.tolist() for s in tb.support_trace]
         assert ta.residual_trace == tb.residual_trace
         assert ta.candidate_sizes == tb.candidate_sizes
         assert ta.wire.rounds == tb.wire.rounds
-        assert ga == gb == 3
 
-    def test_known_success_params(self):
-        cfg = ProblemConfig(N=40, M=24, K=3, L=5, seed=2)
-        instance, run, g = run_single_trial(cfg, "ssp")
-        assert success(run.support, instance)
-        assert g == 5
+    def test_known_success_params(self, capsys):
+        assert main(["trial", "--algorithm", "ssp", "--expect-success", "--N", "40",
+                     "--M", "24", "--K", "3", "--L", "5", "--seed", "2"]) == 0
+        assert "L=5 g=5 seed=2" in capsys.readouterr().out
 
-    def test_ssp_matches_dcsp_at_full_collaboration(self):
-        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=77)
-        _, a, _ = run_single_trial(cfg, "ssp")
-        _, b, g = run_single_trial(cfg, "dcsp")  # g defaults to L
-        assert np.array_equal(a.support, b.support)
-        assert g == 4
+    def test_ssp_matches_dcsp_at_full_collaboration(self, capsys):
+        args = ["--N", "30", "--M", "16", "--K", "3", "--L", "4", "--seed", "77"]
+        supports = []
+        for algorithm in ("ssp", "dcsp"):  # dcsp's g defaults to L
+            assert main(["trial", "--algorithm", algorithm] + args) == 0
+            out = capsys.readouterr().out
+            assert "L=4 g=4" in out
+            supports.append(out.split("recovered support: ")[1])
+        assert supports[0] == supports[1]
 
     def test_transcript_contains_wire_summary(self, capsys):
         assert main(["trial", "--N", "30", "--M", "16", "--K", "3", "--L", "4",
@@ -583,60 +612,41 @@ class TestRunSingleTrial:
             ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
 
     @pytest.mark.parametrize("algorithm", ["ssp", "dcsp"])
-    def test_rejects_topology_size_mismatch_before_running(self, monkeypatch, algorithm):
-        def no_draw(config):
-            raise AssertionError("drew an instance")
+    def test_rejects_topology_size_mismatch_before_running(self, capsys, no_draw, algorithm):
+        argv = self.ARGS + ["--algorithm", algorithm, "--topology", "1,2;2,3;3,1"]
+        assert main(argv) == 2
+        assert "topology has 3 nodes, problem has L=6" in capsys.readouterr().err
 
-        monkeypatch.setattr(experiments, "generate", no_draw)
-        cfg = ProblemConfig(N=30, M=16, K=3, L=6, seed=9)
-        topology = topology_from_listing("1,2;2,3;3,1")
-        with pytest.raises(ValueError, match="topology has 3 nodes, problem has L=6"):
-            run_single_trial(cfg, algorithm, topology=topology)
+    def test_rejects_max_iters_below_1_before_running(self, capsys, no_draw):
+        assert main(self.ARGS + ["--algorithm", "ssp", "--max-iters", "0"]) == 2
+        assert "need max_iters >= 1, got max_iters=0" in capsys.readouterr().err
 
-    def test_rejects_max_iters_below_1_before_running(self, monkeypatch):
-        def no_draw(config):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(experiments, "generate", no_draw)
-        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
-        with pytest.raises(ValueError, match="need max_iters >= 1, got max_iters=0"):
-            run_single_trial(cfg, "dcsp", max_iters=0)
-
-    def test_rejects_non_integer_max_iters_before_running(self, monkeypatch):
-        def no_draw(config):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(experiments, "generate", no_draw)
-        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
+    def test_rejects_non_integer_max_iters_before_running(self, no_pursuit):
+        instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
         with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
-            run_single_trial(cfg, "dcsp", max_iters=2.5)
+            run_batch({"dcsp": None}, [instance], max_iters=2.5)
 
-    def test_rejects_non_integer_g_before_running(self, monkeypatch):
-        def no_draw(config):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(experiments, "generate", no_draw)
-        cfg = ProblemConfig(N=60, M=30, K=3, L=6, seed=1)
-        with pytest.raises(ValueError, match="got g=2.5, L=6"):
-            run_single_trial(cfg, "dcsp", g=2.5)
+    def test_rejects_non_integer_g_before_running(self, capsys, no_draw):
+        with pytest.raises(ValueError, match="need an integer g, got g=2.5"):
+            ring_topology(6, 2.5)
+        assert main(self.ARGS + ["--g", "2.5"]) == 2
+        assert "invalid int value: '2.5'" in capsys.readouterr().err
 
     def test_silent_without_emit(self, capsys):
         # the transcript is the CLI's: the library prints nothing
-        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
-        _, run, _ = run_single_trial(cfg, "dcsp", g=2)
+        instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
+        (run,) = run_batch({"dcsp": ring_topology(4, 2)}, [instance])["dcsp"]
         assert capsys.readouterr().out == ""
         assert run.wire.total > 0
 
-    def test_rejects_ssp_on_a_partial_topology_before_running(self, monkeypatch):
-        draws = []
-        monkeypatch.setattr(experiments, "generate", lambda cfg: draws.append(cfg))
-        cfg = ProblemConfig(N=40, M=20, K=4, L=3, seed=1)
-        topology = topology_from_listing("1,2;2,3;3,1")
-        with pytest.raises(ValueError, match="ssp requires full collaboration"):
-            run_single_trial(cfg, "ssp", topology=topology)
-        assert draws == []
+    def test_rejects_ssp_on_a_partial_topology_before_running(self, capsys, no_draw):
+        argv = ["trial", "--algorithm", "ssp", "--N", "40", "--M", "20", "--K", "4",
+                "--L", "3", "--topology", "1,2;2,3;3,1"]
+        assert main(argv) == 2
+        assert "ssp requires full collaboration" in capsys.readouterr().err
 
-    def test_rejects_unknown_algorithm(self):
-        cfg = ProblemConfig(N=30, M=16, K=3, L=4, seed=9)
-        with pytest.raises(ValueError):
-            run_single_trial(cfg, "somp")
+    def test_rejects_unknown_algorithm(self, capsys, no_pursuit):
+        instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
+        with pytest.raises(ValueError, match="cannot simulate 'somp'"):
+            run_batch({"somp": None}, [instance])
+        assert main(self.ARGS + ["--algorithm", "somp"]) == 2

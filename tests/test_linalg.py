@@ -134,6 +134,8 @@ def test_as_index_set_canonicalizes():
         as_index_set([2, 2, 3])
     with pytest.raises(ValueError, match="1-based"):
         as_index_set([0, 1])
+    assert as_index_set([]).tolist() == []
+    assert max_occ([], 0).tolist() == []
 
 
 @pytest.mark.parametrize("operator, args, message", [
@@ -144,10 +146,14 @@ def test_as_index_set_canonicalizes():
     (max_occ, ([3, 1, 2], 1.5), "got K=1.5"),
     (max_occ, ([[3, 1], [2, 2]], -1), "got K=-1"),
     (as_index_set, ([[1, 2], [3, 4]],), "got shape (2, 2)"),
+    (as_index_set, ([2.7, 1],), "need integer entries in an index set, got 2.7"),
+    (as_index_set, (["3"],), "need integer entries in an index set, got '3'"),
+    (max_occ, ([1.7, 1.2, 3], 1), "need integer entries in a multiset, got 1.7"),
 ])
 def test_bad_selection_size_or_index_set_shape_named(operator, args, message):
-    # a negative K once sliced off the last entries, and a 2-d index set
-    # was reported as repeating its entries
+    # a negative K once sliced off the last entries, a 2-d index set was
+    # reported as repeating its entries, and a non-integer entry was cast
+    # (2.7 to 2, "3" to 3)
     with pytest.raises(ValueError, match=re.escape(message)):
         operator(*args)
 
