@@ -16,7 +16,7 @@ import sys
 from . import experiments
 from .costs import ALGORITHMS, CostParams, cost_table1
 from .experiments import ExperimentConfig, default_l_grid, default_m_grid
-from .network import ring_topology, topology_from_listing
+from .network import full_topology, ring_topology, topology_from_listing
 from .problems import ProblemConfig, generate, success
 from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
 
@@ -91,11 +91,15 @@ def _run_figure(args):
 
 def _cmd_trial(args):
     config = ProblemConfig(N=args.N, M=args.M, K=args.K, L=args.L, seed=args.seed)
-    if args.topology is not None:  # an explicit listing overrides g
+    if args.topology is not None:  # an explicit listing sets every neighborhood
+        if args.g is not None:
+            raise ValueError("need --g or --topology, not both")
         g, topology = None, topology_from_listing(args.topology)
-    else:  # an unset g, and ssp's, is full collaboration
-        g = config.L if args.g is None or args.algorithm == "ssp" else args.g
-        topology = ring_topology(config.L, g)
+    else:  # an unset g is full collaboration
+        g = config.L if args.g is None else args.g
+        topology = ring_topology(config.L, g)  # the check of 2 <= g <= L, for ssp too
+        if args.algorithm == "ssp":  # which then runs on full collaboration
+            g, topology = config.L, full_topology(config.L)
     _run_limits(config, {args.algorithm: topology}, args.max_iters)  # before the draw
     instance = generate(config)
     run = run_batch({args.algorithm: topology}, [instance], args.max_iters)[args.algorithm][0]

@@ -10,7 +10,7 @@ count.
 
 from dataclasses import dataclass
 
-from .problems import _integer
+from .linalg import _integer
 
 ALGORITHMS = ("jsp_jomp", "somp", "dcomp", "ssp", "dcsp")
 
@@ -26,13 +26,12 @@ class CostParams:
     T: int = None
 
     def __post_init__(self):
-        for name, least in (("N", 1), ("K", 1), ("L", 1), ("T", 0)):
-            if getattr(self, name) is not None:  # as in ProblemConfig
-                object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if self.K > self.N:  # as in ProblemConfig
-            raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
-        if self.g is not None:  # as in ring_topology
-            object.__setattr__(self, "g", _integer("g", self.g, 2, ("L", self.L)))
+        # the bounds of ProblemConfig (K <= N) and ring_topology (2 <= g <= L)
+        for name, least, most in (("N", 1, None), ("K", 1, "N"), ("L", 1, None),
+                                  ("T", 0, None), ("g", 2, "L")):
+            if name in ("N", "K", "L") or getattr(self, name) is not None:
+                bound = most and (most, getattr(self, most))
+                object.__setattr__(self, name, _integer(name, getattr(self, name), least, bound))
 
     def require(self, *names):
         for name in names:

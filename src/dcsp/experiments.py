@@ -43,9 +43,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .costs import CostParams, cost_table1
-from .linalg import RankDeficientError
+from .linalg import RankDeficientError, _integer
 from .network import full_topology, ring_topology
-from .problems import ProblemConfig, _integer, generate_batch, success
+from .problems import ProblemConfig, generate_batch, success
 from .pursuit import SIMULATED_ALGORITHMS, run_batch
 
 _MASK64 = (1 << 64) - 1

@@ -13,7 +13,7 @@ Conventions used throughout the library:
   operator is deterministic across runs and platforms.
 """
 
-import numbers
+import operator
 
 import numpy as np
 
@@ -30,14 +30,34 @@ class RankDeficientError(np.linalg.LinAlgError, ValueError):
     """
 
 
+def _integer(name, value, least=None, most=None):
+    """``operator.index(value)``, or a ValueError naming ``name`` if that
+    fails, gives less than ``least`` or more than ``most``, a (name, bound)
+    pair: ``_integer("g", g, 2, ("L", L))`` is the one check of 2 <= g <= L."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {name}={value}")
+    if most is not None and value > most[1]:
+        raise ValueError(f"need {name} <= {most[0]}, got {name}={value} and {most[0]}={most[1]}")
+    return value
+
+
 def _int64(values, what):
-    """``values`` as an int64 array, or a ValueError naming an entry of
-    another dtype, which the cast would truncate (2.7 to 2) or parse ("3")."""
+    """``values`` as an int64 array, or a ValueError naming the first entry as
+    given (a list's own object) that ``operator.index`` refuses, which the
+    cast would truncate (2.7) or parse ("3"), or that does not fit int64."""
     a = np.asarray(values)
-    if a.size and a.dtype.kind not in "iu":
-        flat = a.ravel().tolist()
-        bad = next((v for v in flat if not isinstance(v, int)), flat[0])
-        raise ValueError(f"need integer entries in {what}, got {bad!r}")
+    if a.size and (a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64)):
+        for v in (a if isinstance(values, np.ndarray) else np.array(values, dtype=object)).flat:
+            try:
+                i = operator.index(v)
+            except TypeError:
+                raise ValueError(f"need integer entries in {what}, got {v!r}") from None
+            if not -1 << 63 <= i < 1 << 63:
+                raise ValueError(f"need entries in {what} that fit int64, got {i}")
     return np.asarray(a, dtype=np.int64)
 
 
@@ -48,13 +68,14 @@ def as_index_set(indices):
     if entries repeat or are < 1.  An empty set is valid.
     """
     a = _int64(indices, "an index set")
-    if a.ndim > 1:
+    if a.ndim != 1:
         raise ValueError(f"index sets are 1-d, got shape {a.shape}")
     s = np.unique(a)
     if s.size != a.size:
-        raise ValueError("index set entries must be distinct")
+        repeated = next(v for i, v in enumerate(a.tolist()) if v in a[:i])
+        raise ValueError(f"index set entries must be distinct, got {repeated} more than once")
     if s.size and s[0] < 1:
-        raise ValueError("index sets are 1-based; got index < 1")
+        raise ValueError(f"index sets are 1-based, got index {s[0]}")
     return s
 
 
@@ -142,8 +163,7 @@ def max_ind(v, K):
     """
     key = -np.abs(np.asarray(v, dtype=np.float64))
     N = key.shape[-1]
-    if not isinstance(K, numbers.Integral) or not 0 <= K <= N:
-        raise ValueError(f"need an integer 0 <= K <= {N}, got K={K!r}")
+    K = _integer("K", K, 0, ("N", N))
     if key.ndim == 2 and len(key) > 1 and 0 < K < N:
         # numpy's default sort ranks a stack several times faster than the
         # stable argsort.  Where each row's K-th smallest key is strictly
@@ -175,8 +195,7 @@ def max_occ(m, K):
         If ``K`` is not an integer >= 0, ``m`` holds a non-integer, or
         ``K`` exceeds the distinct values of a row.
     """
-    if not isinstance(K, numbers.Integral) or K < 0:
-        raise ValueError(f"need an integer K >= 0, got K={K!r}")
+    K = _integer("K", K, 0)
     m = _int64(m, "a multiset")
     rows = np.atleast_2d(m)
     if rows.min(initial=0) < 0:

@@ -19,12 +19,11 @@ the list of charged rounds; its neighbor/broadcast split and total are
 sums over that list.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import _integer
+from .linalg import _integer, as_index_set
 
 
 @dataclass
@@ -38,35 +37,31 @@ class Topology:
     """
 
     L: int
-    neighbors: list  # per node, sorted 1-based array containing the node itself
-    index: np.ndarray = field(init=False, repr=False, compare=False)
+    neighbors: list  # per node, an index set (sorted 1-based array) holding the node
+    index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.L = _integer("L", self.L, 1)
         if len(self.neighbors) != self.L:
-            raise ValueError("need one neighbor set per node")
+            raise ValueError(f"need one neighbor set per node, got {len(self.neighbors)} sets")
+        sets = []  # a new list: the caller's sequence (a tuple, say) is left as it was
         for l, g in enumerate(self.neighbors, start=1):
-            # each id is checked before the int64 cast below, which would
-            # truncate 2.7, parse "3" and overflow on an id past 2**63
-            for v in g:
-                if not isinstance(v, numbers.Integral):
-                    raise ValueError(f"node {l} has a non-integer neighbor id {v!r}")
-                if not 1 <= v <= self.L:
-                    raise ValueError(f"node {l} has neighbor id {v}, outside [1, L={self.L}]")
-        # a new list: the caller's sequence (a tuple, say) is left as it was
-        self.neighbors = [np.sort(np.asarray(g, dtype=np.int64)) for g in self.neighbors]
-        self.index = np.full((self.L, max(map(len, self.neighbors))), self.L)
-        for l, g in enumerate(self.neighbors, start=1):
+            try:
+                sets.append(as_index_set(g))
+            except ValueError as err:
+                raise ValueError(f"node {l} neighbors: {err}") from None
+        self.neighbors = sets
+        self.index = np.full((self.L, max(map(len, sets))), self.L)
+        for l, g in enumerate(sets, start=1):
+            if g.size and g[-1] > self.L:
+                raise ValueError(f"node {l} has neighbor id {g[-1]}, outside [1, L={self.L}]")
             if l not in g:
                 raise ValueError(f"node {l} missing from its own neighborhood")
-            if np.unique(g).size != g.size:
-                raise ValueError("neighbor ids must be distinct")
             self.index[l - 1, : g.size] = g - 1
+        self.neighbor_link_count = sum(map(len, sets)) - self.L  # sum over nodes of |G_l| - 1
 
-    @property
-    def neighbor_link_count(self):
-        """Total directed neighbor links, sum over nodes of (|G_l| - 1)."""
-        return int(np.count_nonzero(self.index < self.L)) - self.L
+    def __eq__(self, other):  # one row of index per node, so equal indexes mean equal L
+        return isinstance(other, Topology) and np.array_equal(self.index, other.index)
 
     def is_full(self):
         return self.neighbor_link_count == self.L * (self.L - 1)

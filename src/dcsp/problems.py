@@ -20,12 +20,11 @@ the spawn keys (:func:`_stream_states`), which yields the same PCG64 states
 as the per-key ``SeedSequence`` objects, at a fraction of the cost.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_index_set
+from .linalg import _integer, as_index_set
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -46,21 +45,6 @@ _KEY_HASH = _hash_constants(_INIT_A, _MULT_A, range(16, 25))
 _STATE_HASH = _hash_constants(_INIT_B, _MULT_B, range(9))
 
 
-def _integer(name, value, least=None, most=None):
-    """``operator.index(value)``, or a ValueError naming ``name`` if that
-    fails, gives less than ``least`` or more than ``most``, a (name, bound)
-    pair: ``_integer("g", g, 2, ("L", L))`` is the one check of 2 <= g <= L."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"need an integer {name}, got {name}={value!r}") from None
-    if least is not None and value < least:
-        raise ValueError(f"need {name} >= {least}, got {name}={value}")
-    if most is not None and value > most[1]:
-        raise ValueError(f"need {name} <= {most[0]}, got {name}={value} and {most[0]}={most[1]}")
-    return value
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
     """Problem dimensions and the master seed.
@@ -79,13 +63,11 @@ class ProblemConfig:
     seed: int
 
     def __post_init__(self):
-        least = dict(K=1, L=2)
-        for name in ("N", "M", "K", "L", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), least.get(name)))
+        for name, least in (("N", None), ("M", None), ("K", 1), ("L", 2), ("seed", None)):
+            most = ("N", self.N) if name == "K" else None  # N is checked first
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least, most))
         if self.M < 2 * self.K:
             raise ValueError(f"need M >= 2K, got M={self.M} and K={self.K}")
-        if self.K > self.N:
-            raise ValueError(f"need K <= N, got K={self.K} and N={self.N}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"need 0 <= seed < 2**64, got seed={self.seed}")
 

@@ -75,7 +75,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import correlate, lstsq, max_ind, max_occ, resid
+from .linalg import _integer, correlate, lstsq, max_ind, max_occ, resid
 from .network import (
     Topology,
     WireCounter,
@@ -83,7 +83,7 @@ from .network import (
     exchange_neighbors,
     full_topology,
 )
-from .problems import ProblemInstance, _integer
+from .problems import ProblemInstance
 
 SIMULATED_ALGORITHMS = ("ssp", "dcsp")
 

@@ -1,5 +1,6 @@
 """Regenerate ``runs.json``, the golden record of pursuit runs and tables,
-and ``transcripts.json``, the pinned ``dcsp trial`` transcripts.
+``transcripts.json``, the pinned ``dcsp trial`` transcripts, and
+``ledger.json``, the work ledger of two small sweeps.
 
     PYTHONPATH=src python3 tests/golden/generate.py
 
@@ -13,7 +14,10 @@ support trace, candidate sizes, wire rounds, cap hit) and the residual
 trace rounded to 15 significant digits; the first instances also keep
 their exact fields in full, so a failure can be read field by field.
 ``transcripts.json`` holds the exact stdout and exit code of ``dcsp trial``
-for each argument list of ``TRANSCRIPTS``.
+for each argument list of ``TRANSCRIPTS``.  ``ledger.json`` holds, per
+sweep of ``LEDGER_SWEEPS``, the calls and stacked rows of each function
+of ``LEDGER_CALLS``: a change that leaves the outputs alone but does more
+or less work shows there.
 
 Regenerate the files only in a change that declares an output change.
 ``tests/test_golden.py`` recomputes everything here and compares.
@@ -24,12 +28,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from dcsp import experiments, pursuit
 from dcsp.cli import main as cli_main
 from dcsp.experiments import ExperimentConfig, default_l_grid, default_m_grid, run_sweep
 from dcsp.linalg import RankDeficientError
@@ -53,6 +59,26 @@ TRANSCRIPTS = (
     "--topology 1,2;2,3;3,1 --L 3 --N 40 --M 20 --K 4",
     "--M 24 --g 3 --max-iters 1 --expect-success",
 )
+LEDGER_PATH = Path(__file__).with_name("ledger.json")
+# (module, function, position of its stacked argument, that argument's
+# ndim unstacked): a call's rows are the stack's length, 1 if unstacked;
+# with ndim 0 the argument is always a sequence
+LEDGER_CALLS = (
+    (pursuit, "lstsq", 0, 2),
+    (pursuit, "resid", 0, 1),
+    (pursuit, "correlate", 0, 2),
+    (pursuit, "max_ind", 0, 1),
+    (pursuit, "max_occ", 0, 1),
+    (pursuit, "exchange_neighbors", 0, 0),
+    (pursuit, "broadcast_all", 0, 0),
+    (experiments, "generate_batch", 0, 0),
+    (experiments, "run_batch", 1, 0),
+)
+# the perfbench msweep and lsweep grids at 10 trials per point, serially
+LEDGER_SWEEPS = {
+    "msweep": dict(sweep="M", values=default_m_grid(), L=6),
+    "lsweep": dict(sweep="L", values=default_l_grid(), M=50),
+}
 
 
 def instance_params(count=INSTANCES, seed=20141):
@@ -142,6 +168,41 @@ def transcript(args):
     return {"args": args, "stdout": out.getvalue(), "exit": code}
 
 
+def ledger():
+    """{sweep: {function: [calls, stacked rows]}} for each sweep of
+    ``LEDGER_SWEEPS`` and function of ``LEDGER_CALLS``."""
+    counts = {}
+
+    def counting(function, name, position, ndim):
+        def count(*args, **kwargs):
+            stack = args[position]
+            counts[name][0] += 1
+            counts[name][1] += len(stack) if ndim == 0 or np.ndim(stack) > ndim else 1
+            return function(*args, **kwargs)
+        return count
+
+    originals = [(module, name, getattr(module, name)) for module, name, _, _ in LEDGER_CALLS]
+    try:
+        for module, name, position, ndim in LEDGER_CALLS:
+            setattr(module, name, counting(getattr(module, name), name, position, ndim))
+        sweeps = {}
+        for sweep, options in LEDGER_SWEEPS.items():
+            counts.update({name: [0, 0] for _, name, _, _ in LEDGER_CALLS})
+            run_sweep(ExperimentConfig(N=200, K=10, g=3, trials=10, seed=1, jobs=1, **options))
+            sweeps[sweep] = {name: list(c) for name, c in counts.items()}
+    finally:
+        for module, name, function in originals:
+            setattr(module, name, function)
+    return sweeps
+
+
+def write_ledger():
+    # one line per function, so that a diff names the function
+    text = json.dumps(ledger(), indent=1)
+    with open(LEDGER_PATH, "w") as fh:
+        fh.write(re.sub(r"\[\s+(\d+),\s+(\d+)\s+\]", r"[\1, \2]", text) + "\n")
+
+
 def write_transcripts():
     with open(TRANSCRIPT_PATH, "w") as fh:
         json.dump([transcript(args) for args in TRANSCRIPTS], fh, indent=1)
@@ -175,6 +236,8 @@ def main():
     print(f"wrote {PATH} ({PATH.stat().st_size} bytes, {len(lines)} instances)", file=sys.stderr)
     write_transcripts()
     print(f"wrote {TRANSCRIPT_PATH}", file=sys.stderr)
+    write_ledger()
+    print(f"wrote {LEDGER_PATH}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -318,10 +318,15 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     if command == "trial":
         flags.remove("--expect-success")
     assert flags == set(options)
-    argv = [command] + [token for flag, (text, _) in options.items() for token in (flag, text)]
-    assert main(argv) == 0
-    if command == "trial":  # an explicit listing, and ssp, override g
-        assert main(["trial", "--g", "4"]) == 0
+
+    def argv(*left_out):
+        return [command] + [token for flag, (text, _) in options.items()
+                            if flag not in left_out for token in (flag, text)]
+
+    if command == "trial":  # --g and --topology exclude each other
+        assert main(argv("--g")) == main(argv("--topology")) == 0
+    else:
+        assert main(argv()) == 0
     for flag, (_, value) in options.items():
         assert any(type(v) is type(value) and v == value for v in received), flag
 
@@ -334,6 +339,9 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     (["trial", "--g", "9"], "need g <= L, got g=9 and L=6"),
     (["cost", "--g", "9", "--T", "1"], "need g <= L, got g=9 and L=6"),
     (["fig1", "--M", "22", "--trials", "1", "--g", "9"], "need g <= L, got g=9 and L=6"),
+    # ssp runs on full collaboration, but its g obeys the bound, as on `cost`
+    (["trial", "--algorithm", "ssp", "--g", "9", "--L", "3"], "need g <= L, got g=9 and L=3"),
+    (["trial", "--g", "2", "--topology", "1,2;2,1", "--L", "2"], "need --g or --topology, not both"),
 ])
 def test_g_bound_has_one_message_per_violation(capsys, monkeypatch, argv, message):
     # 2 <= g <= L is checked in one place, before any draw

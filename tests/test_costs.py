@@ -33,6 +33,8 @@ class TestCostParamsBounds:
         (dict(g=2.5), "need an integer g, got g=2.5"),
         (dict(N=200.0), "need an integer N, got N=200.0"),
         (dict(T=3.0), "need an integer T, got T=3.0"),
+        # only g and T may be None; N=None once raised TypeError at K <= N
+        (dict(N=None), "need an integer N, got N=None"),
     ])
     def test_rejected_naming_the_values(self, kw, message):
         with pytest.raises(ValueError, match=message):

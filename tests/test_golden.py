@@ -1,5 +1,6 @@
 """Golden regression: pursuit runs and sweep tables match ``golden/runs.json``,
-and ``dcsp trial`` prints ``golden/transcripts.json`` byte for byte.
+``dcsp trial`` prints ``golden/transcripts.json`` byte for byte, and two
+small sweeps make the calls of ``golden/ledger.json``.
 
 The files were written by ``golden/generate.py``; regenerate them only in
 a change that declares an output change.  Exact fields are compared through
@@ -14,8 +15,8 @@ import json
 import pytest
 
 from golden.generate import (
-    EXAMPLES, PATH, RUNS, TRANSCRIPT_PATH, _stored, instance_params,
-    run_instance, table_digests, transcript,
+    EXAMPLES, LEDGER_PATH, PATH, RUNS, TRANSCRIPT_PATH, _stored, instance_params,
+    ledger, run_instance, table_digests, transcript,
 )
 
 RTOL = 1e-12
@@ -65,3 +66,10 @@ with open(TRANSCRIPT_PATH) as fh:
 @pytest.mark.parametrize("pinned", PINNED, ids=[p["args"] or "default" for p in PINNED])
 def test_transcript_matches_golden(pinned):
     assert transcript(pinned["args"]) == pinned
+
+
+def test_work_ledger_matches_golden():
+    # calls and stacked rows per function, exactly: the same outputs from
+    # more (or fewer) calls, or from other stack shapes, show here
+    with open(LEDGER_PATH) as fh:
+        assert ledger() == json.load(fh)

@@ -130,9 +130,9 @@ class TestCorrelate:
 
 def test_as_index_set_canonicalizes():
     assert as_index_set([5, 2, 9]).tolist() == [2, 5, 9]
-    with pytest.raises(ValueError):
-        as_index_set([2, 2, 3])
-    with pytest.raises(ValueError, match="1-based"):
+    with pytest.raises(ValueError, match="distinct, got 2 more than once"):
+        as_index_set([2, 3, 2])
+    with pytest.raises(ValueError, match="1-based, got index 0"):
         as_index_set([0, 1])
     assert as_index_set([]).tolist() == []
     assert max_occ([], 0).tolist() == []
@@ -149,6 +149,9 @@ def test_as_index_set_canonicalizes():
     (as_index_set, ([2.7, 1],), "need integer entries in an index set, got 2.7"),
     (as_index_set, (["3"],), "need integer entries in an index set, got '3'"),
     (max_occ, ([1.7, 1.2, 3], 1), "need integer entries in a multiset, got 1.7"),
+    # an integer past int64 is named, not the valid entry before it
+    (as_index_set, ([1, 2**70],), f"need entries in an index set that fit int64, got {2**70}"),
+    (max_occ, ([3, 2**64], 1), f"need entries in a multiset that fit int64, got {2**64}"),
 ])
 def test_bad_selection_size_or_index_set_shape_named(operator, args, message):
     # a negative K once sliced off the last entries, a 2-d index set was

@@ -1,7 +1,10 @@
+import numbers
+import pickle
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcsp.network import (
     Topology,
@@ -52,7 +55,8 @@ class TestRingTopology:
             ring_topology(6, g)
         assert ring_topology(6, np.int64(3)).neighbor_link_count == 12
         # the same value as a neighbor id is rejected too, naming its node
-        with pytest.raises(ValueError, match=f"node 2 has a non-integer neighbor id {g!r}"):
+        message = f"node 2 neighbors: need integer entries in an index set, got {g!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             Topology(3, [[1, 2], [2, g], [3]])
         assert Topology(3, [[1, 2], np.array([2, 3], dtype=np.int32), [3]]).index.tolist() == \
             [[0, 1], [1, 2], [2, 3]]
@@ -117,16 +121,118 @@ class TestTopologyFromListing:
     (lambda: full_topology(-1), "need L >= 1, got L=-1"),
     (lambda: Topology(0, []), "need L >= 1, got L=0"),
     (lambda: topology_from_listing(""), "need L >= 1, got L=0"),
-    (lambda: Topology(2, [[0, 1], [1, 2]]), r"node 1 has neighbor id 0, outside \[1, L=2\]"),
     (lambda: Topology(3, [[1], [2, 4], [3]]), r"node 2 has neighbor id 4, outside \[1, L=3\]"),
-    # past int64: the range is checked before the cast, which would overflow
-    (lambda: Topology(2, [[1, 2**70], [2]]), rf"node 1 has neighbor id {2**70}, outside \[1, L=2\]"),
-    (lambda: topology_from_listing("1,99999999999999999999"),
-     r"node 1 has neighbor id 99999999999999999999, outside \[1, L=1\]"),
+    # what `dcsp trial --topology "1,99999999999999999999"` prints before it exits 2
+    pytest.param(lambda: topology_from_listing("1,99999999999999999999"),
+                 "node 1 neighbors: need entries in an index set that fit int64, "
+                 "got 99999999999999999999", id="listing-past-int64"),
 ])
 def test_node_count_and_ids_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _per_id_topology(L, neighbors):
+    """(index, neighbor_link_count) built by checking each id alone, the
+    reference that Topology's whole-set checks must agree with; a
+    ValueError where it rejects the listing."""
+    if len(neighbors) != L:
+        raise ValueError("need one neighbor set per node")
+    for l, g in enumerate(neighbors, start=1):
+        for v in g:
+            if not isinstance(v, numbers.Integral):
+                raise ValueError(f"node {l} has a non-integer neighbor id {v!r}")
+            if not 1 <= v <= L:
+                raise ValueError(f"node {l} has neighbor id {v}, outside [1, L={L}]")
+    neighbors = [np.sort(np.asarray(g, dtype=np.int64)) for g in neighbors]
+    index = np.full((L, max(map(len, neighbors))), L)
+    for l, g in enumerate(neighbors, start=1):
+        if l not in g:
+            raise ValueError(f"node {l} missing from its own neighborhood")
+        if np.unique(g).size != g.size:
+            raise ValueError("neighbor ids must be distinct")
+        index[l - 1, : g.size] = g - 1
+    return index, int(np.count_nonzero(index < L)) - L
+
+
+# node 2's set at L = 3, or the whole listing
+@pytest.mark.parametrize("neighbors, message", [
+    ([[1, 2], [2, 2.7], [3]], "node 2 neighbors: need integer entries in an index set, got 2.7"),
+    ([[1, 2], [2, "3"], [3]], "node 2 neighbors: need integer entries in an index set, got '3'"),
+    ([[1, 2], [0, 2], [3]], "node 2 neighbors: index sets are 1-based, got index 0"),
+    ([[1, 2], [2, 4], [3]], "node 2 has neighbor id 4, outside [1, L=3]"),
+    ([[1, 2], [2, 2**70], [3]],
+     f"node 2 neighbors: need entries in an index set that fit int64, got {2**70}"),
+    ([[1, 2], [2, 3, 3], [3]],
+     "node 2 neighbors: index set entries must be distinct, got 3 more than once"),
+    ([[1, 2], [1, 3], [3]], "node 2 missing from its own neighborhood"),
+    ([[1, 2], [2]], "need one neighbor set per node, got 2 sets"),
+], ids=["float", "str", "zero", "above-L", "past-int64", "repeat", "no-self", "set-count"])
+def test_rejected_neighbor_sets_name_their_node(neighbors, message):
+    # every listing rejected id by id is still rejected, naming its node
+    # and the offending id
+    with pytest.raises(ValueError):
+        _per_id_topology(3, neighbors)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Topology(3, neighbors)
+
+
+@st.composite
+def neighbor_lists(draw):
+    """(L, neighbors): per node a list of ids drawn from 0..L+1, so that
+    out-of-range ids, repeats and missing nodes occur beside valid sets."""
+    L = draw(st.integers(1, 7))
+    sets = st.lists(st.integers(0, L + 1), max_size=L + 2)
+    return L, draw(st.lists(sets, min_size=L, max_size=L))
+
+
+@given(neighbor_lists())
+@settings(max_examples=300, deadline=None)
+def test_whole_set_checks_match_per_id_checks(case):
+    L, neighbors = case
+    try:
+        index, links = _per_id_topology(L, neighbors)
+    except ValueError:
+        with pytest.raises(ValueError, match="^node "):
+            Topology(L, neighbors)
+        return
+    topo = Topology(L, neighbors)
+    assert topo.index.tolist() == index.tolist()
+    assert topo.neighbor_link_count == links
+
+
+@st.composite
+def valid_neighbor_lists(draw):
+    """(L, neighbors): per node its own id and any others, in any order."""
+    L = draw(st.integers(1, 8))
+    neighbors = []
+    for l in range(1, L + 1):
+        ids = draw(st.sets(st.integers(1, L))) | {l}
+        neighbors.append(draw(st.permutations(sorted(ids))))
+    return L, neighbors
+
+
+@given(valid_neighbor_lists())
+@settings(max_examples=200, deadline=None)
+def test_valid_sets_build_the_per_id_index(case):
+    L, neighbors = case
+    index, links = _per_id_topology(L, neighbors)
+    topo = Topology(L, neighbors)
+    assert topo.index.tolist() == index.tolist()
+    assert topo.neighbor_link_count == links
+
+
+def test_equality_compares_node_count_and_neighborhoods():
+    # a list of arrays once made == raise "truth value ... is ambiguous"
+    assert (ring_topology(4, 2) == ring_topology(4, 2)) is True
+    assert (ring_topology(4, 2) != ring_topology(4, 3)) is True
+    assert ring_topology(4, 4) == full_topology(4) == topology_from_listing("1,2,3,4;" * 4)
+    assert ring_topology(4, 2) != ring_topology(5, 2)
+    assert Topology(2, [[1], [2]]) != Topology(2, [[1, 2], [2]])
+    assert ring_topology(4, 2) != "ring"
+    topo = ring_topology(6, 3)
+    copy = pickle.loads(pickle.dumps(topo))
+    assert copy == topo and copy.neighbor_link_count == topo.neighbor_link_count
 
 
 class TestExchangeNeighbors:
