@@ -70,8 +70,8 @@ def as_index_set(indices):
     a = _int64(indices, "an index set")
     if a.ndim != 1:
         raise ValueError(f"index sets are 1-d, got shape {a.shape}")
-    s = np.unique(a)
-    if s.size != a.size:
+    s = np.sort(a)  # not np.unique: on numpy 2 its first call imports numpy.ma
+    if (s[1:] == s[:-1]).any():
         repeated = next(v for i, v in enumerate(a.tolist()) if v in a[:i])
         raise ValueError(f"index set entries must be distinct, got {repeated} more than once")
     if s.size and s[0] < 1:

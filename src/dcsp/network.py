@@ -42,8 +42,12 @@ class Topology:
 
     def __post_init__(self):
         self.L = _integer("L", self.L, 1)
-        if len(self.neighbors) != self.L:
-            raise ValueError(f"need one neighbor set per node, got {len(self.neighbors)} sets")
+        try:
+            count = len(self.neighbors)
+        except TypeError:  # None, an int, a 0-d array
+            raise ValueError(f"need a sequence of neighbor sets, got neighbors={self.neighbors!r}") from None
+        if count != self.L:
+            raise ValueError(f"need one neighbor set per node, got {count} sets")
         sets = []  # a new list: the caller's sequence (a tuple, say) is left as it was
         for l, g in enumerate(self.neighbors, start=1):
             try:

@@ -186,7 +186,8 @@ def _project_candidates(A, Y, rows, candidates):
     Nodes with equal-size sets share one stacked :func:`lstsq` call."""
     sizes = np.count_nonzero(candidates, axis=1)
     magnitudes = np.zeros(candidates.shape)
-    for size in np.unique(sizes):
+    # distinct sizes in ascending order, without np.unique (it imports numpy.ma)
+    for size in np.flatnonzero(np.bincount(sizes)):
         nodes = np.flatnonzero(sizes == size)
         cols = np.nonzero(candidates[nodes])[1].reshape(nodes.size, size)
         sub = _columns(A, rows[nodes], cols)

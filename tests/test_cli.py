@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -389,15 +390,23 @@ def test_readme_commands_parse():
     assert commands == {"fig1", "fig2", "trial", "cost"}
 
 
+def _run_python(code):
+    """``python -c code`` in a fresh interpreter that imports this
+    checkout's dcsp; its completed process, checked."""
+    src = str(Path(dcsp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+
+
 def test_import_does_not_load_scipy():
     # keeps package import, and with it sweep start-up, free of scipy, of
     # the process pool, which only a jobs > 1 sweep loads, and of
     # numpy.random (about 25 ms), which the first draw loads; a serial
     # sweep then loads no process pool either
-    src = str(Path(dcsp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     code = (
         "import sys, dcsp, dcsp.cli; "
         "loaded = lambda names: sorted(m for m in sys.modules if m in names "
@@ -407,7 +416,29 @@ def test_import_does_not_load_scipy():
         "g=2, trials=1, jobs=1)); "
         "print(loaded(('concurrent.futures', 'multiprocessing')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _run_python(code).stdout.split() == ["[]", "[]"]
+
+
+def test_runs_never_load_numpy_ma(tmp_path):
+    # numpy 2's np.unique imports numpy.ma on its first call (about 1.6 MB
+    # resident and 13 ms): no trial or sweep may reach it
+    small = ["--N", "40", "--M", "20", "--K", "4"]
+    calls = [
+        ["trial"],
+        ["trial", "--topology", "1,2;2,3;3,1", "--L", "3", *small],
+        ["fig2", "--L", "3:4", *small, "--trials", "2", "--jobs", "2", "--out", str(tmp_path / "t")],
+    ]
+    report = tmp_path / "report.json"
+    code = (
+        "import json, sys, numpy; loaded = ['numpy.ma' in sys.modules]; "
+        "from dcsp.cli import main; "
+        f"codes = [main(argv) for argv in {calls!r}]; "
+        "loaded.append('numpy.ma' in sys.modules); "
+        f"json.dump([codes, loaded], open({str(report)!r}, 'w'))"
     )
-    assert out.stdout.split() == ["[]", "[]"]
+    _run_python(code)
+    codes, loaded = json.loads(report.read_text())
+    if loaded[0]:
+        pytest.skip("this numpy imports numpy.ma with numpy")  # numpy 1.x does
+    assert codes == [0, 0, 0]
+    assert not loaded[1]

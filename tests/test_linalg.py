@@ -135,7 +135,22 @@ def test_as_index_set_canonicalizes():
     with pytest.raises(ValueError, match="1-based, got index 0"):
         as_index_set([0, 1])
     assert as_index_set([]).tolist() == []
+    assert as_index_set([]).dtype == np.int64
     assert max_occ([], 0).tolist() == []
+
+
+@given(st.lists(st.one_of(st.integers(-3, 12), st.integers(-2**63, 2**63 - 1)), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_index_set_is_the_unique_of_distinct_positive_entries(entries):
+    # a set of distinct entries >= 1 comes back as np.unique gives it;
+    # any other integer list is a ValueError
+    if len(set(entries)) == len(entries) and min(entries, default=1) >= 1:
+        expected = np.unique(np.array(entries, dtype=np.int64))
+        result = as_index_set(entries)
+        assert result.dtype == expected.dtype and result.tolist() == expected.tolist()
+    else:
+        with pytest.raises(ValueError):
+            as_index_set(entries)
 
 
 @pytest.mark.parametrize("operator, args, message", [
@@ -152,6 +167,12 @@ def test_as_index_set_canonicalizes():
     # an integer past int64 is named, not the valid entry before it
     (as_index_set, ([1, 2**70],), f"need entries in an index set that fit int64, got {2**70}"),
     (max_occ, ([3, 2**64], 1), f"need entries in a multiset that fit int64, got {2**64}"),
+    (as_index_set, ([[1, 1]],), "index sets are 1-d, got shape (1, 2)"),
+    (as_index_set, (np.empty((0, 2), dtype=np.int64),), "index sets are 1-d, got shape (0, 2)"),
+    # the first entry that repeats in input order is named, not the smallest
+    (as_index_set, ([3, 1, 3, 1],), "index set entries must be distinct, got 3 more than once"),
+    (as_index_set, ([-4, 2],), "index sets are 1-based, got index -4"),
+    (as_index_set, ([0, 1],), "index sets are 1-based, got index 0"),
 ])
 def test_bad_selection_size_or_index_set_shape_named(operator, args, message):
     # a negative K once sliced off the last entries, a 2-d index set was

@@ -122,6 +122,10 @@ class TestTopologyFromListing:
     (lambda: Topology(0, []), "need L >= 1, got L=0"),
     (lambda: topology_from_listing(""), "need L >= 1, got L=0"),
     (lambda: Topology(3, [[1], [2, 4], [3]]), r"node 2 has neighbor id 4, outside \[1, L=3\]"),
+    # a neighbor list with no length was a TypeError from len()
+    (lambda: Topology(2, None), "need a sequence of neighbor sets, got neighbors=None"),
+    (lambda: Topology(2, 5), "need a sequence of neighbor sets, got neighbors=5"),
+    (lambda: Topology(2, np.array(5)), r"need a sequence of neighbor sets, got neighbors=array\(5\)"),
     # what `dcsp trial --topology "1,99999999999999999999"` prints before it exits 2
     pytest.param(lambda: topology_from_listing("1,99999999999999999999"),
                  "node 1 neighbors: need entries in an index set that fit int64, "
