@@ -95,13 +95,29 @@ def _stack(A, y):
     return A, y, single
 
 
+def _check_rank(r):
+    """Raise RankDeficientError, naming the first such slice, if a slice
+    of the triangular stack ``r`` has a diagonal ratio below ``RANK_TOL``."""
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    dmin, dmax = diag.min(axis=1), diag.max(axis=1)
+    deficient = (dmax == 0.0) | (dmin < RANK_TOL * dmax)
+    if deficient.any():
+        i = int(np.argmax(deficient))
+        raise RankDeficientError(
+            f"effective rank < {r.shape[-1]} in slice {i} "
+            f"(diag ratio {dmin[i]:.3e} / {dmax[i]:.3e})"
+        )
+
+
 def lstsq(A, y):
     """Least-squares coefficients of ``y`` against the columns of ``A``.
 
-    Solves ``min_c ||y - A c||_2`` through a reduced QR factorization
-    (never by inverting the Gram matrix).  A leading stack axis solves one
-    independent problem per slice, each bit-identical to the 2-d call on
-    that slice.
+    Solves ``min_c ||y - A c||_2`` from the Householder R factor of the
+    augmented matrix ``[A | y]`` (never by inverting the Gram matrix):
+    its last column carries ``Q.T @ y``, so Q is never formed and the
+    coefficients are one triangular solve away.  A leading stack axis
+    solves one independent problem per slice, each bit-identical to the
+    2-d call on that slice.
 
     Parameters
     ----------
@@ -117,7 +133,7 @@ def lstsq(A, y):
     ------
     RankDeficientError
         If, in any slice, the smallest diagonal magnitude of the triangular
-        factor falls below ``RANK_TOL`` relative to the largest.
+        factor of ``A`` falls below ``RANK_TOL`` relative to the largest.
     """
     A, y, single = _stack(A, y)
     n, m, k = A.shape
@@ -126,30 +142,34 @@ def lstsq(A, y):
     if k == 0:
         c = np.zeros((n, 0))
     else:
-        q, r = np.linalg.qr(A, mode="reduced")
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        dmin, dmax = diag.min(axis=1), diag.max(axis=1)
-        deficient = (dmax == 0.0) | (dmin < RANK_TOL * dmax)
-        if deficient.any():
-            i = int(np.argmax(deficient))
-            raise RankDeficientError(
-                f"effective rank < {k} in slice {i} "
-                f"(diag ratio {dmin[i]:.3e} / {dmax[i]:.3e})"
-            )
-        # r is upper triangular with a nonzero diagonal, so the LU inside
-        # solve pivots nothing and reduces to back substitution
-        c = np.linalg.solve(r, np.matmul(q.transpose(0, 2, 1), y[..., None]))[..., 0]
+        r = np.linalg.qr(np.concatenate([A, y[..., None]], -1), mode="r")[:, :k]
+        _check_rank(r[..., :k])
+        # r[..., :k] is upper triangular with a nonzero diagonal, so the LU
+        # inside solve pivots nothing and reduces to back substitution
+        c = np.linalg.solve(r[..., :k], r[..., k:])[..., 0]
     return c[0] if single else c
 
 
 def resid(y, A):
     """Residual of ``y`` after projecting onto the column space of ``A``.
 
-    Returns ``y - A @ lstsq(A, y)``, slice by slice for a stacked ``A``;
-    propagates RankDeficientError.
+    Returns ``y - A c``, slice by slice for a stacked ``A``, with ``c``
+    solved through a reduced QR that forms Q explicitly and takes
+    ``Q.T @ y`` by matmul: this keeps the residual energies' bits, and
+    it is not bit-equal to ``y - A @ lstsq(A, y)``.  Raises ValueError
+    unless k <= M, and RankDeficientError as :func:`lstsq` does.
     """
     A, y, single = _stack(A, y)
-    r = y - np.matmul(A, lstsq(A, y)[..., None])[..., 0]
+    m, k = A.shape[1:]
+    if k > m:
+        raise ValueError(f"need k <= M, got {k} columns and {m} rows")
+    if k == 0:
+        r = y.copy()
+    else:
+        q, t = np.linalg.qr(A, mode="reduced")
+        _check_rank(t)
+        c = np.linalg.solve(t, np.matmul(q.transpose(0, 2, 1), y[..., None]))
+        r = y - np.matmul(A, c)[..., 0]
     return r[0] if single else r
 
 

@@ -50,9 +50,9 @@ the node rows of every live run for missed residuals (once per distinct
 draw and support, so ssp and dcsp share a support they reach together),
 each candidate-size ``lstsq`` group, the top-K ranking and dcsp's fusion,
 so a small network stops paying numpy's fixed cost per call on every run
-(on a 2-core x86 VM, an ``lstsq`` of 36 x 15 slices took about 66 µs for
-one slice, 20 µs per slice for 16).  Fabric rounds, stopping, traces and
-wire counters stay per algorithm and per run, and a stopped run drops
+(on a 2-core x86 VM, an ``lstsq`` of 36 x 15 slices took about 45-65 µs
+for one slice, 9-10 µs per slice for 16).  Fabric rounds, stopping, traces
+and wire counters stay per algorithm and per run, and a stopped run drops
 out.  Every slice computes as it does alone, so each result equals the
 run on its own draw; a rank-deficient projection in any run raises for
 the whole batch.

@@ -361,7 +361,8 @@ def _raises_rank(fn, *args):
 @given(stacked_system())
 @example(stacked_system_of(1, 1, 5, 3))  # a stack of one
 @example(stacked_system_of(2, 4, 5, 0))  # no columns
-@example(stacked_system_of(3, 4, 5, 5))  # square slices, k = M
+@example(stacked_system_of(3, 4, 5, 5))  # square slices, k = M: [A | y] is wider than tall
+@example(stacked_system_of(4, 3, 6, 5))  # k = M - 1: [A | y] is square
 @settings(max_examples=150, deadline=None)
 def test_stacked_calls_match_each_slice(system):
     A, y, D = system

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -574,6 +575,37 @@ def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
     distinct = sum(len({s.tobytes() for s in a.support_trace + b.support_trace})
                    for a, b in zip(runs["ssp"], runs["dcsp"]))
     assert sum(slices) == config.L * distinct
+
+
+def test_projections_never_form_q(monkeypatch):
+    # lstsq reads Q.T @ y off the R factor of [A | y]; only resid forms
+    # Q, once per call, so that the residual energies keep their bits
+    calls = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        if sys._getframe(1).f_globals["__name__"] == "dcsp.linalg":
+            calls[-1][1].append(mode)
+        return qr(a, mode)
+
+    def recording(name, function):
+        def record(*args):
+            calls.append((name, []))
+            return function(*args)
+        return record
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(pursuit, "lstsq", recording("lstsq", pursuit.lstsq))
+    monkeypatch.setattr(pursuit, "resid", recording("resid", pursuit.resid))
+    config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
+    draws = [generate(dataclasses.replace(config, seed=s)) for s in range(4)]
+    run_batch({"ssp": None, "dcsp": ring_topology(4, 2)}, draws)
+    assert {name for name, _ in calls} == {"lstsq", "resid"}
+    for name, modes in calls:
+        if name == "lstsq":
+            assert modes == ["r"]
+        else:
+            assert modes.count("reduced") == 1
 
 
 def test_fusion_ranks_every_run_of_a_round_in_one_call(monkeypatch):
