@@ -115,9 +115,11 @@ def lstsq(A, y):
     Solves ``min_c ||y - A c||_2`` from the Householder R factor of the
     augmented matrix ``[A | y]`` (never by inverting the Gram matrix):
     its last column carries ``Q.T @ y``, so Q is never formed and the
-    coefficients are one triangular solve away.  A leading stack axis
-    solves one independent problem per slice, each bit-identical to the
-    2-d call on that slice.
+    coefficients are one triangular solve away.  R is read in place from
+    the raw factor that ``np.linalg.qr`` returns, so no triangular copy
+    of it is made; ``A`` and ``y`` are left unchanged.  A leading stack
+    axis solves one independent problem per slice, each bit-identical to
+    the 2-d call on that slice.
 
     Parameters
     ----------
@@ -142,7 +144,11 @@ def lstsq(A, y):
     if k == 0:
         c = np.zeros((n, 0))
     else:
-        r = np.linalg.qr(np.concatenate([A, y[..., None]], -1), mode="r")[:, :k]
+        # qr's raw factor is its own copy of [A | y], transposed: R on and
+        # above the diagonal, reflectors below, zeroed here in place
+        h = np.linalg.qr(np.concatenate([A, y[..., None]], -1), mode="raw")[0]
+        r = h.transpose(0, 2, 1)[:, :k]  # k rows exist even at k = M
+        r[:, np.tri(k, k + 1, -1, dtype=bool)] = 0.0
         _check_rank(r[..., :k])
         # r[..., :k] is upper triangular with a nonzero diagonal, so the LU
         # inside solve pivots nothing and reduces to back substitution

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ class TestLstsq:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
             lstsq(np.ones((2, 3)), np.ones(2))
+
+    def test_stacked_call_holds_two_augmented_stacks(self):
+        # [A | y] and qr's working copy of it, plus O(n k): R is read in
+        # place from the raw factor, with no triangular copy beside them
+        n, m, k = 96, 50, 20
+        rng = np.random.default_rng(0)
+        # column-major slices, as pursuit._columns gathers them
+        A = rng.standard_normal((n, k, m)).transpose(0, 2, 1)
+        y = rng.standard_normal((n, m))
+        lstsq(A, y)  # first-call allocations are not the call's own
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lstsq(A, y)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * m * (k + 1) * 8
 
 
 class TestResid:
@@ -366,6 +386,7 @@ def _raises_rank(fn, *args):
 @settings(max_examples=150, deadline=None)
 def test_stacked_calls_match_each_slice(system):
     A, y, D = system
+    A0, y0 = A.copy(), y.copy()
     per_slice = [_raises_rank(lstsq, A[i], y[i]) for i in range(A.shape[0])]
     stacked_failed, c = _raises_rank(lstsq, A, y)
     assert stacked_failed == any(failed for failed, _ in per_slice)
@@ -375,6 +396,8 @@ def test_stacked_calls_match_each_slice(system):
         for i, (_, ci) in enumerate(per_slice):
             assert np.array_equal(c[i], ci)
             assert np.array_equal(r[i], resid(y[i], A[i]))
+    # lstsq and resid write only into arrays of their own
+    assert A.tobytes() == A0.tobytes() and y.tobytes() == y0.tobytes()
     corr = correlate(D, y)
     assert corr.shape == (D.shape[0], D.shape[2])
     for i in range(D.shape[0]):

@@ -578,8 +578,8 @@ def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
 
 
 def test_projections_never_form_q(monkeypatch):
-    # lstsq reads Q.T @ y off the R factor of [A | y]; only resid forms
-    # Q, once per call, so that the residual energies keep their bits
+    # lstsq reads Q.T @ y off the raw R factor of [A | y]; only resid
+    # forms Q, once per call, so that the residual energies keep their bits
     calls = []
     qr = np.linalg.qr
 
@@ -603,7 +603,7 @@ def test_projections_never_form_q(monkeypatch):
     assert {name for name, _ in calls} == {"lstsq", "resid"}
     for name, modes in calls:
         if name == "lstsq":
-            assert modes == ["r"]
+            assert modes == ["raw"]
         else:
             assert modes.count("reduced") == 1
 
