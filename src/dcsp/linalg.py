@@ -84,11 +84,15 @@ def _stack(A, y):
 
     A 2-d ``A`` (with 1-d ``y``) is a stack of one.  Also returns whether
     the input was unstacked, so callers can hand back the same form.
+    Raises ValueError unless ``y`` has the shape of ``A`` without its
+    last axis.
     """
     A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if A.ndim not in (2, 3):
         raise ValueError("A must be 2-d or a stack of 2-d matrices")
+    if y.shape != A.shape[:-1]:
+        raise ValueError(f"need y of shape {A.shape[:-1]} for A of shape {A.shape}, got {y.shape}")
     single = A.ndim == 2
     if single:
         A, y = A[None], y[None]
@@ -112,14 +116,10 @@ def _check_rank(r):
 def lstsq(A, y):
     """Least-squares coefficients of ``y`` against the columns of ``A``.
 
-    Solves ``min_c ||y - A c||_2`` from the Householder R factor of the
-    augmented matrix ``[A | y]`` (never by inverting the Gram matrix):
-    its last column carries ``Q.T @ y``, so Q is never formed and the
-    coefficients are one triangular solve away.  R is read in place from
-    the raw factor that ``np.linalg.qr`` returns, so no triangular copy
-    of it is made; ``A`` and ``y`` are left unchanged.  A leading stack
-    axis solves one independent problem per slice, each bit-identical to
-    the 2-d call on that slice.
+    Solves ``min_c ||y - A c||_2`` through :func:`lstsq_augmented` on the
+    stack ``[A | y]``, built here; ``A`` and ``y`` are left unchanged.  A
+    leading stack axis solves one independent problem per slice, each
+    bit-identical to the 2-d call on that slice.
 
     Parameters
     ----------
@@ -138,22 +138,39 @@ def lstsq(A, y):
         factor of ``A`` falls below ``RANK_TOL`` relative to the largest.
     """
     A, y, single = _stack(A, y)
-    n, m, k = A.shape
+    c = lstsq_augmented(np.concatenate([A, y[..., None]], -1))
+    return c[0] if single else c
+
+
+def lstsq_augmented(Ay):
+    """:func:`lstsq` of each slice ``[A | y]`` of the (n, M, k + 1) stack
+    ``Ay``, as an (n, k) stack of coefficients.
+
+    Solves from the Householder R factor of ``[A | y]`` (never by inverting
+    the Gram matrix): its last column carries ``Q.T @ y``, so Q is never
+    formed and the coefficients are one triangular solve away.  R is read
+    in place from the raw factor that ``np.linalg.qr`` returns, so no
+    triangular copy of it is made, and ``Ay`` is left unchanged.  qr
+    copies each slice into Fortran order before LAPACK reads it, so the
+    bits do not depend on the layout of ``Ay``: a caller may gather it
+    straight into any buffer.  Raises ValueError unless k <= M, and
+    RankDeficientError as :func:`lstsq` does.
+    """
+    n, m, width = Ay.shape
+    k = width - 1
     if k > m:
         raise ValueError(f"need k <= M, got {k} columns and {m} rows")
     if k == 0:
-        c = np.zeros((n, 0))
-    else:
-        # qr's raw factor is its own copy of [A | y], transposed: R on and
-        # above the diagonal, reflectors below, zeroed here in place
-        h = np.linalg.qr(np.concatenate([A, y[..., None]], -1), mode="raw")[0]
-        r = h.transpose(0, 2, 1)[:, :k]  # k rows exist even at k = M
-        r[:, np.tri(k, k + 1, -1, dtype=bool)] = 0.0
-        _check_rank(r[..., :k])
-        # r[..., :k] is upper triangular with a nonzero diagonal, so the LU
-        # inside solve pivots nothing and reduces to back substitution
-        c = np.linalg.solve(r[..., :k], r[..., k:])[..., 0]
-    return c[0] if single else c
+        return np.zeros((n, 0))
+    # qr's raw factor is its own copy of [A | y], transposed: R on and
+    # above the diagonal, reflectors below, zeroed here in place
+    h = np.linalg.qr(Ay, mode="raw")[0]
+    r = h.transpose(0, 2, 1)[:, :k]  # k rows exist even at k = M
+    r[:, np.tri(k, k + 1, -1, dtype=bool)] = 0.0
+    _check_rank(r[..., :k])
+    # r[..., :k] is upper triangular with a nonzero diagonal, so the LU
+    # inside solve pivots nothing and reduces to back substitution
+    return np.linalg.solve(r[..., :k], r[..., k:])[..., 0]
 
 
 def resid(y, A):

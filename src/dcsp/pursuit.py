@@ -75,7 +75,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import _integer, correlate, lstsq, max_ind, max_occ, resid
+from .linalg import _integer, correlate, lstsq_augmented, max_ind, max_occ, resid
 from .network import (
     Topology,
     WireCounter,
@@ -183,15 +183,27 @@ def _project_candidates(A, Y, rows, candidates):
     """Magnitudes of each node's least-squares coefficients on its own
     candidate set (a row of the (n, N) mask ``candidates``, for the node at
     stack row ``rows[i]``), scattered into an (n, N) stack, and the sizes.
-    Nodes with equal-size sets share one stacked :func:`lstsq` call."""
+    Nodes with equal-size sets share one :func:`lstsq_augmented` call, in
+    ascending size, on one (n, k + 1, M) buffer that takes their columns,
+    gathered as :func:`_columns` gathers them, and their ``Y`` rows: no
+    separate gathered ``A`` lives beside the ``[A | y]`` that qr copies."""
     sizes = np.count_nonzero(candidates, axis=1)
     magnitudes = np.zeros(candidates.shape)
+    # rows by ascending size, in stack order within a size, so each size
+    # group's column lists are one run of the sorted mask's nonzeros
+    order = np.argsort(sizes, kind="stable")
+    cols = np.nonzero(candidates[order])[1]
+    counts = np.bincount(sizes)
+    first = taken = 0  # rows and column entries of the groups before
     # distinct sizes in ascending order, without np.unique (it imports numpy.ma)
-    for size in np.flatnonzero(np.bincount(sizes)):
-        nodes = np.flatnonzero(sizes == size)
-        cols = np.nonzero(candidates[nodes])[1].reshape(nodes.size, size)
-        sub = _columns(A, rows[nodes], cols)
-        magnitudes[nodes[:, None], cols] = np.abs(lstsq(sub, Y[rows[nodes]]))
+    for size in np.flatnonzero(counts):
+        nodes = order[first:first + counts[size]]
+        group = cols[taken:taken + nodes.size * size].reshape(nodes.size, size)
+        first, taken = first + nodes.size, taken + group.size
+        stack = np.empty((nodes.size, size + 1, A.shape[1]))
+        stack[:, :size] = A.transpose(0, 2, 1)[rows[nodes][:, None], group]
+        stack[:, size] = Y[rows[nodes]]
+        magnitudes[nodes[:, None], group] = np.abs(lstsq_augmented(stack.transpose(0, 2, 1)))
     return magnitudes, sizes
 
 

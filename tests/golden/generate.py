@@ -64,7 +64,7 @@ LEDGER_PATH = Path(__file__).with_name("ledger.json")
 # ndim unstacked): a call's rows are the stack's length, 1 if unstacked;
 # with ndim 0 the argument is always a sequence
 LEDGER_CALLS = (
-    (pursuit, "lstsq", 0, 2),
+    (pursuit, "lstsq_augmented", 0, 2),
     (pursuit, "resid", 0, 1),
     (pursuit, "correlate", 0, 2),
     (pursuit, "max_ind", 0, 1),

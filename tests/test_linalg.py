@@ -10,6 +10,7 @@ from dcsp.linalg import (
     as_index_set,
     correlate,
     lstsq,
+    lstsq_augmented,
     max_ind,
     max_occ,
     resid,
@@ -48,6 +49,16 @@ class TestLstsq:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
             lstsq(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(ValueError, match="need k <= M, got 3 columns and 2 rows"):
+            lstsq_augmented(np.ones((4, 2, 4)))
+
+    @pytest.mark.parametrize("A_shape, y_shape", [((5, 3), (4,)), ((2, 5, 3), (5,))])
+    def test_mismatched_y_rejected(self, A_shape, y_shape):
+        A, y = np.ones(A_shape), np.ones(y_shape)
+        message = f"need y of shape {A_shape[:-1]} for A of shape {A_shape}, got {y_shape}"
+        for call in (lambda: lstsq(A, y), lambda: resid(y, A), lambda: correlate(A, y)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
     def test_stacked_call_holds_two_augmented_stacks(self):
         # [A | y] and qr's working copy of it, plus O(n k): R is read in
@@ -390,13 +401,19 @@ def test_stacked_calls_match_each_slice(system):
     per_slice = [_raises_rank(lstsq, A[i], y[i]) for i in range(A.shape[0])]
     stacked_failed, c = _raises_rank(lstsq, A, y)
     assert stacked_failed == any(failed for failed, _ in per_slice)
+    # the augmented entry point, on the stack lstsq builds, is lstsq
+    Ay = np.concatenate([A, y[..., None]], -1)
+    augmented_failed, ca = _raises_rank(lstsq_augmented, Ay)
+    assert augmented_failed == stacked_failed
+    assert np.array_equal(Ay[..., :-1], A) and np.array_equal(Ay[..., -1], y)
     if not stacked_failed:
         r = resid(y, A)
         assert c.shape == A.shape[::2] and r.shape == y.shape
+        assert np.array_equal(ca, c)
         for i, (_, ci) in enumerate(per_slice):
             assert np.array_equal(c[i], ci)
             assert np.array_equal(r[i], resid(y[i], A[i]))
-    # lstsq and resid write only into arrays of their own
+    # lstsq, lstsq_augmented and resid write only into arrays of their own
     assert A.tobytes() == A0.tobytes() and y.tobytes() == y0.tobytes()
     corr = correlate(D, y)
     assert corr.shape == (D.shape[0], D.shape[2])

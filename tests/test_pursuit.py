@@ -578,8 +578,9 @@ def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
 
 
 def test_projections_never_form_q(monkeypatch):
-    # lstsq reads Q.T @ y off the raw R factor of [A | y]; only resid
-    # forms Q, once per call, so that the residual energies keep their bits
+    # lstsq_augmented reads Q.T @ y off the raw R factor of the [A | y]
+    # that _project_candidates gathers; only resid forms Q, once per call,
+    # so that the residual energies keep their bits
     calls = []
     qr = np.linalg.qr
 
@@ -595,17 +596,43 @@ def test_projections_never_form_q(monkeypatch):
         return record
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
-    monkeypatch.setattr(pursuit, "lstsq", recording("lstsq", pursuit.lstsq))
+    monkeypatch.setattr(pursuit, "lstsq_augmented",
+                        recording("lstsq_augmented", pursuit.lstsq_augmented))
     monkeypatch.setattr(pursuit, "resid", recording("resid", pursuit.resid))
     config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
     draws = [generate(dataclasses.replace(config, seed=s)) for s in range(4)]
     run_batch({"ssp": None, "dcsp": ring_topology(4, 2)}, draws)
-    assert {name for name, _ in calls} == {"lstsq", "resid"}
+    assert {name for name, _ in calls} == {"lstsq_augmented", "resid"}
     for name, modes in calls:
-        if name == "lstsq":
+        if name == "lstsq_augmented":
             assert modes == ["raw"]
         else:
             assert modes.count("reduced") == 1
+
+
+def test_projection_group_holds_two_augmented_stacks():
+    # one size group gathers straight into its [A | y] buffer, so only qr's
+    # working copy of it joins it, plus O(n k); a separately gathered A
+    # beside both would make about three
+    n, m, k, N = 96, 50, 20, 60
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((n, m, N))
+    Y = rng.standard_normal((n, m))
+    candidates = np.zeros((n, N), dtype=bool)
+    for row in candidates:
+        row[rng.choice(N, size=k, replace=False)] = True
+    rows = np.arange(n)
+    pursuit._project_candidates(A, Y, rows, candidates)  # first-call allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        magnitudes, sizes = pursuit._project_candidates(A, Y, rows, candidates)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sizes.tolist() == [k] * n and np.count_nonzero(magnitudes) == n * k
+    assert peak <= 2.4 * n * m * (k + 1) * 8
 
 
 def test_fusion_ranks_every_run_of_a_round_in_one_call(monkeypatch):
