@@ -7,7 +7,7 @@ from dcsp import (
     ProblemConfig,
     correlate,
     generate,
-    lstsq,
+    lstsq_augmented,
     max_ind,
     max_occ,
     resid,
@@ -21,11 +21,12 @@ print("max_ind([0.1, -5, 2, 0.3], K=2) ->", max_ind(v, 2))
 votes = [1, 1, 2, 3, 3, 3]
 print("max_occ({1,1,2,3,3,3}, K=2)     ->", max_occ(votes, 2))
 
-# Least-squares projection and its residual, computed by QR.
+# Least-squares projection and its residual, computed by QR.  The
+# projection solves a stack of [A | y] matrices, here a stack of one.
 rng = np.random.default_rng(0)
 A = rng.standard_normal((6, 3))
 y = rng.standard_normal(6)
-coeffs = lstsq(A, y)
+coeffs = lstsq_augmented(np.column_stack([A, y])[None])[0]
 r = resid(y, A)
 print("\nprojection coefficients:", np.round(coeffs, 4))
 print("residual is orthogonal to the columns:", np.round(A.T @ r, 12))

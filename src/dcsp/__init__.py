@@ -30,7 +30,7 @@ from .linalg import (
     RankDeficientError,
     as_index_set,
     correlate,
-    lstsq,
+    lstsq_augmented,
     max_ind,
     max_occ,
     resid,
@@ -79,7 +79,7 @@ __all__ = [
     "exchange_neighbors",
     "full_topology",
     "generate",
-    "lstsq",
+    "lstsq_augmented",
     "max_ind",
     "max_occ",
     "resid",

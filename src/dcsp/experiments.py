@@ -178,8 +178,7 @@ def _attempt(config: ExperimentConfig, value, trials, topologies, attempt):
     problem, _ = config.point(value)
     # every batch takes a whole budget's block and fills what it needs, so
     # that malloc reuses one freed block for all of them: blocks of mixed
-    # sizes left a freed one resident beside a new one in about half of
-    # the lsweep sweeps, +4 MB of peak RSS
+    # sizes can leave a freed one resident beside a new one (README)
     size = len(trials) * problem.L * problem.M * problem.N
     stack = np.empty(max(size, BATCH_BYTES // 8))[:size].reshape(
         len(trials), problem.L, problem.M, problem.N)

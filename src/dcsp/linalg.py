@@ -113,38 +113,10 @@ def _check_rank(r):
         )
 
 
-def lstsq(A, y):
-    """Least-squares coefficients of ``y`` against the columns of ``A``.
-
-    Solves ``min_c ||y - A c||_2`` through :func:`lstsq_augmented` on the
-    stack ``[A | y]``, built here; ``A`` and ``y`` are left unchanged.  A
-    leading stack axis solves one independent problem per slice, each
-    bit-identical to the 2-d call on that slice.
-
-    Parameters
-    ----------
-    A : ndarray, shape (M, k) or (n, M, k)
-        Column dictionary, k <= M.
-    y : ndarray, shape (M,) or (n, M)
-
-    Returns
-    -------
-    c : ndarray, shape (k,) or (n, k)
-
-    Raises
-    ------
-    RankDeficientError
-        If, in any slice, the smallest diagonal magnitude of the triangular
-        factor of ``A`` falls below ``RANK_TOL`` relative to the largest.
-    """
-    A, y, single = _stack(A, y)
-    c = lstsq_augmented(np.concatenate([A, y[..., None]], -1))
-    return c[0] if single else c
-
-
 def lstsq_augmented(Ay):
-    """:func:`lstsq` of each slice ``[A | y]`` of the (n, M, k + 1) stack
-    ``Ay``, as an (n, k) stack of coefficients.
+    """Least-squares coefficients of each slice ``[A | y]`` of the
+    (n, M, k + 1) array ``Ay``: the (n, k) stack of the ``c`` minimizing
+    ``||y - A c||_2``, each row bit-identical to the call on its slice.
 
     Solves from the Householder R factor of ``[A | y]`` (never by inverting
     the Gram matrix): its last column carries ``Q.T @ y``, so Q is never
@@ -153,9 +125,14 @@ def lstsq_augmented(Ay):
     triangular copy of it is made, and ``Ay`` is left unchanged.  qr
     copies each slice into Fortran order before LAPACK reads it, so the
     bits do not depend on the layout of ``Ay``: a caller may gather it
-    straight into any buffer.  Raises ValueError unless k <= M, and
-    RankDeficientError as :func:`lstsq` does.
+    straight into any buffer.  Raises ValueError unless ``Ay`` is such an
+    array with k <= M, and RankDeficientError if, in any slice, the
+    smallest diagonal magnitude of A's triangular factor (R's first k
+    columns) falls below ``RANK_TOL`` times the largest.
     """
+    if not isinstance(Ay, np.ndarray) or Ay.ndim != 3 or not Ay.shape[2]:
+        raise ValueError(f"need an (n, M, k + 1) array [A | y], got "
+                         f"{type(Ay).__name__} of shape {np.shape(Ay)}")
     n, m, width = Ay.shape
     k = width - 1
     if k > m:
@@ -178,9 +155,11 @@ def resid(y, A):
 
     Returns ``y - A c``, slice by slice for a stacked ``A``, with ``c``
     solved through a reduced QR that forms Q explicitly and takes
-    ``Q.T @ y`` by matmul: this keeps the residual energies' bits, and
-    it is not bit-equal to ``y - A @ lstsq(A, y)``.  Raises ValueError
-    unless k <= M, and RankDeficientError as :func:`lstsq` does.
+    ``Q.T @ y`` by matmul: this keeps the residual energies' bits, and it
+    is not bit-equal to ``y - A c`` with ``c`` from :func:`lstsq_augmented`.
+    Raises ValueError unless k <= M, and RankDeficientError if, in any
+    slice, the smallest diagonal magnitude of A's triangular factor falls
+    below ``RANK_TOL`` times the largest.
     """
     A, y, single = _stack(A, y)
     m, k = A.shape[1:]
@@ -202,9 +181,12 @@ def max_ind(v, K):
     Ties are broken in favor of the smaller index, so the result is a
     deterministic function of the input.  A stack ``v`` of shape (n, N)
     selects row by row and returns shape (n, K), each row equal to the
-    1-d call on that row.  Raises ValueError unless K is an integer 0..N.
+    1-d call on that row.  Raises ValueError unless K is an integer 0..N
+    and ``v`` is 1-d or 2-d.
     """
     key = -np.abs(np.asarray(v, dtype=np.float64))
+    if key.ndim not in (1, 2):
+        raise ValueError(f"max_ind ranks a 1-d or 2-d v, got shape {key.shape}")
     N = key.shape[-1]
     K = _integer("K", K, 0, ("N", N))
     if key.ndim == 2 and len(key) > 1 and 0 < K < N:
@@ -235,11 +217,13 @@ def max_occ(m, K):
     Raises
     ------
     ValueError
-        If ``K`` is not an integer >= 0, ``m`` holds a non-integer, or
-        ``K`` exceeds the distinct values of a row.
+        If ``K`` is not an integer >= 0, ``m`` is above 2-d or holds a
+        non-integer, or ``K`` exceeds the distinct values of a row.
     """
     K = _integer("K", K, 0)
     m = _int64(m, "a multiset")
+    if m.ndim > 2:
+        raise ValueError(f"max_occ ranks a 1-d or 2-d multiset, got shape {m.shape}")
     rows = np.atleast_2d(m)
     if rows.min(initial=0) < 0:
         raise ValueError("max_occ counts nonnegative integers")

@@ -150,8 +150,8 @@ class _SeedWords:
 def _streams(seeds, keys):
     """Per seed, one ``numpy.random.Generator`` per spawn key, see
     :func:`_stream_states`."""
-    # numpy.random is imported on the first draw, not with the module:
-    # loading it costs about 25 ms, which `import dcsp` would otherwise pay
+    # numpy.random is imported on the first draw, not with the module, so
+    # that `import dcsp` does not pay for loading it (README)
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 

@@ -1,71 +1,35 @@
 """Decentralized subspace-pursuit style support recovery.
 
-One pursuit loop, :func:`run_batch`, runs both algorithms on a batch of
-draws at once; two public entry points run one algorithm on one draw:
+One pursuit loop, :func:`run_batch`, runs ssp (full collaboration) and
+dcsp (neighborhood collaboration) on a batch of draws; :func:`ssp_run`
+and :func:`dcsp_run` run one algorithm on one draw.  Each iteration
+merges the support with the K strongest summed residual correlations into
+each node's candidate set, projects onto it, and ranks the K largest
+summed coefficient magnitudes, scattered into an (L, N) stack, as the
+next support.  ssp broadcasts both rounds and ranks one shared K-set;
+dcsp exchanges them with neighbors, each node ranks its own K-set, and a
+broadcast of the local K-sets is fused by majority (``max_occ``).  A run
+stops, keeping its previous support, once the network-wide residual
+energy fails to decrease.  All traffic goes through :mod:`dcsp.network`,
+whose wire counter matches :mod:`dcsp.costs` to the integer.
 
-* :func:`ssp_run` — simultaneous subspace pursuit over a fully connected
-  network: every node shares correlation vectors, projection coefficients
-  and residual energies with every other node at each iteration.
-* :func:`dcsp_run` — the collaborative variant: O(N)-length traffic stays
-  inside each node's neighborhood, while only K-length local support
-  estimates and scalar residual energies travel network-wide, fused by
-  majority rule.
+Floating-point determinism: every cross-node reduction (correlation sums,
+scattered coefficient magnitudes, residual-energy sums) adds in ascending
+node order.  With full collaboration every node then computes
+bit-identical aggregates, which is what makes dcsp with g = L coincide
+with ssp support for support: majority fusion of L equal K-sets returns
+that K-set.
 
-The loop's ``fuse`` flag (dcsp) is the whole difference.  Without it
-(ssp) the N-length correlation and 2K-framed projection rounds are
-broadcasts, so each round sums to one network-wide (N,) vector and ranks
-one shared K-set, which is the next support.  With it (dcsp) those rounds
-are neighbor exchanges, each node ranks its own K-set from an (L, N)
-stack of neighborhood sums, and every ranked stack of K-sets goes through
-a local-support broadcast and majority fusion (``max_occ``).  Either way
-the candidate sets form an (L, N) mask and are projected by size group;
-ssp's shared candidate is a single group.  Both stop as soon as the
-network-wide residual energy fails to decrease, reverting to the previous
-support.  All inter-node traffic is routed through :mod:`dcsp.network`,
-so the attached wire counter reproduces the closed-form message counts
-exactly.
+Batching: each round makes one stacked :mod:`dcsp.linalg` call per step
+over the node rows of every live run of every algorithm.  A stacked call
+is bit-identical per slice to the call on that slice, so each result
+equals the run on its own draw; a rank-deficient projection in any run
+raises for the whole batch.
 
-Floating-point determinism: all cross-node reductions (correlation sums,
-scattered coefficient magnitudes, residual-energy sums) are accumulated
-sequentially in ascending node order.  With full collaboration every node
-then computes bit-identical aggregates, which is what makes dcsp_run with
-g = L coincide with ssp_run support-for-support: majority fusion of L
-equal K-sets returns that K-set.
-
-Node batching: the per-node steps of a round (correlation, projection onto
-candidate columns, residual update, top-K selection) run as one stacked
-:mod:`dcsp.linalg` call over the (L, M, N) dictionary stack; stacked calls
-are bit-identical per slice to the per-node ones.  The fabric hands back
-every node's view of a round as one array, so a neighborhood sum is one
-sequential sum over the view's sender axis.  Projection coefficients
-travel as their magnitudes scattered into an (L, N) stack; the charge
-stays at the 2K frame, since a node still transmits its candidate set and
-coefficients.
-
-Trial batching: ``run_batch`` runs each requested algorithm, on its own
-topology, on B draws of one config (``ssp_run``/``dcsp_run`` run one on a
-batch of one).  Runs go algorithm by algorithm, each reading its draw's
-node rows of the one stack, and each round makes one stacked call over
-the node rows of every live run for missed residuals (once per distinct
-draw and support, so ssp and dcsp share a support they reach together),
-each candidate-size ``lstsq`` group, the top-K ranking and dcsp's fusion,
-so a small network stops paying numpy's fixed cost per call on every run
-(on a 2-core x86 VM, an ``lstsq`` of 36 x 15 slices took about 45-65 µs
-for one slice, 9-10 µs per slice for 16).  Fabric rounds, stopping, traces
-and wire counters stay per algorithm and per run, and a stopped run drops
-out.  Every slice computes as it does alone, so each result equals the
-run on its own draw; a rank-deficient projection in any run raises for
-the whole batch.
-
-Residual memo: the residual energies and correlations against a support
-depend only on the draw and the support, and both algorithms keep
-revisiting supports (each iteration starts from where the last ended; in
-the easy regime both sit on the true support from initialization on).  So
-one ``run_batch`` call computes them at most once per draw and support,
-correlating each miss on a view of its draw's rows, and keeps them, the
-correlations read-only, in a dict of its own under the draw's batch
-position and ``support.tobytes()``; the residuals are not kept.  A cached
-value is what a recomputation returns, so results are bit-identical; a
+Residual memo: a support's residual energies and correlations depend only
+on the draw and the support, so one ``run_batch`` call computes them once
+per (draw, support) and keeps them, the correlations read-only.  A memo
+hit is therefore what a recomputation returns, bit for bit, and a
 projection that raises caches nothing.
 """
 
@@ -347,13 +311,10 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
             max_iters: int = None) -> RunResult:
     """Simultaneous subspace pursuit over a fully connected network.
 
-    Per iteration every node transmits an N-length correlation vector, a
-    projection-coefficient message framed at 2K scalars and one residual
-    energy scalar to each of the L-1 other nodes; initialization transmits
-    the N-length correlations once.  ``topology`` must be fully connected
-    (default ``full_topology(L)``); ``max_iters`` caps the iterations
-    (default ``3 * K``).  The result's ``hit_max_iters`` is set when the
-    cap fired before the residual stopping rule.
+    ``topology`` must be fully connected (default ``full_topology(L)``);
+    ``max_iters`` caps the iterations (default ``3 * K``), and the result's
+    ``hit_max_iters`` is set when the cap fired before the residual
+    stopping rule.  The traffic is :func:`dcsp.costs.cost_ssp`'s.
     """
     return run_batch({"ssp": topology}, [instance], max_iters)["ssp"][0]
 
@@ -362,14 +323,11 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
              max_iters: int = None) -> RunResult:
     """Collaborative subspace pursuit with neighborhood-limited traffic.
 
-    N-length correlation vectors and 2K-framed projection coefficients are
-    exchanged only with neighbors; K-length local support estimates and
-    scalar residual energies are exchanged network-wide and fused by
-    occurrence count.  Each projection message carries the sender's
-    candidate set alongside its coefficients (the coefficients are
-    meaningless without their positions) and is charged at the 2K frame.
-
-    Parameters and result semantics match :func:`ssp_run`.
+    A projection message carries the sender's candidate set beside its
+    coefficients, which are meaningless without their positions, and is
+    charged at the 2K frame.  The traffic is
+    :func:`dcsp.costs.cost_dcsp_general`'s; parameters and result
+    semantics match :func:`ssp_run`.
     """
     return run_batch({"dcsp": topology}, [instance], max_iters)["dcsp"][0]
 

@@ -4,8 +4,9 @@ Written from the module docstrings of :mod:`dcsp.pursuit`,
 :mod:`dcsp.network` and :mod:`dcsp.linalg`, it runs one draw, one node and
 one message at a time, with no stacking, memo or batching:
 
-* each node correlates with the 2-d ``correlate``, projects with the 2-d
-  ``lstsq``/``resid`` and ranks its K-set with the 1-d ``max_ind``;
+* each node correlates with the 2-d ``correlate``, projects with
+  ``lstsq_augmented`` on its own ``[A | y]`` and the 2-d ``resid``, and
+  ranks its K-set with the 1-d ``max_ind``;
 * a node adds the payloads it holds after a round one at a time, in
   ascending sender order, its own included;
 * dcsp fuses the L local K-sets by counting occurrences here rather than
@@ -16,7 +17,7 @@ one message at a time, with no stacking, memo or batching:
 
 import numpy as np
 
-from dcsp.linalg import correlate, lstsq, max_ind, resid
+from dcsp.linalg import correlate, lstsq_augmented, max_ind, resid
 from dcsp.network import WireCounter
 from dcsp.pursuit import RunResult
 
@@ -100,7 +101,8 @@ def reference_run(algorithm, instance, topology=None, max_iters=None):
         magnitudes = []
         for l, columns in enumerate(candidates):
             m = np.zeros(N)
-            m[columns - 1] = np.abs(lstsq(A[l][:, columns - 1], Y[l]))
+            Ay = np.column_stack([A[l][:, columns - 1], Y[l]])[None]
+            m[columns - 1] = np.abs(lstsq_augmented(Ay)[0])
             magnitudes.append(m)
         new = settle(rank(magnitudes, 2 * K, "projection"))
         new_correlations, energies = state(new)

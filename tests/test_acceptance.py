@@ -9,7 +9,7 @@ import pytest
 
 from dcsp.costs import CostParams, cost_dcsp, cost_ssp
 from dcsp.experiments import ExperimentConfig, default_l_grid, run_sweep
-from dcsp.linalg import lstsq, max_ind, max_occ, resid
+from dcsp.linalg import lstsq_augmented, max_ind, max_occ, resid
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate, success
 from dcsp.pursuit import dcsp_run, ssp_run
@@ -198,7 +198,7 @@ def test_criterion_7_property_suites(degeneration_runs, desk_scale_runs):
         orthogonality &= float(np.max(np.abs(A.T @ r))) <= 1e-8 * np.linalg.norm(
             A, "fro"
         ) * np.linalg.norm(y)
-        recomposed = A @ lstsq(A, y) + r
+        recomposed = A @ lstsq_augmented(np.column_stack([A, y])[None])[0] + r
         decomposition &= float(np.linalg.norm(recomposed - y)) <= 1e-9 * max(
             np.linalg.norm(y), 1.0
         )

@@ -1,9 +1,9 @@
 """CI's smoke steps, run from the workflow file itself.
 
 Each step's ``run: |`` block is read by indentation (CI installs no YAML
-parser) and run under ``bash -e``, as GitHub runs a step with no shell
-set, with ``dcsp`` and ``python`` on ``PATH`` as shims for this checkout's
-``python -m dcsp.cli`` and interpreter.  So the smoke lines run wherever
+parser) and run under ``bash -e`` from the checkout's root, as GitHub runs
+a step with no shell set, with ``dcsp`` and ``python`` on ``PATH`` as shims
+for this checkout's ``python -m dcsp.cli`` and interpreter.  So the smoke lines run wherever
 Tier-1 runs, from the one text that CI runs.
 """
 
@@ -33,7 +33,8 @@ def run_block(step):
     return dedent("\n".join(block)).strip() + "\n"
 
 
-@pytest.mark.parametrize("step", ["Console script smoke run", "Batched sweep smoke run"])
+@pytest.mark.parametrize("step", ["Console script smoke run", "Batched sweep smoke run",
+                                  "Line budget"])
 def test_ci_smoke_step_passes(step, tmp_path):
     shims = tmp_path / "bin"
     shims.mkdir()
@@ -51,6 +52,6 @@ def test_ci_smoke_step_passes(step, tmp_path):
     # the lines' /tmp/ci-* files go to this test's own directory
     script = tmp_path / "step.sh"
     script.write_text(run_block(step).replace("/tmp/ci-", f"{tmp_path}/ci-"))
-    done = subprocess.run(["bash", "-e", str(script)], cwd=tmp_path, env=env,
+    done = subprocess.run(["bash", "-e", str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, f"{step} exited {done.returncode}:\n{done.stdout}{done.stderr}"

@@ -9,7 +9,6 @@ from dcsp.linalg import (
     RankDeficientError,
     as_index_set,
     correlate,
-    lstsq,
     lstsq_augmented,
     max_ind,
     max_occ,
@@ -22,62 +21,75 @@ def normal_equations(A, y):
     return np.linalg.solve(A.T @ A, A.T @ y)
 
 
+def augmented(A, y):
+    """The stack of one ``[A | y]`` that :func:`lstsq_augmented` solves."""
+    return np.column_stack([A, y])[None]
+
+
 class TestLstsq:
     def test_identity(self):
-        assert np.allclose(lstsq(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        assert np.allclose(lstsq_augmented(augmented(np.eye(3), [1.0, 2.0, 3.0])), [[1.0, 2.0, 3.0]])
 
     def test_single_column(self):
-        assert np.allclose(lstsq(np.array([[1.0], [1.0]]), [2.0, 2.0]), [2.0])
+        assert np.allclose(lstsq_augmented(augmented([[1.0], [1.0]], [2.0, 2.0])), [[2.0]])
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((5, 3))
         y = rng.standard_normal(5)
         expected = normal_equations(A, y)
-        got = lstsq(A, y)
+        got = lstsq_augmented(augmented(A, y))[0]
         assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_rank_deficient_raises(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # duplicated direction
         with pytest.raises(RankDeficientError):
-            lstsq(A, np.ones(3))
+            lstsq_augmented(augmented(A, np.ones(3)))
 
     def test_zero_matrix_raises(self):
         with pytest.raises(RankDeficientError):
-            lstsq(np.zeros((3, 2)), np.ones(3))
+            lstsq_augmented(augmented(np.zeros((3, 2)), np.ones(3)))
 
     def test_wide_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            lstsq(np.ones((2, 3)), np.ones(2))
-        with pytest.raises(ValueError, match="need k <= M, got 3 columns and 2 rows"):
-            lstsq_augmented(np.ones((4, 2, 4)))
+        for call in (lambda: lstsq_augmented(np.ones((4, 2, 4))),
+                     lambda: resid(np.ones(2), np.ones((2, 3)))):
+            with pytest.raises(ValueError, match="need k <= M, got 3 columns and 2 rows"):
+                call()
+
+    @pytest.mark.parametrize("Ay, named", [
+        (np.ones((3, 2)), "ndarray of shape (3, 2)"),
+        ([[[1.0, 2.0]]], "list of shape (1, 1, 2)"),
+        (np.ones((2, 3, 0)), "ndarray of shape (2, 3, 0)"),  # no y column
+    ])
+    def test_non_stack_rejected(self, Ay, named):
+        with pytest.raises(ValueError, match=re.escape(f"array [A | y], got {named}")):
+            lstsq_augmented(Ay)
 
     @pytest.mark.parametrize("A_shape, y_shape", [((5, 3), (4,)), ((2, 5, 3), (5,))])
     def test_mismatched_y_rejected(self, A_shape, y_shape):
         A, y = np.ones(A_shape), np.ones(y_shape)
         message = f"need y of shape {A_shape[:-1]} for A of shape {A_shape}, got {y_shape}"
-        for call in (lambda: lstsq(A, y), lambda: resid(y, A), lambda: correlate(A, y)):
+        for call in (lambda: resid(y, A), lambda: correlate(A, y)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 call()
 
     def test_stacked_call_holds_two_augmented_stacks(self):
-        # [A | y] and qr's working copy of it, plus O(n k): R is read in
-        # place from the raw factor, with no triangular copy beside them
+        # the caller's [A | y] and qr's working copy of it, plus O(n k): R
+        # is read in place from the raw factor, with no triangular copy
         n, m, k = 96, 50, 20
         rng = np.random.default_rng(0)
-        # column-major slices, as pursuit._columns gathers them
-        A = rng.standard_normal((n, k, m)).transpose(0, 2, 1)
-        y = rng.standard_normal((n, m))
-        lstsq(A, y)  # first-call allocations are not the call's own
+        # column-major slices, as pursuit._project_candidates gathers them
+        Ay = rng.standard_normal((n, k + 1, m)).transpose(0, 2, 1)
+        lstsq_augmented(Ay)  # first-call allocations are not the call's own
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            lstsq(A, y)
+            lstsq_augmented(Ay)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * n * m * (k + 1) * 8
+        assert peak <= 1.1 * Ay.nbytes
 
 
 class TestResid:
@@ -204,6 +216,11 @@ def test_index_set_is_the_unique_of_distinct_positive_entries(entries):
     (as_index_set, ([3, 1, 3, 1],), "index set entries must be distinct, got 3 more than once"),
     (as_index_set, ([-4, 2],), "index sets are 1-based, got index -4"),
     (as_index_set, ([0, 1],), "index sets are 1-based, got index 0"),
+    # a 3-d multiset was ranked with row offsets broadcast over its middle
+    # axis, and a 0-d v raised IndexError
+    (max_occ, ([[[1, 1, 1], [2, 2, 2]], [[3, 3, 3], [4, 4, 4]]], 1), "got shape (2, 2, 3)"),
+    (max_ind, (np.ones((2, 2, 3)), 1), "max_ind ranks a 1-d or 2-d v, got shape (2, 2, 3)"),
+    (max_ind, (5.0, 1), "max_ind ranks a 1-d or 2-d v, got shape ()"),
 ])
 def test_bad_selection_size_or_index_set_shape_named(operator, args, message):
     # a negative K once sliced off the last entries, a 2-d index set was
@@ -243,7 +260,7 @@ def test_residual_orthogonality(system):
 def test_projection_plus_residual_recovers_input(system):
     A, y = system
     try:
-        recomposed = A @ lstsq(A, y) + resid(y, A)
+        recomposed = A @ lstsq_augmented(augmented(A, y))[0] + resid(y, A)
     except RankDeficientError:
         return
     assert np.linalg.norm(recomposed - y) <= 1e-9 * max(np.linalg.norm(y), 1.0)
@@ -397,24 +414,22 @@ def _raises_rank(fn, *args):
 @settings(max_examples=150, deadline=None)
 def test_stacked_calls_match_each_slice(system):
     A, y, D = system
-    A0, y0 = A.copy(), y.copy()
-    per_slice = [_raises_rank(lstsq, A[i], y[i]) for i in range(A.shape[0])]
-    stacked_failed, c = _raises_rank(lstsq, A, y)
-    assert stacked_failed == any(failed for failed, _ in per_slice)
-    # the augmented entry point, on the stack lstsq builds, is lstsq
     Ay = np.concatenate([A, y[..., None]], -1)
-    augmented_failed, ca = _raises_rank(lstsq_augmented, Ay)
-    assert augmented_failed == stacked_failed
-    assert np.array_equal(Ay[..., :-1], A) and np.array_equal(Ay[..., -1], y)
+    A0, y0, Ay0 = A.copy(), y.copy(), Ay.copy()
+    per_slice = [_raises_rank(lstsq_augmented, Ay[i:i + 1]) for i in range(A.shape[0])]
+    stacked_failed, c = _raises_rank(lstsq_augmented, Ay)
+    assert stacked_failed == any(failed for failed, _ in per_slice)
     if not stacked_failed:
         r = resid(y, A)
         assert c.shape == A.shape[::2] and r.shape == y.shape
-        assert np.array_equal(ca, c)
+        # no result is a view of an input, not even r at k = 0, where r == y
+        assert not np.shares_memory(r, y) and not np.shares_memory(c, Ay)
         for i, (_, ci) in enumerate(per_slice):
-            assert np.array_equal(c[i], ci)
+            assert np.array_equal(c[i], ci[0])
             assert np.array_equal(r[i], resid(y[i], A[i]))
-    # lstsq, lstsq_augmented and resid write only into arrays of their own
+    # lstsq_augmented and resid write only into arrays of their own
     assert A.tobytes() == A0.tobytes() and y.tobytes() == y0.tobytes()
+    assert Ay.tobytes() == Ay0.tobytes()
     corr = correlate(D, y)
     assert corr.shape == (D.shape[0], D.shape[2])
     for i in range(D.shape[0]):
@@ -429,7 +444,7 @@ def test_one_deficient_slice_fails_the_stack(seed, n, m, data):
     A, y, _ = stacked_system_of(seed, n, m, k)
     A[bad][:, -1] = 2.0 * A[bad][:, 0]  # repeated direction in one slice only
     with pytest.raises(RankDeficientError, match=f"slice {bad} "):
-        lstsq(A, y)
+        lstsq_augmented(np.concatenate([A, y[..., None]], -1))
     with pytest.raises(RankDeficientError):
         resid(y, A)
 
