@@ -21,13 +21,14 @@ print("max_ind([0.1, -5, 2, 0.3], K=2) ->", max_ind(v, 2))
 votes = [1, 1, 2, 3, 3, 3]
 print("max_occ({1,1,2,3,3,3}, K=2)     ->", max_occ(votes, 2))
 
-# Least-squares projection and its residual, computed by QR.  The
-# projection solves a stack of [A | y] matrices, here a stack of one.
+# Least-squares projection and its residual, computed by QR.  Both take a
+# stack of [A | y] matrices, here a stack of one.
 rng = np.random.default_rng(0)
 A = rng.standard_normal((6, 3))
 y = rng.standard_normal(6)
-coeffs = lstsq_augmented(np.column_stack([A, y])[None])[0]
-r = resid(y, A)
+Ay = np.column_stack([A, y])[None]
+coeffs = lstsq_augmented(Ay)[0]
+r = resid(Ay)[0]
 print("\nprojection coefficients:", np.round(coeffs, 4))
 print("residual is orthogonal to the columns:", np.round(A.T @ r, 12))
 
@@ -41,7 +42,7 @@ print("node 1 measurements shape:", inst.measurements[0].shape)
 # The true support explains each node's data exactly (noiseless model).
 for l in range(config.L):
     sub = inst.dictionaries[l][:, inst.true_support - 1]  # 1-based support
-    r = resid(inst.measurements[l], sub)
+    r = resid(np.column_stack([sub, inst.measurements[l]])[None])[0]
     print(f"node {l + 1}: residual energy on the true support = {r @ r:.3e}")
 
 # Correlation magnitudes |A^T y| concentrate on the support; summing them

@@ -4,9 +4,8 @@ Subcommands: ``fig1`` (success vs measurements), ``fig2`` (messages and
 iterations vs network scale; the iteration view is the table's
 ``*_mean_iterations`` columns), ``trial`` (one verbose run of
 :func:`~dcsp.pursuit.run_batch` on one draw) and ``cost`` (closed-form
-message counts).  Values for the swept variable accept
-``start:stop:step`` or comma lists.  Each flag maps onto a field of the
-library call it feeds; a figure flag left unset takes the default of
+message counts).  Each flag maps onto a field of the library call it
+feeds; a figure flag left unset takes the default of
 :class:`~dcsp.experiments.ExperimentConfig`.
 """
 
@@ -68,7 +67,6 @@ def _add_ints(sub, names, **defaults):
 
 
 def _run_figure(args):
-    # unset flags are left out, so ExperimentConfig supplies their defaults
     options = {
         key: value for key, value in vars(args).items()
         if value is not None and key not in ("command", "func")

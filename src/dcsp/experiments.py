@@ -18,11 +18,9 @@ bumped, so the algorithms of a trial always share one draw and report the
 same count in their ``aborted`` columns; a trial with no full-rank draw
 in ``_MAX_REDRAWS + 1`` attempts stops the sweep with an error naming it.
 
-Trial batching: a point whose draw holds ``8·L·M·N`` dictionary bytes
-runs its trials in the fewest batches of at most ``max(1, BATCH_BYTES //
-(8·L·M·N))`` consecutive trials, split as evenly as possible, so a batch
-of several trials holds at most BATCH_BYTES of float64 dictionaries.  A
-batch is drawn in one :func:`~dcsp.problems.generate_batch` call into one
+Trial batching: a point runs its trials in the fewest batches of
+consecutive trials whose dictionaries fit BATCH_BYTES (a single trial
+always fits), split as evenly as possible.  A batch is drawn in one :func:`~dcsp.problems.generate_batch` call into one
 (B, L, M, N) stack, and one :func:`~dcsp.pursuit.run_batch` call, handed
 the stack to read in place, runs every algorithm on it, so that each
 round's numpy calls serve ssp and dcsp together.  A batch that hits a
@@ -31,7 +29,6 @@ redraw loop, so every record, seed and ``aborted`` count equals
 one-at-a-time running.  Workers return per-batch records that are merged
 in trial order, so parallel and serial runs produce identical tables.
 
-A sweep runs ``min(jobs, batches)`` pool workers, serially if that is 1.
 Only a pooled sweep imports ``concurrent.futures.ProcessPoolExecutor``, so
 importing this module, and any serial sweep, never loads
 ``concurrent.futures`` or ``multiprocessing``.

@@ -2,8 +2,7 @@
 
 Conventions used throughout the library:
 
-* Matrices and vectors are real-valued float64 ``numpy`` arrays, row-major
-  (numpy's default C order).
+* Matrices and vectors are real-valued float64 ``numpy`` arrays.
 * An *index set* is a 1-d ``int64`` array of distinct 1-based indices into
   ``{1..N}``, stored sorted ascending.  Canonical ordering makes set
   equality plain ``numpy.array_equal``.
@@ -79,24 +78,17 @@ def as_index_set(indices):
     return s
 
 
-def _stack(A, y):
-    """``A`` and ``y`` as float64 stacks ``(n, M, k)`` and ``(n, M)``.
-
-    A 2-d ``A`` (with 1-d ``y``) is a stack of one.  Also returns whether
-    the input was unstacked, so callers can hand back the same form.
-    Raises ValueError unless ``y`` has the shape of ``A`` without its
-    last axis.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if A.ndim not in (2, 3):
-        raise ValueError("A must be 2-d or a stack of 2-d matrices")
-    if y.shape != A.shape[:-1]:
-        raise ValueError(f"need y of shape {A.shape[:-1]} for A of shape {A.shape}, got {y.shape}")
-    single = A.ndim == 2
-    if single:
-        A, y = A[None], y[None]
-    return A, y, single
+def _augmented_shape(Ay):
+    """The (n, M, k) sizes of the stack ``Ay`` of slices ``[A | y]``, or a
+    ValueError naming its type and shape unless it is a 3-d ndarray with a
+    ``y`` column and k <= M (k = 0 included)."""
+    if not isinstance(Ay, np.ndarray) or Ay.ndim != 3 or not Ay.shape[2]:
+        raise ValueError(f"need an (n, M, k + 1) array [A | y], got "
+                         f"{type(Ay).__name__} of shape {np.shape(Ay)}")
+    n, m, width = Ay.shape
+    if width > m + 1:
+        raise ValueError(f"need k <= M, got {width - 1} columns and {m} rows")
+    return n, m, width - 1
 
 
 def _check_rank(r):
@@ -121,22 +113,15 @@ def lstsq_augmented(Ay):
     Solves from the Householder R factor of ``[A | y]`` (never by inverting
     the Gram matrix): its last column carries ``Q.T @ y``, so Q is never
     formed and the coefficients are one triangular solve away.  R is read
-    in place from the raw factor that ``np.linalg.qr`` returns, so no
-    triangular copy of it is made, and ``Ay`` is left unchanged.  qr
-    copies each slice into Fortran order before LAPACK reads it, so the
-    bits do not depend on the layout of ``Ay``: a caller may gather it
-    straight into any buffer.  Raises ValueError unless ``Ay`` is such an
-    array with k <= M, and RankDeficientError if, in any slice, the
-    smallest diagonal magnitude of A's triangular factor (R's first k
-    columns) falls below ``RANK_TOL`` times the largest.
+    in place from qr's raw factor, with no triangular copy, and ``Ay`` is
+    left unchanged.  qr copies each slice into Fortran order before LAPACK
+    reads it, so the bits do not depend on the layout of ``Ay``.  Raises
+    ValueError unless ``Ay`` is such an array with k <= M, and
+    RankDeficientError if, in any slice, the smallest diagonal magnitude
+    of A's triangular factor (R's first k columns) falls below
+    ``RANK_TOL`` times the largest.
     """
-    if not isinstance(Ay, np.ndarray) or Ay.ndim != 3 or not Ay.shape[2]:
-        raise ValueError(f"need an (n, M, k + 1) array [A | y], got "
-                         f"{type(Ay).__name__} of shape {np.shape(Ay)}")
-    n, m, width = Ay.shape
-    k = width - 1
-    if k > m:
-        raise ValueError(f"need k <= M, got {k} columns and {m} rows")
+    n, _, k = _augmented_shape(Ay)
     if k == 0:
         return np.zeros((n, 0))
     # qr's raw factor is its own copy of [A | y], transposed: R on and
@@ -150,29 +135,27 @@ def lstsq_augmented(Ay):
     return np.linalg.solve(r[..., :k], r[..., k:])[..., 0]
 
 
-def resid(y, A):
-    """Residual of ``y`` after projecting onto the column space of ``A``.
+def resid(Ay):
+    """Residuals ``y - A c`` of the slices ``[A | y]`` of ``Ay``, taken as
+    by :func:`lstsq_augmented`: the (n, M) stack, each row bit-identical to
+    the call on its slice, with the same errors.
 
-    Returns ``y - A c``, slice by slice for a stacked ``A``, with ``c``
-    solved through a reduced QR that forms Q explicitly and takes
-    ``Q.T @ y`` by matmul: this keeps the residual energies' bits, and it
-    is not bit-equal to ``y - A c`` with ``c`` from :func:`lstsq_augmented`.
-    Raises ValueError unless k <= M, and RankDeficientError if, in any
-    slice, the smallest diagonal magnitude of A's triangular factor falls
-    below ``RANK_TOL`` times the largest.
+    ``c`` comes from a reduced QR of ``A`` that forms Q explicitly and
+    takes ``Q.T @ y`` by matmul: this keeps the residual energies' bits,
+    and it is not bit-equal to ``c`` from :func:`lstsq_augmented`.
+    ``A c`` reads ``A`` in place, so the residual's bits, unlike the
+    coefficients', follow the layout of ``Ay``: a caller matching another
+    call's bits gathers in its layout (the pursuit's slices are
+    column-major, as ``A[:, S - 1]`` is).
     """
-    A, y, single = _stack(A, y)
-    m, k = A.shape[1:]
-    if k > m:
-        raise ValueError(f"need k <= M, got {k} columns and {m} rows")
+    _, _, k = _augmented_shape(Ay)
+    A, y = Ay[..., :k], Ay[..., k]
     if k == 0:
-        r = y.copy()
-    else:
-        q, t = np.linalg.qr(A, mode="reduced")
-        _check_rank(t)
-        c = np.linalg.solve(t, np.matmul(q.transpose(0, 2, 1), y[..., None]))
-        r = y - np.matmul(A, c)[..., 0]
-    return r[0] if single else r
+        return y.astype(np.float64)  # a copy, as every other residual is
+    q, t = np.linalg.qr(A, mode="reduced")
+    _check_rank(t)
+    c = np.linalg.solve(t, np.matmul(q.transpose(0, 2, 1), y[..., None]))
+    return y - np.matmul(A, c)[..., 0]
 
 
 def max_ind(v, K):
@@ -246,8 +229,14 @@ def correlate(A, r):
 
     ``A`` of shape (n, M, N) with ``r`` of shape (n, M) correlates each
     slice with its own residual and returns shape (n, N), each row equal
-    to the 2-d call on that slice.
+    to the 2-d call on that slice.  Raises ValueError unless ``A`` is 2-d
+    or 3-d and ``r`` has its shape without the last axis.
     """
-    A, r, single = _stack(A, r)
-    c = np.abs(np.matmul(A.transpose(0, 2, 1), r[..., None])[..., 0])
-    return c[0] if single else c
+    A = np.asarray(A, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    if A.ndim not in (2, 3):
+        raise ValueError(f"need A of shape (M, N) or (n, M, N), got A of shape {A.shape} "
+                         f"and y of shape {r.shape}")
+    if r.shape != A.shape[:-1]:
+        raise ValueError(f"need y of shape {A.shape[:-1]} for A of shape {A.shape}, got {r.shape}")
+    return np.abs(np.matmul(A.swapaxes(-1, -2), r[..., None])[..., 0])

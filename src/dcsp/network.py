@@ -10,13 +10,7 @@ cost expressions with strict integer equality.
 Node ids are 1-based.  A node's neighborhood ``G_l`` always contains the
 node itself.  A round takes the nodes' payloads stacked along a leading
 node axis and returns every node's view of the round at once, with no
-per-message objects: neighbor exchange gathers each node's ``G_l`` rows in
-ascending order into an (L, g_max, ...) array (shorter neighborhoods are
-padded with zero rows), and a broadcast hands every node the whole stack.
-The charge for a neighbor round comes from the topology's links,
-``sum_l (|G_l| - 1)`` times the frame.  A :class:`WireCounter` keeps only
-the list of charged rounds; its neighbor/broadcast split and total are
-sums over that list.
+per-message objects.
 """
 
 from dataclasses import dataclass, field

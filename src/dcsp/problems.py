@@ -164,15 +164,12 @@ def generate_batch(configs, out=None) -> list:
     """Draw one problem instance per config of ``configs``, configs of one
     N, M, K and L; each instance is fully determined by its config.
 
-    Dictionary entries and the nonzero signal entries are i.i.d. standard
-    Gaussian, the support is drawn uniformly without replacement, and
-    measurements are exact matrix-vector products.  The batch is seeded in
-    one pass (:func:`_stream_states`), its signal values are scattered in
-    one assignment and its measurements come from one stacked product,
-    which makes the same dot per node as ``A_l @ x_l``.  Each instance's
-    arrays are views of the batch's (B, ...) arrays.  ``out``, a float64
-    array of shape (B, L, M, N), receives the dictionaries in place of a
-    new array (a sweep draws a batch into one stack this way).
+    The support is drawn uniformly without replacement.  The measurements
+    come from one stacked product, which makes the same dot per node as
+    ``A_l @ x_l``.  Each instance's arrays are views of the batch's
+    (B, ...) arrays.  ``out``, a float64 array of shape (B, L, M, N),
+    receives the dictionaries in place of a new array (a sweep draws a
+    batch into one stack this way).
     """
     if len({(c.N, c.M, c.K, c.L) for c in configs}) != 1:
         raise ValueError("a batch needs configs of one N, M, K and L")

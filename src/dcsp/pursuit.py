@@ -111,12 +111,19 @@ def _rows(draws, L):
     return (np.multiply(draws, L)[:, None] + np.arange(L)).ravel()
 
 
-def _columns(A, rows, cols):
-    """The (n, M, k) stack of 0-based columns ``cols[i]`` of ``A[rows[i]]``,
-    gathered through the (n, N, M) view: one index pair per column, not
-    one triple per entry.  It comes out column-major, as ``A[r][:, c]``
-    does, so a stacked product on it rounds as the per-node product does."""
-    return A.transpose(0, 2, 1)[rows[:, None], cols].transpose(0, 2, 1)
+def _augmented(A, Y, rows, cols):
+    """The (n, M, k + 1) stack of ``[A[rows[i]][:, cols[i]] | Y[rows[i]]]``
+    for the (n, k) 0-based column lists ``cols``, gathered through the
+    (n, N, M) view into one (n, k + 1, M) buffer: one index pair per
+    column, not one triple per entry, and no gathered ``A`` or ``y`` lives
+    beside the copy that qr takes.  Its slices are column-major, as
+    ``A[r][:, c]`` is, so :func:`resid`'s stacked product rounds as the
+    per-node product does."""
+    n, k = cols.shape
+    stack = np.empty((n, k + 1, A.shape[1]))
+    stack[:, :k] = A.transpose(0, 2, 1)[rows[:, None], cols]
+    stack[:, k] = Y[rows]
+    return stack.transpose(0, 2, 1)
 
 
 def _residual_states(memo, L, draws, supports, A, Y):
@@ -131,7 +138,7 @@ def _residual_states(memo, L, draws, supports, A, Y):
     if miss:
         rows = _rows([draws[j] for j in miss], L)
         cols = np.repeat(np.array([supports[j] for j in miss]) - 1, L, axis=0)
-        stacked = resid(Y[rows], _columns(A, rows, cols))
+        stacked = resid(_augmented(A, Y, rows, cols))
         # one stacked product makes the same dot per row as r @ r does
         energies = np.matmul(stacked[:, None, :], stacked[:, :, None]).ravel().tolist()
         for n, j in enumerate(miss):
@@ -147,10 +154,8 @@ def _project_candidates(A, Y, rows, candidates):
     """Magnitudes of each node's least-squares coefficients on its own
     candidate set (a row of the (n, N) mask ``candidates``, for the node at
     stack row ``rows[i]``), scattered into an (n, N) stack, and the sizes.
-    Nodes with equal-size sets share one :func:`lstsq_augmented` call, in
-    ascending size, on one (n, k + 1, M) buffer that takes their columns,
-    gathered as :func:`_columns` gathers them, and their ``Y`` rows: no
-    separate gathered ``A`` lives beside the ``[A | y]`` that qr copies."""
+    Nodes with equal-size sets share one :func:`lstsq_augmented` call on
+    their :func:`_augmented` stack, in ascending size."""
     sizes = np.count_nonzero(candidates, axis=1)
     magnitudes = np.zeros(candidates.shape)
     # rows by ascending size, in stack order within a size, so each size
@@ -164,10 +169,8 @@ def _project_candidates(A, Y, rows, candidates):
         nodes = order[first:first + counts[size]]
         group = cols[taken:taken + nodes.size * size].reshape(nodes.size, size)
         first, taken = first + nodes.size, taken + group.size
-        stack = np.empty((nodes.size, size + 1, A.shape[1]))
-        stack[:, :size] = A.transpose(0, 2, 1)[rows[nodes][:, None], group]
-        stack[:, size] = Y[rows[nodes]]
-        magnitudes[nodes[:, None], group] = np.abs(lstsq_augmented(stack.transpose(0, 2, 1)))
+        coefficients = lstsq_augmented(_augmented(A, Y, rows[nodes], group))
+        magnitudes[nodes[:, None], group] = np.abs(coefficients)
     return magnitudes, sizes
 
 

@@ -65,7 +65,7 @@ LEDGER_PATH = Path(__file__).with_name("ledger.json")
 # with ndim 0 the argument is always a sequence
 LEDGER_CALLS = (
     (pursuit, "lstsq_augmented", 0, 2),
-    (pursuit, "resid", 0, 1),
+    (pursuit, "resid", 0, 2),
     (pursuit, "correlate", 0, 2),
     (pursuit, "max_ind", 0, 1),
     (pursuit, "max_occ", 0, 1),

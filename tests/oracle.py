@@ -31,11 +31,14 @@ def exhaustive_decoder(instance, cap=EXHAUSTIVE_CAP):
     if n_subsets > cap:
         raise TooLargeError(f"C({N},{K}) = {n_subsets} exceeds cap {cap}")
 
+    # each node's columns as rows, so its [A_S | y] gathers column-major
+    rows = instance.dictionaries.transpose(0, 2, 1)
+    y = instance.measurements[:, None]
     best_support, best_value = None, np.inf
     for combo in combinations(range(1, N + 1), K):
         s = np.array(combo, dtype=np.int64)
         value = 0.0
-        for r in resid(instance.measurements, instance.dictionaries[..., s - 1]):
+        for r in resid(np.concatenate([rows[:, s - 1], y], 1).transpose(0, 2, 1)):
             value += float(r @ r)
         if value < best_value:
             best_support, best_value = s, value

@@ -5,8 +5,8 @@ Written from the module docstrings of :mod:`dcsp.pursuit`,
 one message at a time, with no stacking, memo or batching:
 
 * each node correlates with the 2-d ``correlate``, projects with
-  ``lstsq_augmented`` on its own ``[A | y]`` and the 2-d ``resid``, and
-  ranks its K-set with the 1-d ``max_ind``;
+  ``lstsq_augmented`` and ``resid`` on its own ``[A | y]``, and ranks its
+  K-set with the 1-d ``max_ind``;
 * a node adds the payloads it holds after a round one at a time, in
   ascending sender order, its own included;
 * dcsp fuses the L local K-sets by counting occurrences here rather than
@@ -20,6 +20,12 @@ import numpy as np
 from dcsp.linalg import correlate, lstsq_augmented, max_ind, resid
 from dcsp.network import WireCounter
 from dcsp.pursuit import RunResult
+
+
+def _augmented(A, y):
+    """One node's ``[A | y]`` as a stack of one, column-major as the pursuit
+    gathers it, since ``resid``'s bits follow the layout."""
+    return np.asfortranarray(np.column_stack([A, y]))[None]
 
 
 def _deliver(payloads, groups, frame, label, kind, rounds):
@@ -88,7 +94,7 @@ def reference_run(algorithm, instance, topology=None, max_iters=None):
 
     def state(support):
         # each node's correlations against its residual, and the energies
-        residuals = [resid(Y[l], A[l][:, support - 1]) for l in range(L)]
+        residuals = [resid(_augmented(A[l][:, support - 1], Y[l]))[0] for l in range(L)]
         return [correlate(A[l], r) for l, r in enumerate(residuals)], [r @ r for r in residuals]
 
     support = settle(rank([correlate(A[l], Y[l]) for l in range(L)], N, "correlation"))
@@ -101,8 +107,7 @@ def reference_run(algorithm, instance, topology=None, max_iters=None):
         magnitudes = []
         for l, columns in enumerate(candidates):
             m = np.zeros(N)
-            Ay = np.column_stack([A[l][:, columns - 1], Y[l]])[None]
-            m[columns - 1] = np.abs(lstsq_augmented(Ay)[0])
+            m[columns - 1] = np.abs(lstsq_augmented(_augmented(A[l][:, columns - 1], Y[l]))[0])
             magnitudes.append(m)
         new = settle(rank(magnitudes, 2 * K, "projection"))
         new_correlations, energies = state(new)

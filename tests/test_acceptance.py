@@ -194,11 +194,12 @@ def test_criterion_7_property_suites(degeneration_runs, desk_scale_runs):
         k = int(rng.integers(1, m + 1))
         A = rng.standard_normal((m, k))
         y = rng.standard_normal(m)
-        r = resid(y, A)
+        Ay = np.column_stack([A, y])[None]
+        r = resid(Ay)[0]
         orthogonality &= float(np.max(np.abs(A.T @ r))) <= 1e-8 * np.linalg.norm(
             A, "fro"
         ) * np.linalg.norm(y)
-        recomposed = A @ lstsq_augmented(np.column_stack([A, y])[None])[0] + r
+        recomposed = A @ lstsq_augmented(Ay)[0] + r
         decomposition &= float(np.linalg.norm(recomposed - y)) <= 1e-9 * max(
             np.linalg.norm(y), 1.0
         )

@@ -22,7 +22,8 @@ def normal_equations(A, y):
 
 
 def augmented(A, y):
-    """The stack of one ``[A | y]`` that :func:`lstsq_augmented` solves."""
+    """The stack of one ``[A | y]`` that :func:`lstsq_augmented` and
+    :func:`resid` take."""
     return np.column_stack([A, y])[None]
 
 
@@ -51,10 +52,9 @@ class TestLstsq:
             lstsq_augmented(augmented(np.zeros((3, 2)), np.ones(3)))
 
     def test_wide_matrix_rejected(self):
-        for call in (lambda: lstsq_augmented(np.ones((4, 2, 4))),
-                     lambda: resid(np.ones(2), np.ones((2, 3)))):
+        for kernel in (lstsq_augmented, resid):
             with pytest.raises(ValueError, match="need k <= M, got 3 columns and 2 rows"):
-                call()
+                kernel(np.ones((4, 2, 4)))
 
     @pytest.mark.parametrize("Ay, named", [
         (np.ones((3, 2)), "ndarray of shape (3, 2)"),
@@ -62,16 +62,23 @@ class TestLstsq:
         (np.ones((2, 3, 0)), "ndarray of shape (2, 3, 0)"),  # no y column
     ])
     def test_non_stack_rejected(self, Ay, named):
-        with pytest.raises(ValueError, match=re.escape(f"array [A | y], got {named}")):
-            lstsq_augmented(Ay)
+        # both kernels take one stack form, under one rule and one message
+        for kernel in (lstsq_augmented, resid):
+            with pytest.raises(ValueError, match=re.escape(f"array [A | y], got {named}")):
+                kernel(Ay)
 
     @pytest.mark.parametrize("A_shape, y_shape", [((5, 3), (4,)), ((2, 5, 3), (5,))])
     def test_mismatched_y_rejected(self, A_shape, y_shape):
         A, y = np.ones(A_shape), np.ones(y_shape)
         message = f"need y of shape {A_shape[:-1]} for A of shape {A_shape}, got {y_shape}"
-        for call in (lambda: resid(y, A), lambda: correlate(A, y)):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                call()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            correlate(A, y)
+
+    @pytest.mark.parametrize("A_shape, y_shape", [((3,), (3,)), ((1, 1, 3, 2), (1, 1, 3))])
+    def test_correlate_names_both_shapes_of_a_non_matrix(self, A_shape, y_shape):
+        message = f"got A of shape {A_shape} and y of shape {y_shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            correlate(np.ones(A_shape), np.ones(y_shape))
 
     def test_stacked_call_holds_two_augmented_stacks(self):
         # the caller's [A | y] and qr's working copy of it, plus O(n k): R
@@ -95,20 +102,20 @@ class TestLstsq:
 class TestResid:
     def test_coordinate_projection(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(resid([3.0, 4.0, 5.0], A), [0.0, 0.0, 5.0])
+        assert np.allclose(resid(augmented(A, [3.0, 4.0, 5.0])), [[0.0, 0.0, 5.0]])
 
     def test_in_span_gives_zero(self):
         rng = np.random.default_rng(11)
         A = rng.standard_normal((6, 3))
         y = A @ rng.standard_normal(3)
-        r = resid(y, A)
+        r = resid(augmented(A, y))[0]
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(y)
 
     def test_orthogonal_to_columns(self):
         rng = np.random.default_rng(13)
         A = rng.standard_normal((8, 4))
         y = rng.standard_normal(8)
-        assert np.max(np.abs(A.T @ resid(y, A))) <= 1e-8
+        assert np.max(np.abs(A.T @ resid(augmented(A, y))[0])) <= 1e-8
 
 
 class TestMaxInd:
@@ -248,7 +255,7 @@ def solvable_system(draw):
 def test_residual_orthogonality(system):
     A, y = system
     try:
-        r = resid(y, A)
+        r = resid(augmented(A, y))[0]
     except RankDeficientError:
         return  # degenerate draw, outside the contract
     bound = 1e-8 * np.linalg.norm(A, "fro") * np.linalg.norm(y)
@@ -260,7 +267,7 @@ def test_residual_orthogonality(system):
 def test_projection_plus_residual_recovers_input(system):
     A, y = system
     try:
-        recomposed = A @ lstsq_augmented(augmented(A, y))[0] + resid(y, A)
+        recomposed = A @ lstsq_augmented(augmented(A, y))[0] + resid(augmented(A, y))[0]
     except RankDeficientError:
         return
     assert np.linalg.norm(recomposed - y) <= 1e-9 * max(np.linalg.norm(y), 1.0)
@@ -415,20 +422,19 @@ def _raises_rank(fn, *args):
 def test_stacked_calls_match_each_slice(system):
     A, y, D = system
     Ay = np.concatenate([A, y[..., None]], -1)
-    A0, y0, Ay0 = A.copy(), y.copy(), Ay.copy()
+    Ay0 = Ay.copy()
     per_slice = [_raises_rank(lstsq_augmented, Ay[i:i + 1]) for i in range(A.shape[0])]
     stacked_failed, c = _raises_rank(lstsq_augmented, Ay)
     assert stacked_failed == any(failed for failed, _ in per_slice)
     if not stacked_failed:
-        r = resid(y, A)
+        r = resid(Ay)
         assert c.shape == A.shape[::2] and r.shape == y.shape
         # no result is a view of an input, not even r at k = 0, where r == y
-        assert not np.shares_memory(r, y) and not np.shares_memory(c, Ay)
+        assert not np.shares_memory(r, Ay) and not np.shares_memory(c, Ay)
         for i, (_, ci) in enumerate(per_slice):
             assert np.array_equal(c[i], ci[0])
-            assert np.array_equal(r[i], resid(y[i], A[i]))
+            assert np.array_equal(r[i], resid(Ay[i:i + 1])[0])
     # lstsq_augmented and resid write only into arrays of their own
-    assert A.tobytes() == A0.tobytes() and y.tobytes() == y0.tobytes()
     assert Ay.tobytes() == Ay0.tobytes()
     corr = correlate(D, y)
     assert corr.shape == (D.shape[0], D.shape[2])
@@ -443,8 +449,9 @@ def test_one_deficient_slice_fails_the_stack(seed, n, m, data):
     bad = data.draw(st.integers(0, n - 1))
     A, y, _ = stacked_system_of(seed, n, m, k)
     A[bad][:, -1] = 2.0 * A[bad][:, 0]  # repeated direction in one slice only
+    Ay = np.concatenate([A, y[..., None]], -1)
     with pytest.raises(RankDeficientError, match=f"slice {bad} "):
-        lstsq_augmented(np.concatenate([A, y[..., None]], -1))
+        lstsq_augmented(Ay)
     with pytest.raises(RankDeficientError):
-        resid(y, A)
+        resid(Ay)
 

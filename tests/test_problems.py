@@ -53,7 +53,7 @@ class TestGenerate:
         inst = full_scale_instance
         for l in range(6):
             sub = inst.dictionaries[l][:, inst.true_support - 1]
-            r = resid(inst.measurements[l], sub)
+            r = resid(np.column_stack([sub, inst.measurements[l]])[None])[0]
             assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(inst.measurements[l])
 
     def test_adding_nodes_keeps_earlier_draws(self):

@@ -179,7 +179,7 @@ class TestStoppingRule:
         result = ssp_run(inst)
         assert success(result.support, inst)
         total = sum(
-            float(np.linalg.norm(resid(y, A[:, result.support - 1])) ** 2)
+            float(np.linalg.norm(resid(np.column_stack([A[:, result.support - 1], y])[None])) ** 2)
             for A, y in zip(inst.dictionaries, inst.measurements)
         )
         energy = sum(float(y @ y) for y in inst.measurements)
@@ -217,7 +217,8 @@ def test_residual_energies_match_norms():
     state = _residual_state(inst, inst.true_support)
     assert len(state.energies) == 3
     for A, y, energy in zip(inst.dictionaries, inst.measurements, state.energies):
-        true_norm = float(np.linalg.norm(resid(y, A[:, inst.true_support - 1])) ** 2)
+        r = resid(np.column_stack([A[:, inst.true_support - 1], y])[None])[0]
+        true_norm = float(r @ r)
         assert abs(energy - true_norm) <= 1e-12 * max(true_norm, 1.0)
 
 
@@ -557,9 +558,9 @@ def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
     # reach resid once, one slice per node
     slices = []
 
-    def counting_resid(y, A):
-        slices.append(len(A))
-        return resid(y, A)
+    def counting_resid(Ay):
+        slices.append(len(Ay))
+        return resid(Ay)
 
     monkeypatch.setattr(pursuit, "resid", counting_resid)
     config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
