@@ -91,20 +91,6 @@ def _augmented_shape(Ay):
     return n, m, width - 1
 
 
-def _check_rank(r):
-    """Raise RankDeficientError, naming the first such slice, if a slice
-    of the triangular stack ``r`` has a diagonal ratio below ``RANK_TOL``."""
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    dmin, dmax = diag.min(axis=1), diag.max(axis=1)
-    deficient = (dmax == 0.0) | (dmin < RANK_TOL * dmax)
-    if deficient.any():
-        i = int(np.argmax(deficient))
-        raise RankDeficientError(
-            f"effective rank < {r.shape[-1]} in slice {i} "
-            f"(diag ratio {dmin[i]:.3e} / {dmax[i]:.3e})"
-        )
-
-
 def lstsq_augmented(Ay):
     """Least-squares coefficients of each slice ``[A | y]`` of the
     (n, M, k + 1) array ``Ay``: the (n, k) stack of the ``c`` minimizing
@@ -129,33 +115,33 @@ def lstsq_augmented(Ay):
     h = np.linalg.qr(Ay, mode="raw")[0]
     r = h.transpose(0, 2, 1)[:, :k]  # k rows exist even at k = M
     r[:, np.tri(k, k + 1, -1, dtype=bool)] = 0.0
-    _check_rank(r[..., :k])
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    dmin, dmax = diag.min(axis=1), diag.max(axis=1)
+    deficient = (dmax == 0.0) | (dmin < RANK_TOL * dmax)
+    if deficient.any():
+        i = int(np.argmax(deficient))
+        raise RankDeficientError(
+            f"effective rank < {k} in slice {i} "
+            f"(diag ratio {dmin[i]:.3e} / {dmax[i]:.3e})"
+        )
     # r[..., :k] is upper triangular with a nonzero diagonal, so the LU
     # inside solve pivots nothing and reduces to back substitution
     return np.linalg.solve(r[..., :k], r[..., k:])[..., 0]
 
 
 def resid(Ay):
-    """Residuals ``y - A c`` of the slices ``[A | y]`` of ``Ay``, taken as
-    by :func:`lstsq_augmented`: the (n, M) stack, each row bit-identical to
-    the call on its slice, with the same errors.
+    """Residuals ``y - A c`` of the slices ``[A | y]`` of ``Ay``, with ``c``
+    from :func:`lstsq_augmented`: the (n, M) stack, each row bit-identical
+    to the call on its slice, with the same errors.
 
-    ``c`` comes from a reduced QR of ``A`` that forms Q explicitly and
-    takes ``Q.T @ y`` by matmul: this keeps the residual energies' bits,
-    and it is not bit-equal to ``c`` from :func:`lstsq_augmented`.
     ``A c`` reads ``A`` in place, so the residual's bits, unlike the
     coefficients', follow the layout of ``Ay``: a caller matching another
     call's bits gathers in its layout (the pursuit's slices are
     column-major, as ``A[:, S - 1]`` is).
     """
-    _, _, k = _augmented_shape(Ay)
-    A, y = Ay[..., :k], Ay[..., k]
-    if k == 0:
-        return y.astype(np.float64)  # a copy, as every other residual is
-    q, t = np.linalg.qr(A, mode="reduced")
-    _check_rank(t)
-    c = np.linalg.solve(t, np.matmul(q.transpose(0, 2, 1), y[..., None]))
-    return y - np.matmul(A, c)[..., 0]
+    c = lstsq_augmented(Ay)
+    k = c.shape[1]
+    return Ay[..., k] - np.matmul(Ay[..., :k], c[..., None])[..., 0]
 
 
 def max_ind(v, K):

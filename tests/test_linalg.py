@@ -117,6 +117,19 @@ class TestResid:
         y = rng.standard_normal(8)
         assert np.max(np.abs(A.T @ resid(augmented(A, y))[0])) <= 1e-8
 
+    @pytest.mark.parametrize("column_major", [False, True])
+    def test_subtracts_the_projection(self, column_major):
+        # resid's c is lstsq_augmented's bit for bit, and A c reads the
+        # stack in place in either layout
+        n, m, k = 6, 12, 4
+        rng = np.random.default_rng(19)
+        if column_major:  # as pursuit._augmented gathers it
+            Ay = rng.standard_normal((n, k + 1, m)).transpose(0, 2, 1)
+        else:
+            Ay = rng.standard_normal((n, m, k + 1))
+        expected = Ay[..., k] - (Ay[..., :k] @ lstsq_augmented(Ay)[..., None])[..., 0]
+        assert np.array_equal(resid(Ay), expected)
+
 
 class TestMaxInd:
     def test_magnitudes(self):
