@@ -78,19 +78,6 @@ def as_index_set(indices):
     return s
 
 
-def _augmented_shape(Ay):
-    """The (n, M, k) sizes of the stack ``Ay`` of slices ``[A | y]``, or a
-    ValueError naming its type and shape unless it is a 3-d ndarray with a
-    ``y`` column and k <= M (k = 0 included)."""
-    if not isinstance(Ay, np.ndarray) or Ay.ndim != 3 or not Ay.shape[2]:
-        raise ValueError(f"need an (n, M, k + 1) array [A | y], got "
-                         f"{type(Ay).__name__} of shape {np.shape(Ay)}")
-    n, m, width = Ay.shape
-    if width > m + 1:
-        raise ValueError(f"need k <= M, got {width - 1} columns and {m} rows")
-    return n, m, width - 1
-
-
 def lstsq_augmented(Ay):
     """Least-squares coefficients of each slice ``[A | y]`` of the
     (n, M, k + 1) array ``Ay``: the (n, k) stack of the ``c`` minimizing
@@ -107,7 +94,12 @@ def lstsq_augmented(Ay):
     of A's triangular factor (R's first k columns) falls below
     ``RANK_TOL`` times the largest.
     """
-    n, _, k = _augmented_shape(Ay)
+    if not isinstance(Ay, np.ndarray) or Ay.ndim != 3 or not Ay.shape[2]:
+        raise ValueError(f"need an (n, M, k + 1) array [A | y], got "
+                         f"{type(Ay).__name__} of shape {np.shape(Ay)}")
+    n, m, k = Ay.shape[0], Ay.shape[1], Ay.shape[2] - 1
+    if k > m:
+        raise ValueError(f"need k <= M, got {k} columns and {m} rows")
     if k == 0:
         return np.zeros((n, 0))
     # qr's raw factor is its own copy of [A | y], transposed: R on and
@@ -132,16 +124,14 @@ def lstsq_augmented(Ay):
 def resid(Ay):
     """Residuals ``y - A c`` of the slices ``[A | y]`` of ``Ay``, with ``c``
     from :func:`lstsq_augmented`: the (n, M) stack, each row bit-identical
-    to the call on its slice, with the same errors.
-
-    ``A c`` reads ``A`` in place, so the residual's bits, unlike the
-    coefficients', follow the layout of ``Ay``: a caller matching another
-    call's bits gathers in its layout (the pursuit's slices are
-    column-major, as ``A[:, S - 1]`` is).
+    to the call on its slice, with the same errors and the same bits for
+    any layout of ``Ay``.
     """
     c = lstsq_augmented(Ay)
     k = c.shape[1]
-    return Ay[..., k] - np.matmul(Ay[..., :k], c[..., None])[..., 0]
+    # each slice's columns as contiguous rows: a view of the pursuit's stack
+    S = np.ascontiguousarray(Ay.transpose(0, 2, 1))
+    return S[:, k] - np.matmul(c[:, None], S[:, :k])[:, 0]
 
 
 def max_ind(v, K):
@@ -193,20 +183,25 @@ def max_occ(m, K):
     m = _int64(m, "a multiset")
     if m.ndim > 2:
         raise ValueError(f"max_occ ranks a 1-d or 2-d multiset, got shape {m.shape}")
-    rows = np.atleast_2d(m)
+    rows = np.sort(np.atleast_2d(m), axis=1)
     if rows.min(initial=0) < 0:
         raise ValueError("max_occ counts nonnegative integers")
-    # one bincount: row i counts its values from offset i * width on
-    width = int(rows.max(initial=0)) + 1
-    flat = (rows + width * np.arange(len(rows))[:, None]).ravel()
-    counts = np.bincount(flat, minlength=width * len(rows)).reshape(len(rows), width)
-    distinct = np.count_nonzero(counts, axis=1).min()
-    if distinct < K:
-        raise ValueError(
-            f"need {K} distinct values, multiset has {distinct}"
-        )
-    # a stable sort on descending count keeps equal counts in value order
-    top = np.sort(np.argsort(-counts, axis=1, kind="stable")[:, :K], axis=1)
+    # a sorted row holds each value as one run: flag where each run starts,
+    # and where the last one ends
+    n, k = rows.shape
+    edges = np.ones(rows.size + 1, dtype=bool)
+    edges[:-1].reshape(n, k)[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    # one negative key per run at its start, ordered by descending count,
+    # then by position (ascending value), and 0 elsewhere
+    starts = np.flatnonzero(edges)
+    at, counts = starts[:-1], starts[1:] - starts[:-1]
+    keys = np.zeros(rows.shape, dtype=np.int64)
+    keys.reshape(-1)[at] = at - rows.size * counts
+    ranked = np.sort(keys, axis=1)[:, :K]
+    if ranked.shape[1] < K or ranked.max(initial=-1) >= 0:
+        distinct = np.count_nonzero(keys < 0, axis=1).min(initial=k)
+        raise ValueError(f"need {K} distinct values, multiset has {distinct}")
+    top = rows[np.arange(n)[:, None], np.sort(ranked % k, axis=1)]
     return top if m.ndim > 1 else top[0]
 
 
@@ -215,8 +210,9 @@ def correlate(A, r):
 
     ``A`` of shape (n, M, N) with ``r`` of shape (n, M) correlates each
     slice with its own residual and returns shape (n, N), each row equal
-    to the 2-d call on that slice.  Raises ValueError unless ``A`` is 2-d
-    or 3-d and ``r`` has its shape without the last axis.
+    to the 2-d call on that slice, with the same bits for any layout of
+    ``A`` and ``r``.  Raises ValueError unless ``A`` is 2-d or 3-d and
+    ``r`` has its shape without the last axis.
     """
     A = np.asarray(A, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
@@ -225,4 +221,6 @@ def correlate(A, r):
                          f"and y of shape {r.shape}")
     if r.shape != A.shape[:-1]:
         raise ValueError(f"need y of shape {A.shape[:-1]} for A of shape {A.shape}, got {r.shape}")
+    # one layout for any input: the pursuit's C-order slices are not copied
+    A, r = np.ascontiguousarray(A), np.ascontiguousarray(r)
     return np.abs(np.matmul(A.swapaxes(-1, -2), r[..., None])[..., 0])

@@ -116,9 +116,7 @@ def _augmented(A, Y, rows, cols):
     for the (n, k) 0-based column lists ``cols``, gathered through the
     (n, N, M) view into one (n, k + 1, M) buffer: one index pair per
     column, not one triple per entry, and no gathered ``A`` or ``y`` lives
-    beside the copy that qr takes.  Its slices are column-major, as
-    ``A[r][:, c]`` is, so :func:`resid`'s stacked product rounds as the
-    per-node product does."""
+    beside the copy that qr takes."""
     n, k = cols.shape
     stack = np.empty((n, k + 1, A.shape[1]))
     stack[:, :k] = A.transpose(0, 2, 1)[rows[:, None], cols]

@@ -9,21 +9,33 @@ about 300 seeded small instances, each run four ways (ssp; dcsp on a ring
 with g < L, or g = 2 at L = 2; dcsp with g = L; dcsp on a random explicit
 topology),
 and the sha256 of the fig1 and fig2 ``.csv`` tables at three base seeds.
-Per run it stores a digest of the exact fields (support, iterations,
-support trace, candidate sizes, wire rounds, cap hit) and the residual
-trace rounded to 15 significant digits; the first instances also keep
-their exact fields in full, so a failure can be read field by field.
 ``transcripts.json`` holds the exact stdout and exit code of ``dcsp trial``
 for each argument list of ``TRANSCRIPTS``.  ``ledger.json`` holds, per
 sweep of ``LEDGER_SWEEPS``, the calls and stacked rows of each function
 of ``LEDGER_CALLS``: a change that leaves the outputs alone but does more
 or less work shows there.
 
+Each file keeps apart what no BLAS kernel moves from the round-off that
+another kernel rounds differently once a run has recovered its support,
+and names the kernel that wrote the round-off (:func:`blas_kernel`):
+
+* per run, a digest of its exact fields (support, iterations, support
+  trace, wire rounds, cap hit), apart from a digest of its candidate
+  sizes, which the noise picks after recovery, and its residual trace
+  rounded to 15 significant digits; the runs of the first instances also
+  keep both digested parts in full, so a failure can be read field by
+  field;
+* per transcript, the stdout with its ``ROUND_OFF`` values cut out, apart
+  from those values;
+* per sweep, the stacked rows apart from the calls, whose size groups
+  follow the candidate sizes.
+
 Regenerate the files only in a change that declares an output change.
 ``tests/test_golden.py`` recomputes everything here and compares.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -79,6 +91,24 @@ LEDGER_SWEEPS = {
     "msweep": dict(sweep="M", values=default_m_grid(), L=6),
     "lsweep": dict(sweep="L", values=default_l_grid(), M=50),
 }
+# the values that `dcsp trial` prints of its energies and candidate sizes
+ROUND_OFF = re.compile(r"(?<=residual_energy=)\S+|(?<=candidate_sizes=)\[[^]]*\]")
+
+
+def blas_kernel():
+    """The OpenBLAS release and kernel set that numpy runs on, as OpenBLAS
+    names them ("OpenBLAS 0.3.31.188.0 SkylakeX", and "... Haswell" under
+    ``OPENBLAS_CORETYPE=Haswell``), or None where numpy's BLAS names none."""
+    for path in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("lib*openblas*.so")):
+        library = ctypes.CDLL(str(path))  # the copy that numpy has loaded
+        for prefix in ("scipy_openblas", "openblas"):
+            if hasattr(library, f"{prefix}_get_corename64_"):
+                config, corename = (getattr(library, f"{prefix}_get_{name}64_")
+                                    for name in ("config", "corename"))
+                config.argtypes = corename.argtypes = []
+                config.restype = corename.restype = ctypes.c_char_p
+                return " ".join([*config().decode().split()[:2], corename().decode()])
+    return None
 
 
 def instance_params(count=INSTANCES, seed=20141):
@@ -105,26 +135,15 @@ def instance_params(count=INSTANCES, seed=20141):
     return rows
 
 
-def exact_fields(result):
-    """The fields compared exactly, as plain JSON values."""
-    return {
-        "support": result.support.tolist(),
-        "iterations": result.iterations,
-        "support_trace": [s.tolist() for s in result.support_trace],
-        "candidate_sizes": result.candidate_sizes,
-        "rounds": [list(r) for r in result.wire.rounds],
-        "hit_max_iters": result.hit_max_iters,
-    }
-
-
 def digest(fields):
     text = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def run_instance(params):
-    """The four runs of one instance, in ``RUNS`` order: (fields, residual
-    trace) each, or (exception name, []) for a rank-deficient draw."""
+    """The four runs of one instance, in ``RUNS`` order: (kernel-free
+    fields, candidate sizes, residual trace) each, or (exception name,
+    None, []) for a rank-deficient draw."""
     N, M, K, L, g, seed, max_iters, listing = params
     instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
     calls = (
@@ -138,9 +157,16 @@ def run_instance(params):
         try:
             result = call()
         except RankDeficientError:
-            runs.append(("RankDeficientError", []))
+            runs.append(("RankDeficientError", None, []))
             continue
-        runs.append((exact_fields(result), [float(x) for x in result.residual_trace]))
+        fields = {
+            "support": result.support.tolist(),
+            "iterations": result.iterations,
+            "support_trace": [s.tolist() for s in result.support_trace],
+            "rounds": [list(r) for r in result.wire.rounds],
+            "hit_max_iters": result.hit_max_iters,
+        }
+        runs.append((fields, result.candidate_sizes, [float(x) for x in result.residual_trace]))
     return runs
 
 
@@ -161,16 +187,20 @@ def table_digests(trials=TABLE_TRIALS):
 
 
 def transcript(args):
-    """The stdout and exit code of ``dcsp trial`` with ``args``."""
+    """The stdout and exit code of ``dcsp trial`` with ``args``: the stdout
+    with each ``ROUND_OFF`` value cut to "...", and those values."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main(["trial", *args.split()])
-    return {"args": args, "stdout": out.getvalue(), "exit": code}
+    stdout = out.getvalue()
+    return {"args": args, "stdout": ROUND_OFF.sub("...", stdout), "exit": code,
+            "round_off": ROUND_OFF.findall(stdout)}
 
 
 def ledger():
-    """{sweep: {function: [calls, stacked rows]}} for each sweep of
-    ``LEDGER_SWEEPS`` and function of ``LEDGER_CALLS``."""
+    """{"rows": {sweep: {function: stacked rows}}, "calls": {sweep:
+    {function: calls}}} for each sweep of ``LEDGER_SWEEPS`` and function
+    of ``LEDGER_CALLS``."""
     counts = {}
 
     def counting(function, name, position, ndim):
@@ -185,27 +215,28 @@ def ledger():
     try:
         for module, name, position, ndim in LEDGER_CALLS:
             setattr(module, name, counting(getattr(module, name), name, position, ndim))
-        sweeps = {}
+        sweeps = {"rows": {}, "calls": {}}
         for sweep, options in LEDGER_SWEEPS.items():
             counts.update({name: [0, 0] for _, name, _, _ in LEDGER_CALLS})
             run_sweep(ExperimentConfig(N=200, K=10, g=3, trials=10, seed=1, jobs=1, **options))
-            sweeps[sweep] = {name: list(c) for name, c in counts.items()}
+            sweeps["calls"][sweep] = {name: c[0] for name, c in counts.items()}
+            sweeps["rows"][sweep] = {name: c[1] for name, c in counts.items()}
     finally:
         for module, name, function in originals:
             setattr(module, name, function)
     return sweeps
 
 
-def write_ledger():
-    # one line per function, so that a diff names the function
-    text = json.dumps(ledger(), indent=1)
+def write_ledger(kernel):
     with open(LEDGER_PATH, "w") as fh:
-        fh.write(re.sub(r"\[\s+(\d+),\s+(\d+)\s+\]", r"[\1, \2]", text) + "\n")
+        json.dump({"blas_kernel": kernel, **ledger()}, fh, indent=1)
+        fh.write("\n")
 
 
-def write_transcripts():
+def write_transcripts(kernel):
     with open(TRANSCRIPT_PATH, "w") as fh:
-        json.dump([transcript(args) for args in TRANSCRIPTS], fh, indent=1)
+        json.dump({"blas_kernel": kernel, "transcripts": [transcript(args) for args in TRANSCRIPTS]},
+                  fh, indent=1)
         fh.write("\n")
 
 
@@ -214,29 +245,37 @@ def _stored(fields):
 
 
 def main():
+    kernel = blas_kernel()
     params = instance_params()
     lines = []
-    examples = []
+    examples, sizes = [], []
     for i, p in enumerate(params):
         runs = run_instance(p)
         if i < EXAMPLES:
-            examples += [fields for fields, _ in runs]
-        # 15 significant digits keep the file small; the test compares at 1e-12
-        stored = [[_stored(f), [float(f"{x:.15g}") for x in trace]] for f, trace in runs]
-        lines.append(json.dumps([p, stored], separators=(",", ":")))
+            examples += [fields for fields, _, _ in runs]
+            sizes += [candidate_sizes for _, candidate_sizes, _ in runs]
+        # per run, the kernel-free digest, then the round-off part: the
+        # candidate sizes' digest and the residual trace, which keeps 15
+        # significant digits; the test compares it at 1e-12
+        kernel_free = [_stored(fields) for fields, _, _ in runs]
+        round_off = [None if s is None else [digest(s), [float(f"{x:.15g}") for x in trace]]
+                     for _, s, trace in runs]
+        lines.append(json.dumps([p, kernel_free, round_off], separators=(",", ":")))
     header = {
         "runs": list(RUNS),
         "table_trials": TABLE_TRIALS,
         "tables": table_digests(),
         "examples": examples,
+        "round_off": {"blas_kernel": kernel, "examples": sizes},
     }
     with open(PATH, "w") as fh:
         fh.write('{"header":' + json.dumps(header, separators=(",", ":")) + ',\n"instances":[\n')
         fh.write(",\n".join(lines) + "\n]}\n")
-    print(f"wrote {PATH} ({PATH.stat().st_size} bytes, {len(lines)} instances)", file=sys.stderr)
-    write_transcripts()
+    print(f"wrote {PATH} ({PATH.stat().st_size} bytes, {len(lines)} instances, "
+          f"round-off under {kernel})", file=sys.stderr)
+    write_transcripts(kernel)
     print(f"wrote {TRANSCRIPT_PATH}", file=sys.stderr)
-    write_ledger()
+    write_ledger(kernel)
     print(f"wrote {LEDGER_PATH}", file=sys.stderr)
 
 

@@ -23,9 +23,8 @@ from dcsp.pursuit import RunResult
 
 
 def _augmented(A, y):
-    """One node's ``[A | y]`` as a stack of one, column-major as the pursuit
-    gathers it, since ``resid``'s bits follow the layout."""
-    return np.asfortranarray(np.column_stack([A, y]))[None]
+    """One node's ``[A | y]`` as a stack of one."""
+    return np.column_stack([A, y])[None]
 
 
 def _deliver(payloads, groups, frame, label, kind, rounds):

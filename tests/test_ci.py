@@ -34,7 +34,7 @@ def run_block(step):
 
 
 @pytest.mark.parametrize("step", ["Console script smoke run", "Batched sweep smoke run",
-                                  "Line budget"])
+                                  "Line budget", "Golden pins on a second BLAS kernel"])
 def test_ci_smoke_step_passes(step, tmp_path):
     shims = tmp_path / "bin"
     shims.mkdir()

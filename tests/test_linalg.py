@@ -27,6 +27,34 @@ def augmented(A, y):
     return np.column_stack([A, y])[None]
 
 
+def pursuit_stack(rng, n, m, k):
+    """A random (n, m, k + 1) ``[A | y]`` stack laid out as
+    ``pursuit._augmented`` builds it: the transpose of an (n, k + 1, m)
+    buffer."""
+    return rng.standard_normal((n, k + 1, m)).transpose(0, 2, 1)
+
+
+def layouts(X):
+    """The values of ``X`` in C order, in Fortran order per slice (its last
+    two axes) and as a non-contiguous view."""
+    fortran = np.swapaxes(np.swapaxes(X, -1, -2).copy(), -1, -2)
+    return [np.ascontiguousarray(X), fortran, np.repeat(X, 2, axis=-1)[..., ::2]]
+
+
+def traced_peak(call):
+    """The peak bytes that a second ``call()`` allocates, by tracemalloc:
+    a first call's one-time allocations are not the call's own."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestLstsq:
     def test_identity(self):
         assert np.allclose(lstsq_augmented(augmented(np.eye(3), [1.0, 2.0, 3.0])), [[1.0, 2.0, 3.0]])
@@ -83,20 +111,8 @@ class TestLstsq:
     def test_stacked_call_holds_two_augmented_stacks(self):
         # the caller's [A | y] and qr's working copy of it, plus O(n k): R
         # is read in place from the raw factor, with no triangular copy
-        n, m, k = 96, 50, 20
-        rng = np.random.default_rng(0)
-        # column-major slices, as pursuit._project_candidates gathers them
-        Ay = rng.standard_normal((n, k + 1, m)).transpose(0, 2, 1)
-        lstsq_augmented(Ay)  # first-call allocations are not the call's own
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            lstsq_augmented(Ay)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * Ay.nbytes
+        Ay = pursuit_stack(np.random.default_rng(0), 96, 50, 20)
+        assert traced_peak(lambda: lstsq_augmented(Ay)) <= 1.1 * Ay.nbytes
 
 
 class TestResid:
@@ -117,18 +133,30 @@ class TestResid:
         y = rng.standard_normal(8)
         assert np.max(np.abs(A.T @ resid(augmented(A, y))[0])) <= 1e-8
 
-    @pytest.mark.parametrize("column_major", [False, True])
-    def test_subtracts_the_projection(self, column_major):
-        # resid's c is lstsq_augmented's bit for bit, and A c reads the
-        # stack in place in either layout
+    def test_subtracts_the_projection(self):
+        # resid's c is lstsq_augmented's bit for bit, in either layout
         n, m, k = 6, 12, 4
-        rng = np.random.default_rng(19)
-        if column_major:  # as pursuit._augmented gathers it
-            Ay = rng.standard_normal((n, k + 1, m)).transpose(0, 2, 1)
-        else:
-            Ay = rng.standard_normal((n, m, k + 1))
-        expected = Ay[..., k] - (Ay[..., :k] @ lstsq_augmented(Ay)[..., None])[..., 0]
+        Ay = pursuit_stack(np.random.default_rng(19), n, m, k)
+        S = Ay.transpose(0, 2, 1)  # each slice's columns as rows
+        expected = S[:, k] - (lstsq_augmented(Ay)[:, None] @ S[:, :k])[:, 0]
         assert np.array_equal(resid(Ay), expected)
+        assert np.array_equal(resid(np.ascontiguousarray(Ay)), expected)
+
+    def test_takes_no_copy_of_the_pursuits_stack(self):
+        # qr's working copy of [A | y], plus O(n M) for the result
+        Ay = pursuit_stack(np.random.default_rng(29), 96, 50, 20)
+        assert traced_peak(lambda: resid(Ay)) <= 1.1 * Ay.nbytes
+
+
+def test_bits_follow_the_values_not_the_layout():
+    # one set of values in each layout, each argument's layouts crossed
+    rng = np.random.default_rng(23)
+    n, m, k, N = 5, 12, 4, 9
+    Ay, A, r = (rng.standard_normal(shape) for shape in ((n, m, k + 1), (n, m, N), (n, m)))
+    residuals = [resid(stack) for stack in layouts(Ay)]
+    assert all(np.array_equal(got, residuals[0]) for got in residuals)
+    correlations = [correlate(a, v) for a in layouts(A) for v in layouts(r)]
+    assert all(np.array_equal(got, correlations[0]) for got in correlations)
 
 
 class TestMaxInd:
@@ -169,11 +197,14 @@ class TestMaxOcc:
             max_occ([3, 3, 3], 2)
 
     def test_negative_value_rejected_in_any_row(self):
-        # a stack counts row i from offset i * width, where a negative
-        # value would land among the previous row's counts
         for m in ([-1, 2], [[1, 2], [-1, 2]]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="max_occ counts nonnegative integers"):
                 max_occ(m, 1)
+
+    def test_counts_only_the_values_given(self):
+        # a count per integer up to the largest value took 240 MB here
+        assert max_occ([3, 10**7, 10**7], 1).tolist() == [10**7]
+        assert traced_peak(lambda: max_occ([3, 10**7, 10**7], 1)) < 2**20
 
 
 class TestCorrelate:
@@ -182,6 +213,11 @@ class TestCorrelate:
 
     def test_zero_residual(self):
         assert np.allclose(correlate(np.ones((3, 4)), np.zeros(3)), np.zeros(4))
+
+    def test_takes_no_copy_of_a_c_order_stack(self):
+        A = np.random.default_rng(31).standard_normal((60, 50, 200))
+        r = np.ones((60, 50))
+        assert traced_peak(lambda: correlate(A, r)) < 0.5 * A.nbytes
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(17)
@@ -354,8 +390,10 @@ def unique_max_occ(m, K):
     return np.sort(values[np.argsort(-counts, kind="stable")[:K]])
 
 
-# few distinct values over many draws, so count ties are frequent
-@given(st.lists(st.integers(1, 200), min_size=1, max_size=9, unique=True), st.data())
+# few distinct values over many draws, so count ties are frequent; any
+# int64 value >= 0 may occur
+@given(st.lists(st.one_of(st.integers(1, 200), st.integers(0, 2**63 - 1)),
+                min_size=1, max_size=9, unique=True), st.data())
 @settings(max_examples=200, deadline=None)
 def test_max_occ_matches_unique_formulation(pool, data):
     m = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
