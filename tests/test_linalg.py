@@ -202,7 +202,7 @@ class TestMaxOcc:
                 max_occ(m, 1)
 
     def test_counts_only_the_values_given(self):
-        # a count per integer up to the largest value took 240 MB here
+        # memory grows with the values given, not with the largest of them
         assert max_occ([3, 10**7, 10**7], 1).tolist() == [10**7]
         assert traced_peak(lambda: max_occ([3, 10**7, 10**7], 1)) < 2**20
 
