@@ -5,8 +5,6 @@
 from dcsp import (
     CostParams,
     ProblemConfig,
-    cost_dcsp,
-    cost_ssp,
     cost_table1,
     dcsp_run,
     generate,
@@ -20,9 +18,9 @@ inst = generate(ProblemConfig(N=60, M=30, K=4, L=6, seed=11))
 s = ssp_run(inst)
 d = dcsp_run(inst, ring_topology(6, 3))
 print("ssp : counted", s.wire.total, "| formula",
-      cost_ssp(CostParams(N=60, K=4, L=6, T=s.iterations)))
+      cost_table1("ssp", CostParams(N=60, K=4, L=6, T=s.iterations)))
 print("dcsp: counted", d.wire.total, "| formula",
-      cost_dcsp(CostParams(N=60, K=4, L=6, g=3, T=d.iterations)))
+      cost_table1("dcsp", CostParams(N=60, K=4, L=6, g=3, T=d.iterations)))
 print("dcsp split: neighbor", d.wire.neighbor_scalars,
       "broadcast", d.wire.broadcast_scalars)
 
@@ -37,6 +35,6 @@ for name in ("jsp_jomp", "somp", "dcomp", "ssp", "dcsp"):
 #    grows far more slowly than full collaboration.
 print(f"\n{'L':>4} {'ssp':>10} {'dcsp':>10} {'ratio':>7}")
 for L in (5, 10, 20, 40, 80):
-    ssp_cost = cost_ssp(CostParams(N=200, K=10, L=L, T=2))
-    dcsp_cost = cost_dcsp(CostParams(N=200, K=10, L=L, g=3, T=2))
+    ssp_cost = cost_table1("ssp", CostParams(N=200, K=10, L=L, T=2))
+    dcsp_cost = cost_table1("dcsp", CostParams(N=200, K=10, L=L, g=3, T=2))
     print(f"{L:>4} {ssp_cost:>10} {dcsp_cost:>10} {ssp_cost / dcsp_cost:>7.1f}")

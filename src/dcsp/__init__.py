@@ -13,9 +13,7 @@ gives both the message and the iteration view).
 from .costs import (
     ALGORITHMS,
     CostParams,
-    cost_dcsp,
     cost_dcsp_general,
-    cost_ssp,
     cost_table1,
 )
 from .experiments import (
@@ -68,9 +66,7 @@ __all__ = [
     "as_index_set",
     "broadcast_all",
     "correlate",
-    "cost_dcsp",
     "cost_dcsp_general",
-    "cost_ssp",
     "cost_table1",
     "dcsp_run",
     "default_l_grid",

@@ -39,23 +39,6 @@ class CostParams:
                 raise ValueError(f"this cost formula needs {name}")
 
 
-def cost_ssp(p: CostParams) -> int:
-    """[N + T(N + 2K + 1)](L-1)L — fully collaborative subspace pursuit."""
-    p.require("T")
-    return (p.N + p.T * (p.N + 2 * p.K + 1)) * (p.L - 1) * p.L
-
-
-def cost_dcsp(p: CostParams) -> int:
-    """Symmetric-network DCSP cost.
-
-    N L(g-1) + K(L-1)L + T L[(g-1)(N + 2K) + (K+1)(L-1)]: neighborhood
-    correlation and projection exchanges plus network-wide support and
-    residual-energy rounds.
-    """
-    p.require("g", "T")
-    return cost_dcsp_general(p.N, p.K, p.L, p.T, p.L * (p.g - 1))
-
-
 def cost_dcsp_general(N, K, L, T, neighbor_link_count) -> int:
     """DCSP cost on an arbitrary topology with the given sum of (|G_l| - 1)."""
     init = N * neighbor_link_count + K * (L - 1) * L
@@ -66,8 +49,13 @@ def cost_dcsp_general(N, K, L, T, neighbor_link_count) -> int:
 def cost_table1(algorithm: str, p: CostParams) -> int:
     """Transmitted-message count for any of the five compared algorithms.
 
-    ``jsp_jomp`` and ``somp`` are T-free; ``dcomp`` needs g and T; ``ssp``
-    and ``dcsp`` defer to their dedicated formulas.
+    jsp_jomp  K(L-1)L
+    somp      KN(L-1)L
+    dcomp     T[(g-1)NL + (L-1)L]
+    ssp       [N + T(N + 2K + 1)](L-1)L, fully collaborative subspace pursuit
+    dcsp      N L(g-1) + K(L-1)L + T L[(g-1)(N + 2K) + (K+1)(L-1)]: on a
+              symmetric network, neighborhood correlation and projection
+              exchanges plus network-wide support and residual-energy rounds
     """
     if algorithm == "jsp_jomp":
         return p.K * (p.L - 1) * p.L
@@ -77,7 +65,9 @@ def cost_table1(algorithm: str, p: CostParams) -> int:
         p.require("g", "T")
         return p.T * ((p.g - 1) * p.N * p.L + (p.L - 1) * p.L)
     if algorithm == "ssp":
-        return cost_ssp(p)
+        p.require("T")
+        return (p.N + p.T * (p.N + 2 * p.K + 1)) * (p.L - 1) * p.L
     if algorithm == "dcsp":
-        return cost_dcsp(p)
+        p.require("g", "T")
+        return cost_dcsp_general(p.N, p.K, p.L, p.T, p.L * (p.g - 1))
     raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

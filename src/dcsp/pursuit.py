@@ -313,9 +313,9 @@ def ssp_run(instance: ProblemInstance, topology: Topology = None,
     """Simultaneous subspace pursuit over a fully connected network.
 
     ``topology`` must be fully connected (default ``full_topology(L)``);
-    ``max_iters`` caps the iterations (default ``3 * K``), and the result's
-    ``hit_max_iters`` is set when the cap fired before the residual
-    stopping rule.  The traffic is :func:`dcsp.costs.cost_ssp`'s.
+    ``max_iters`` caps the iterations (default ``3 * K``), and
+    ``hit_max_iters`` marks a cap that fired before the residual stopping
+    rule.  The traffic is the ``ssp`` row of :func:`dcsp.costs.cost_table1`.
     """
     return run_batch({"ssp": topology}, [instance], max_iters)["ssp"][0]
 

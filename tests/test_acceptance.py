@@ -7,7 +7,7 @@ they complete.  The Monte Carlo criteria take on the order of a minute.
 import numpy as np
 import pytest
 
-from dcsp.costs import CostParams, cost_dcsp, cost_ssp
+from dcsp.costs import CostParams, cost_table1
 from dcsp.experiments import ExperimentConfig, default_l_grid, run_sweep
 from dcsp.linalg import lstsq_augmented, max_ind, max_occ, resid
 from dcsp.network import ring_topology
@@ -115,12 +115,12 @@ def test_criterion_3_wire_exactness():
                     cfg = ProblemConfig(N=N, M=M, K=K, L=L, seed=BASE_SEED + checked)
                     inst = generate(cfg)
                     s = ssp_run(inst)
-                    exact &= s.wire.total == cost_ssp(
-                        CostParams(N=N, K=K, L=L, T=s.iterations)
+                    exact &= s.wire.total == cost_table1(
+                        "ssp", CostParams(N=N, K=K, L=L, T=s.iterations)
                     )
                     d = dcsp_run(inst, ring_topology(L, g))
-                    exact &= d.wire.total == cost_dcsp(
-                        CostParams(N=N, K=K, L=L, g=g, T=d.iterations)
+                    exact &= d.wire.total == cost_table1(
+                        "dcsp", CostParams(N=N, K=K, L=L, g=g, T=d.iterations)
                     )
                     checked += 2
     report(
@@ -137,8 +137,8 @@ def test_criterion_4_message_count_ordering(l_sweep_rows):
         for row in l_sweep_rows
     )
     analytic_ok = all(
-        cost_dcsp(CostParams(N=200, K=10, L=L, g=3, T=T))
-        < cost_ssp(CostParams(N=200, K=10, L=L, T=T))
+        cost_table1("dcsp", CostParams(N=200, K=10, L=L, g=3, T=T))
+        < cost_table1("ssp", CostParams(N=200, K=10, L=L, T=T))
         for L in default_l_grid()
         for T in range(1, 31)
     )

@@ -52,12 +52,10 @@ class TestParseValues:
 class TestCostCommand:
     def test_all_rows(self, capsys):
         code = main(["cost", "--N", "200", "--K", "10", "--L", "6", "--g", "3", "--T", "3"])
-        out = capsys.readouterr().out
         assert code == 0
-        assert "jsp_jomp: 300" in out
-        assert "somp: 60000" in out
-        assert "ssp: 25890" in out
-        assert "dcsp: 11610" in out
+        assert capsys.readouterr().out == (
+            "jsp_jomp: 300\nsomp: 60000\ndcomp: 7290\nssp: 25890\ndcsp: 11610\n"
+        )
 
     def test_single_row(self, capsys):
         code = main(["cost", "--algorithm", "ssp", "--N", "200", "--K", "10",

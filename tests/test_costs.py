@@ -1,6 +1,6 @@
 import pytest
 
-from dcsp.costs import CostParams, cost_dcsp, cost_dcsp_general, cost_ssp, cost_table1
+from dcsp.costs import CostParams, cost_dcsp_general, cost_table1
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate
 from dcsp.pursuit import dcsp_run, ssp_run
@@ -8,17 +8,17 @@ from dcsp.pursuit import dcsp_run, ssp_run
 
 class TestCostSsp:
     def test_one_iteration(self):
-        assert cost_ssp(CostParams(N=200, K=10, L=6, T=1)) == 12630
+        assert cost_table1("ssp", CostParams(N=200, K=10, L=6, T=1)) == 12630
 
     def test_three_iterations(self):
-        assert cost_ssp(CostParams(N=200, K=10, L=6, T=3)) == 25890
+        assert cost_table1("ssp", CostParams(N=200, K=10, L=6, T=3)) == 25890
 
     def test_single_node_costs_nothing(self):
-        assert cost_ssp(CostParams(N=200, K=10, L=1, T=5)) == 0
+        assert cost_table1("ssp", CostParams(N=200, K=10, L=1, T=5)) == 0
 
     def test_requires_T(self):
-        with pytest.raises(ValueError):
-            cost_ssp(CostParams(N=10, K=2, L=3))
+        with pytest.raises(ValueError, match="this cost formula needs T"):
+            cost_table1("ssp", CostParams(N=10, K=2, L=3))
 
 
 class TestCostParamsBounds:
@@ -47,21 +47,27 @@ class TestCostParamsBounds:
 
 class TestCostDcsp:
     def test_reference_point(self):
-        assert cost_dcsp(CostParams(N=200, K=10, L=6, g=3, T=3)) == 11610
+        assert cost_table1("dcsp", CostParams(N=200, K=10, L=6, g=3, T=3)) == 11610
 
     def test_initialization_only(self):
-        assert cost_dcsp(CostParams(N=200, K=10, L=6, g=3, T=0)) == 2700
+        assert cost_table1("dcsp", CostParams(N=200, K=10, L=6, g=3, T=0)) == 2700
+
+    @pytest.mark.parametrize("missing", ["g", "T"])
+    def test_requires_g_and_T(self, missing):
+        p = CostParams(**{**dict(N=200, K=10, L=6, g=3, T=3), missing: None})
+        with pytest.raises(ValueError, match=f"this cost formula needs {missing}"):
+            cost_table1("dcsp", p)
 
     def test_general_topology_matches_symmetric(self):
         p = CostParams(N=80, K=5, L=7, g=4, T=2)
-        assert cost_dcsp(p) == cost_dcsp_general(80, 5, 7, 2, 7 * 3)
+        assert cost_table1("dcsp", p) == cost_dcsp_general(80, 5, 7, 2, 7 * 3)
 
     def test_full_collaboration_differs_from_ssp_by_fusion_rounds(self):
         # with g = L the correlation/projection traffic matches SSP; the
         # extra charge is exactly the K-length support broadcasts of the
         # initialization and of each iteration
         p = CostParams(N=50, K=4, L=5, g=5, T=2)
-        gap = cost_dcsp(p) - cost_ssp(p)
+        gap = cost_table1("dcsp", p) - cost_table1("ssp", p)
         assert gap == (p.T + 1) * p.K * (p.L - 1) * p.L
 
 
@@ -74,11 +80,6 @@ class TestTable1:
 
     def test_dcomp(self):
         assert cost_table1("dcomp", CostParams(N=200, K=10, L=6, g=3, T=10)) == 24300
-
-    def test_ssp_dcsp_rows_delegate(self):
-        p = CostParams(N=200, K=10, L=6, g=3, T=3)
-        assert cost_table1("ssp", p) == cost_ssp(p)
-        assert cost_table1("dcsp", p) == cost_dcsp(p)
 
     def test_unknown_algorithm(self):
         for name in ("bp", "SSP"):  # names are compared as given
@@ -104,7 +105,7 @@ def test_dcsp_cheaper_than_ssp_on_figure_range():
     for L in range(5, 41):
         for T in range(1, 31):
             p = CostParams(N=200, K=10, L=L, g=3, T=T)
-            assert cost_dcsp(p) < cost_ssp(p)
+            assert cost_table1("dcsp", p) < cost_table1("ssp", p)
 
 
 class TestWireExactness:
@@ -112,14 +113,14 @@ class TestWireExactness:
         for seed in range(10):
             inst = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=seed))
             result = ssp_run(inst)
-            expected = cost_ssp(CostParams(N=30, K=3, L=4, T=result.iterations))
+            expected = cost_table1("ssp", CostParams(N=30, K=3, L=4, T=result.iterations))
             assert result.wire.total == expected
 
     def test_dcsp_counter_equals_formula(self):
         for seed in range(10):
             inst = generate(ProblemConfig(N=30, M=16, K=3, L=5, seed=seed))
             result = dcsp_run(inst, ring_topology(5, 3))
-            expected = cost_dcsp(CostParams(N=30, K=3, L=5, g=3, T=result.iterations))
+            expected = cost_table1("dcsp", CostParams(N=30, K=3, L=5, g=3, T=result.iterations))
             assert result.wire.total == expected
 
     def test_dcsp_split_by_message_class(self):
