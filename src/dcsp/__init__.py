@@ -17,10 +17,9 @@ from .costs import (
     cost_table1,
 )
 from .experiments import (
+    FIGURES,
     ExperimentConfig,
     SweepRow,
-    default_l_grid,
-    default_m_grid,
     derive_trial_seed,
     run_sweep,
 )
@@ -56,6 +55,7 @@ __all__ = [
     "ALGORITHMS",
     "CostParams",
     "ExperimentConfig",
+    "FIGURES",
     "ProblemConfig",
     "ProblemInstance",
     "RankDeficientError",
@@ -69,8 +69,6 @@ __all__ = [
     "cost_dcsp_general",
     "cost_table1",
     "dcsp_run",
-    "default_l_grid",
-    "default_m_grid",
     "derive_trial_seed",
     "exchange_neighbors",
     "full_topology",

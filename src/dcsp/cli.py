@@ -14,7 +14,7 @@ import sys
 
 from . import experiments
 from .costs import ALGORITHMS, CostParams, cost_table1
-from .experiments import ExperimentConfig, default_l_grid, default_m_grid
+from .experiments import FIGURES, ExperimentConfig
 from .network import full_topology, ring_topology, topology_from_listing
 from .problems import ProblemConfig, generate, success
 from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
@@ -147,19 +147,14 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figures = (
-        ("fig1", "success frequency vs measurements per node", "M", "L", "22:50:2 or 26,30"),
-        ("fig2", "transmitted messages and iterations vs network scale", "L", "M", "5:40:5"),
-    )
-    for command, about, sweep, fixed, example in figures:
-        p = sub.add_parser(command, help=about)
+    for sweep, figure in FIGURES.items():
+        p = sub.add_parser(figure.name, help=figure.about)
+        grid = figure.grid
         p.add_argument(
-            f"--{sweep}", dest="values", metavar=sweep, type=parse_values,
-            default=default_m_grid() if sweep == "M" else default_l_grid(),
-            help=f"swept {sweep} values, e.g. {example}",
+            f"--{sweep}", dest="values", metavar=sweep, type=parse_values, default=grid,
+            help=f"swept {sweep} values, e.g. {grid[0]}:{grid[-1]}:{grid[1] - grid[0]}",
         )
-        # fig2's 100 trials differ from ExperimentConfig's 500
-        _add_ints(p, f"{fixed} N K g seed trials jobs", trials=100 if sweep == "L" else None)
+        _add_ints(p, f"{figure.fixed} N K g seed trials jobs", trials=figure.trials)
         p.add_argument("--out", help="output path stem (.csv/.dat added)")
         p.add_argument("--algorithms", type=_names, help="comma list of simulated algorithms")
         p.set_defaults(func=_run_figure, sweep=sweep)

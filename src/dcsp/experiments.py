@@ -35,6 +35,7 @@ importing this module, and any serial sweep, never loads
 """
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,13 +69,25 @@ def derive_trial_seed(base_seed, sweep_value, trial_index, attempt=0):
     return (base_seed ^ h) & _MASK64
 
 
+Figure = namedtuple("Figure", "name about fixed grid trials references")
+# each sweep's figure, keyed by the swept dimension: its command and help,
+# the dimension held fixed, the default grid and trials (None takes
+# ExperimentConfig's), and the analytic-only curves that its table adds
+FIGURES = {
+    "M": Figure("fig1", "success frequency vs measurements per node", "L",
+                tuple(range(22, 51, 2)), None, ()),
+    "L": Figure("fig2", "transmitted messages and iterations vs network scale", "M",
+                tuple(range(5, 41, 5)), 100, ("jsp_jomp", "somp", "dcomp")),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: which variable moves, what stays fixed, how many trials.
 
     An M sweep needs g <= L; an L sweep clips g to each point's L."""
 
-    sweep: str  # "M" or "L"
+    sweep: str  # a key of FIGURES
     values: tuple
     N: int = 200
     K: int = 10
@@ -88,8 +101,8 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
-        if self.sweep not in ("M", "L"):
-            raise ValueError("sweep must be 'M' or 'L'")
+        if self.sweep not in tuple(FIGURES):  # by ==: an unhashable sweep is no TypeError
+            raise ValueError(f"sweep must be {' or '.join(map(repr, FIGURES))}")
         least = dict(g=2, trials=1, jobs=1)
         for name in ("N", "K", "M", "L", "g", "trials", "seed", "jobs"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least.get(name)))
@@ -158,14 +171,6 @@ class SweepRow:
     trials: int
     stats: dict
     references: dict = field(default_factory=dict)  # analytic-only curves
-
-
-def default_m_grid():
-    return tuple(range(22, 51, 2))
-
-
-def default_l_grid():
-    return tuple(range(5, 41, 5))
 
 
 def _attempt(config: ExperimentConfig, value, trials, topologies, attempt):
@@ -260,13 +265,9 @@ def run_sweep(config: ExperimentConfig):
                 mean_analytic=float(np.mean(analytic)),
                 aborted=int(sum(redraws)),
             )
-        references = {}
-        if config.sweep == "L":
-            # dcomp, never simulated, adds one index per iteration: T = K
-            base = replace(costs, T=problem.K)
-            references = {
-                name: cost_table1(name, base) for name in ("jsp_jomp", "somp", "dcomp")
-            }
+        # dcomp, never simulated, adds one index per iteration: T = K
+        references = {name: cost_table1(name, replace(costs, T=problem.K))
+                      for name in FIGURES[config.sweep].references}
         rows.append(SweepRow(value, config.trials, stats, references))
     if config.out:
         write_tables(rows, config)
@@ -295,19 +296,17 @@ def _cells(config: ExperimentConfig, row: SweepRow):
 
 
 def _header_lines(config: ExperimentConfig):
-    fixed = (
-        f"N={config.N} K={config.K} g={config.g} "
-        + (f"L={config.L}" if config.sweep == "M" else f"M={config.M}")
-    )
+    figure = FIGURES[config.sweep]
+    fixed = f"{figure.fixed}={getattr(config, figure.fixed)}"
     lines = [
-        f"figure: {'fig1' if config.sweep == 'M' else 'fig2'}",
+        f"figure: {figure.name}",
         f"sweep: {config.sweep} over {list(config.values)}",
-        f"fixed: {fixed}",
+        f"fixed: N={config.N} K={config.K} g={config.g} {fixed}",
         f"trials-per-point: {config.trials}  base-seed: {config.seed}",
         "success = frequency of exact support-set recovery; messages in scalars",
         "analytic_messages = per-trial closed form at that trial's iteration count",
     ]
-    if config.sweep == "L":
+    if figure.references:
         lines.append(
             f"reference curves assume T_dcomp = K = {config.K}; jsp_jomp/somp are T-free"
         )
@@ -315,8 +314,8 @@ def _header_lines(config: ExperimentConfig):
 
 
 def write_tables(rows, config: ExperimentConfig):
-    """Write ``<out>.csv`` and a gnuplot-style ``<out>.dat``, named fig1
-    for an M sweep and fig2 for an L sweep."""
+    """Write ``<out>.csv`` and a gnuplot-style ``<out>.dat``, each naming
+    the sweep's figure in :data:`FIGURES`."""
     table = [_cells(config, row) for row in rows]
     header = _header_lines(config)
     # the .dat twin separates with spaces and comments out the column names

@@ -49,7 +49,7 @@ import numpy as np
 
 from dcsp import experiments, pursuit
 from dcsp.cli import main as cli_main
-from dcsp.experiments import ExperimentConfig, default_l_grid, default_m_grid, run_sweep
+from dcsp.experiments import FIGURES, ExperimentConfig, run_sweep
 from dcsp.linalg import RankDeficientError
 from dcsp.network import full_topology, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, generate
@@ -88,8 +88,8 @@ LEDGER_CALLS = (
 )
 # the perfbench msweep and lsweep grids at 10 trials per point, serially
 LEDGER_SWEEPS = {
-    "msweep": dict(sweep="M", values=default_m_grid(), L=6),
-    "lsweep": dict(sweep="L", values=default_l_grid(), M=50),
+    "msweep": dict(sweep="M", values=FIGURES["M"].grid, L=6),
+    "lsweep": dict(sweep="L", values=FIGURES["L"].grid, M=50),
 }
 # the values that `dcsp trial` prints of its energies and candidate sizes
 ROUND_OFF = re.compile(r"(?<=residual_energy=)\S+|(?<=candidate_sizes=)\[[^]]*\]")
@@ -175,14 +175,11 @@ def table_digests(trials=TABLE_TRIALS):
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in TABLE_SEEDS:
-            for figure, sweep, values in (
-                ("fig1", "M", default_m_grid()),
-                ("fig2", "L", default_l_grid()),
-            ):
-                out = os.path.join(tmp, f"{figure}-seed{seed}")
-                run_sweep(ExperimentConfig(sweep=sweep, values=values, trials=trials, seed=seed, out=out))
+            for sweep, figure in FIGURES.items():
+                out = os.path.join(tmp, f"{figure.name}-seed{seed}")
+                run_sweep(ExperimentConfig(sweep=sweep, values=figure.grid, trials=trials, seed=seed, out=out))
                 with open(out + ".csv", "rb") as fh:
-                    digests[f"{figure}-seed{seed}.csv"] = hashlib.sha256(fh.read()).hexdigest()
+                    digests[f"{figure.name}-seed{seed}.csv"] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 

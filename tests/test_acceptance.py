@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dcsp.costs import CostParams, cost_table1
-from dcsp.experiments import ExperimentConfig, default_l_grid, run_sweep
+from dcsp.experiments import FIGURES, ExperimentConfig, run_sweep
 from dcsp.linalg import lstsq_augmented, max_ind, max_occ, resid
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate, success
@@ -54,7 +54,7 @@ def l_sweep_rows():
     """The network-scale sweep shared by the message and iteration criteria."""
     config = ExperimentConfig(
         sweep="L",
-        values=default_l_grid(),
+        values=FIGURES["L"].grid,
         N=200,
         K=10,
         M=50,
@@ -139,7 +139,7 @@ def test_criterion_4_message_count_ordering(l_sweep_rows):
     analytic_ok = all(
         cost_table1("dcsp", CostParams(N=200, K=10, L=L, g=3, T=T))
         < cost_table1("ssp", CostParams(N=200, K=10, L=L, T=T))
-        for L in default_l_grid()
+        for L in FIGURES["L"].grid
         for T in range(1, 31)
     )
     detail = " ".join(

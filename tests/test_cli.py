@@ -370,6 +370,26 @@ def test_figures_run_through_the_module_run_sweep(monkeypatch, capsys, argv, swe
     assert [config.sweep for config in configs] == [sweep]
 
 
+@pytest.mark.parametrize("sweep", list(dcsp.FIGURES))
+def test_figure_commands_follow_their_row(capsys, tmp_path, sweep):
+    row = dcsp.FIGURES[sweep]
+    args = build_parser().parse_args([row.name])
+    # fig1 leaves trials unset, so that ExperimentConfig's 500 applies
+    assert (args.values, args.trials) == (row.grid, {"fig1": None, "fig2": 100}[row.name])
+    tiny = {"M": 16, "L": 4}
+    out = tmp_path / row.name
+    assert main([row.name, f"--{sweep}", str(tiny[sweep]), f"--{row.fixed}", str(tiny[row.fixed]),
+                 "--N", "40", "--K", "3", "--trials", "1", "--out", str(out)]) == 0
+    lines = (tmp_path / f"{row.name}.csv").read_text().splitlines()
+    assert f"# figure: {row.name}" in lines
+    (fixed,) = [line.split() for line in lines if line.startswith("# fixed: ")]
+    assert f"{row.fixed}={tiny[row.fixed]}" in fixed
+    columns = next(line for line in lines if not line.startswith("#")).split(",")
+    analytic = [c.removesuffix("_analytic_messages") for c in columns
+                if c.endswith("_analytic_messages")]
+    assert analytic == [*dcsp.pursuit.SIMULATED_ALGORITHMS, *row.references]
+
+
 def test_readme_commands_parse():
     # every `dcsp ...` line in the README's fenced blocks must be accepted
     lines, fenced = [], False

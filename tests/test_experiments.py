@@ -8,13 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dcsp import cli, experiments, pursuit
 from dcsp.cli import main
-from dcsp.experiments import (
-    ExperimentConfig,
-    default_l_grid,
-    default_m_grid,
-    derive_trial_seed,
-    run_sweep,
-)
+from dcsp.experiments import FIGURES, ExperimentConfig, derive_trial_seed, run_sweep
 from dcsp.linalg import RankDeficientError
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate
@@ -65,8 +59,10 @@ class TestSeedDerivation:
 
 class TestConfigValidation:
     def test_bad_sweep(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(sweep="K", values=(1,))
+        # an unhashable sweep is rejected like any other, not a TypeError
+        for sweep in ("K", ["M"], None, "fig1", "m"):
+            with pytest.raises(ValueError, match="sweep must be 'M' or 'L'"):
+                ExperimentConfig(sweep=sweep, values=(30,))
 
     def test_empty_range(self):
         with pytest.raises(ValueError):
@@ -182,8 +178,8 @@ class TestConfigValidation:
         ExperimentConfig(sweep="M", values=(20, 26), N=40, K=3)
 
     def test_default_grids(self):
-        assert default_m_grid()[0] == 22 and default_m_grid()[-1] == 50
-        assert default_l_grid() == (5, 10, 15, 20, 25, 30, 35, 40)
+        assert FIGURES["M"].grid[0] == 22 and FIGURES["M"].grid[-1] == 50
+        assert FIGURES["L"].grid == (5, 10, 15, 20, 25, 30, 35, 40)
 
 
 class TestRunSweep:
@@ -281,6 +277,16 @@ class TestRunSweep:
         rows = run_sweep(small_l_config(values=(2,), trials=2))
         for s in rows[0].stats.values():
             assert s.mean_messages > 0
+
+    def test_l_sweep_clip_makes_dcsp_ssp(self):
+        # where L <= g, point() clips g to L: each neighborhood is the whole
+        # network, so dcsp(g=L) recovers and stops as ssp does
+        rows = run_sweep(ExperimentConfig(sweep="L", values=(2, 3, 4), N=40, K=3, M=12, g=3,
+                                          trials=20, seed=5))
+        for row in rows[:2]:  # L=2 and L=3
+            ssp, dcsp = row.stats["ssp"], row.stats["dcsp"]
+            assert (dcsp.success_rate, dcsp.mean_iterations) == (
+                ssp.success_rate, ssp.mean_iterations)
 
 
 @st.composite
