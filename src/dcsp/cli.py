@@ -15,7 +15,7 @@ import sys
 from . import experiments
 from .costs import ALGORITHMS, CostParams, cost_table1
 from .experiments import FIGURES, ExperimentConfig
-from .network import full_topology, ring_topology, topology_from_listing
+from .network import ring_topology, topology_from_listing
 from .problems import ProblemConfig, generate, success
 from .pursuit import SIMULATED_ALGORITHMS, _run_limits, run_batch
 
@@ -96,11 +96,12 @@ def _cmd_trial(args):
     else:  # an unset g is full collaboration
         g = config.L if args.g is None else args.g
         topology = ring_topology(config.L, g)  # the check of 2 <= g <= L, for ssp too
-        if args.algorithm == "ssp":  # which then runs on full collaboration
-            g, topology = config.L, full_topology(config.L)
-    _run_limits(config, {args.algorithm: topology}, args.max_iters)  # before the draw
+        if args.algorithm == "ssp":  # which ignores it: ssp collaborates fully
+            g = config.L
+    algorithms = (args.algorithm,)
+    _run_limits(config, algorithms, topology, args.max_iters)  # before the draw
     instance = generate(config)
-    run = run_batch({args.algorithm: topology}, [instance], args.max_iters)[args.algorithm][0]
+    run = run_batch(algorithms, [instance], topology, args.max_iters)[args.algorithm][0]
     ok = success(run.support, instance)
     drawn = instance.config
     shape = f"g={g}" if g is not None else "topology=explicit"

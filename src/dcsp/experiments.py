@@ -7,7 +7,7 @@ fig2), transmitted messages and executed iterations vs network scale: the
 ``*_mean_messages`` and ``*_mean_iterations`` columns of the same table.
 With ``out`` set, results are emitted as CSV plus a gnuplot-style ``.dat``
 twin, each naming its figure; plotting is left to external tools.  One
-trial needs no sweep: ``run_batch(algorithms, [generate(config)])``.
+trial needs no sweep: ``run_batch(algorithms, [generate(config)], topology)``.
 
 Reproducibility: the seed of trial ``i`` at sweep value ``v`` is
 ``base_seed XOR splitmix64-chain(v, i, attempt)``, so any point can be
@@ -20,10 +20,11 @@ in ``_MAX_REDRAWS + 1`` attempts stops the sweep with an error naming it.
 
 Trial batching: a point runs its trials in the fewest batches of
 consecutive trials whose dictionaries fit BATCH_BYTES (a single trial
-always fits), split as evenly as possible.  A batch is drawn in one :func:`~dcsp.problems.generate_batch` call into one
-(B, L, M, N) stack, and one :func:`~dcsp.pursuit.run_batch` call, handed
-the stack to read in place, runs every algorithm on it, so that each
-round's numpy calls serve ssp and dcsp together.  A batch that hits a
+always fits), split as evenly as possible.  A batch is drawn in one
+:func:`~dcsp.problems.generate_batch` call into one (B, L, M, N) stack,
+and one :func:`~dcsp.pursuit.run_batch` call, handed the stack to read in
+place and the point's ring topology, runs every algorithm on it, so that
+each round's numpy calls serve ssp and dcsp together.  A batch that hits a
 rank-deficient projection runs again one trial at a time through the
 redraw loop, so every record, seed and ``aborted`` count equals
 one-at-a-time running.  Workers return per-batch records that are merged
@@ -42,9 +43,9 @@ import numpy as np
 
 from .costs import CostParams, cost_table1
 from .linalg import RankDeficientError, _integer
-from .network import full_topology, ring_topology
+from .network import ring_topology
 from .problems import ProblemConfig, generate_batch, success
-from .pursuit import SIMULATED_ALGORITHMS, run_batch
+from .pursuit import SIMULATED_ALGORITHMS, _check_algorithms, run_batch
 
 _MASK64 = (1 << 64) - 1
 _MAX_REDRAWS = 5
@@ -121,13 +122,7 @@ class ExperimentConfig:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"values={values} names {repeated[0]} twice")
-        if not self.algorithms:
-            raise ValueError("need at least one algorithm, got algorithms=()")
-        unknown = [a for a in self.algorithms if a not in SIMULATED_ALGORITHMS]
-        if unknown:  # before set(), which an unhashable name would break
-            raise ValueError(f"cannot simulate {unknown}, got algorithms={self.algorithms}")
-        if len(set(self.algorithms)) != len(self.algorithms):
-            raise ValueError(f"algorithms={self.algorithms} names one twice")
+        _check_algorithms(self.algorithms)
         if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
             raise ValueError(f"need a path, got out={self.out!r}")
         # "/tmp/" would write /tmp/.csv, "" nothing, a directory's stem its tables beside it
@@ -173,10 +168,10 @@ class SweepRow:
     references: dict = field(default_factory=dict)  # analytic-only curves
 
 
-def _attempt(config: ExperimentConfig, value, trials, topologies, attempt):
+def _attempt(config: ExperimentConfig, value, trials, topology, attempt):
     """Draw ``trials`` of one point at ``attempt`` into one stack and run
-    ``topologies``' algorithms on it: one record per trial, {algorithm:
-    (success, iterations, messages, redraws)}, or RankDeficientError."""
+    the algorithms on it, dcsp on ``topology``: {algorithm: (success,
+    iterations, messages, redraws)} per trial, or RankDeficientError."""
     problem, _ = config.point(value)
     # every batch takes a whole budget's block and fills what it needs, so
     # that malloc reuses one freed block for all of them: blocks of mixed
@@ -186,27 +181,27 @@ def _attempt(config: ExperimentConfig, value, trials, topologies, attempt):
         len(trials), problem.L, problem.M, problem.N)
     draws = generate_batch([replace(problem, seed=derive_trial_seed(config.seed, value, trial, attempt))
                             for trial in trials], out=stack)
-    runs = run_batch(topologies, draws, dictionaries=stack)
+    runs = run_batch(config.algorithms, draws, topology, dictionaries=stack)
     return [{a: (bool(success(runs[a][i].support, draw)), runs[a][i].iterations,
                  runs[a][i].wire.total, attempt) for a in runs}
             for i, draw in enumerate(draws)]
 
 
-def _run_trials(config: ExperimentConfig, value, trials, topologies):
+def _run_trials(config: ExperimentConfig, value, trials, topology):
     """Records of consecutive ``trials`` of one point, run as one batch or,
     if it hits a rank-deficient projection, one at a time through the
     redraw loop.  A trial whose ``_MAX_REDRAWS + 1`` draws are all rank
     deficient raises RankDeficientError naming the point, trial and seeds."""
     if len(trials) > 1:
         try:
-            return _attempt(config, value, trials, topologies, 0)
+            return _attempt(config, value, trials, topology, 0)
         except RankDeficientError:
             pass
     records = []
     for trial in trials:
         for attempt in range(_MAX_REDRAWS + 1):
             try:
-                records += _attempt(config, value, (trial,), topologies, attempt)
+                records += _attempt(config, value, (trial,), topology, attempt)
                 break
             except RankDeficientError as err:
                 last_error = err
@@ -233,12 +228,12 @@ def run_sweep(config: ExperimentConfig):
     tasks = []
     for value in config.values:
         problem, g = config.point(value)
-        # built once per point and shared by its trials, in table order
-        shared = {a: full_topology(problem.L) if a == "ssp" else ring_topology(problem.L, g)
-                  for a in config.algorithms}
-        tasks += [(config, value, trials, shared) for trials in _batches(config.trials, problem)]
-    # a fork pool starts every worker at its first submit, needed or not
-    workers = min(config.jobs, len(tasks))
+        topology = ring_topology(problem.L, g)  # built once per point, shared by its trials
+        tasks += [(config, value, trials, topology) for trials in _batches(config.trials, problem)]
+    # a fork pool starts every worker at its first submit, needed or not,
+    # so no more than there are batches or CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.jobs, len(tasks), cpus or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

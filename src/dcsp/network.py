@@ -61,9 +61,6 @@ class Topology:
     def __eq__(self, other):  # one row of index per node, so equal indexes mean equal L
         return isinstance(other, Topology) and np.array_equal(self.index, other.index)
 
-    def is_full(self):
-        return self.neighbor_link_count == self.L * (self.L - 1)
-
 
 def full_topology(L: int) -> Topology:
     """Full collaboration: every node neighbors every other."""

@@ -1,17 +1,18 @@
 """Decentralized subspace-pursuit style support recovery.
 
 One pursuit loop, :func:`run_batch`, runs ssp (full collaboration) and
-dcsp (neighborhood collaboration) on a batch of draws; :func:`ssp_run`
-and :func:`dcsp_run` run one algorithm on one draw.  Each iteration
-merges the support with the K strongest summed residual correlations into
-each node's candidate set, projects onto it, and ranks the K largest
-summed coefficient magnitudes, scattered into an (L, N) stack, as the
-next support.  ssp broadcasts both rounds and ranks one shared K-set;
-dcsp exchanges them with neighbors, each node ranks its own K-set, and a
-broadcast of the local K-sets is fused by majority (``max_occ``).  A run
-stops, keeping its previous support, once the network-wide residual
-energy fails to decrease.  All traffic goes through :mod:`dcsp.network`,
-whose wire counter matches :mod:`dcsp.costs` to the integer.
+dcsp (collaboration within one topology's neighborhoods) on a batch of
+draws; :func:`ssp_run` and :func:`dcsp_run` run one algorithm on one
+draw.  Each iteration merges the support with the K strongest summed
+residual correlations into each node's candidate set, projects onto it,
+and ranks the K largest summed coefficient magnitudes, scattered into an
+(L, N) stack, as the next support.  ssp broadcasts both rounds and ranks
+one shared K-set; dcsp exchanges them with neighbors, each node ranks its
+own K-set, and a broadcast of the local K-sets is fused by majority
+(``max_occ``).  A run stops, keeping its previous support, once the
+network-wide residual energy fails to decrease.  All traffic goes through
+:mod:`dcsp.network`, whose wire counter matches :mod:`dcsp.costs` to the
+integer.
 
 Floating-point determinism: every cross-node reduction (correlation sums,
 scattered coefficient magnitudes, residual-energy sums) adds in ascending
@@ -172,31 +173,38 @@ def _project_candidates(A, Y, rows, candidates):
     return magnitudes, sizes
 
 
-def _run_limits(config, algorithms, max_iters):
-    """Check run arguments against the :class:`ProblemConfig` ``config``;
-    returns the {algorithm: topology} map with ``None`` made full and the
-    cap, default ``3 * K``."""
+def _check_algorithms(algorithms):
+    """The rule for a tuple of algorithm names, a run's or a sweep's: one
+    or more distinct simulated ones."""
     if not algorithms:
-        raise ValueError("need at least one algorithm")
-    topologies = {}
-    for algorithm, topology in algorithms.items():
-        if algorithm not in SIMULATED_ALGORITHMS:
-            raise ValueError(f"cannot simulate {algorithm!r}")
-        topology = full_topology(config.L) if topology is None else topology
-        if topology.L != config.L:
-            raise ValueError(f"topology has {topology.L} nodes, problem has L={config.L}")
-        if algorithm == "ssp" and not topology.is_full():
-            raise ValueError("ssp requires full collaboration")
-        topologies[algorithm] = topology
+        raise ValueError("need at least one algorithm, got algorithms=()")
+    unknown = [a for a in algorithms if a not in SIMULATED_ALGORITHMS]
+    if unknown:  # before set(), which an unhashable name would break
+        raise ValueError(f"cannot simulate {unknown}, got algorithms={algorithms}")
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"algorithms={algorithms} names one twice")
+
+
+def _run_limits(config, algorithms, topology, max_iters):
+    """Check run arguments against the :class:`ProblemConfig` ``config``;
+    returns dcsp's topology, ``None`` made full, and the cap, default
+    ``3 * K``."""
+    _check_algorithms(tuple(algorithms))
+    topology = full_topology(config.L) if topology is None else topology
+    if not isinstance(topology, Topology):
+        raise ValueError(f"need a Topology or None, got topology={topology!r}")
+    if topology.L != config.L:
+        raise ValueError(f"topology has {topology.L} nodes, problem has L={config.L}")
     if max_iters is None:
-        return topologies, 3 * config.K
-    return topologies, _integer("max_iters", max_iters, 1)
+        return topology, 3 * config.K
+    return topology, _integer("max_iters", max_iters, 1)
 
 
-def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
-    """Run each of ``algorithms``, a map from "ssp" or "dcsp" to a topology
-    (``None``: full), on each of ``instances``, draws of one N, M, K and L,
-    under one cap: the pursuit loop of the module docstring.  Returns
+def run_batch(algorithms, instances, topology, max_iters=None, dictionaries=None):
+    """Run each of ``algorithms``, distinct names "ssp" or "dcsp", on each
+    of ``instances``, draws of one N, M, K and L, under one cap: the pursuit
+    loop of the module docstring.  dcsp collaborates within ``topology``'s
+    neighborhoods (``None``: full); ssp reads only its L.  Returns
     {algorithm: one :class:`RunResult` per instance}, each equal to the
     run on its draw alone; raises RankDeficientError if any run does.
 
@@ -209,7 +217,7 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
         raise ValueError("a batch needs one or more draws of one N, M, K and L")
     cfg = instances[0].config
     N, K, L = cfg.N, cfg.K, cfg.L
-    topologies, max_iters = _run_limits(cfg, algorithms, max_iters)
+    topology, max_iters = _run_limits(cfg, algorithms, topology, max_iters)
 
     if dictionaries is None:
         A = _node_stack([instance.dictionaries for instance in instances])
@@ -221,7 +229,7 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
     Y = _node_stack([instance.measurements for instance in instances])
     # run r is algorithm names[r // B] on draw r % B, so the runs of one
     # algorithm form one slice of any ascending list of runs
-    names, B = list(topologies), len(instances)
+    names, B = list(algorithms), len(instances)
     counters = [WireCounter() for _ in range(len(names) * B)]
     memo = {}  # residual states by (draw, support), see the module docstring
 
@@ -238,7 +246,7 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
         for name, lo, hi in parts:
             fuse = name == "dcsp"
             view = (exchange_neighbors if fuse else broadcast_all)(
-                stack[lo * L:hi * L], topologies[name], wires[lo:hi], length, label)
+                stack[lo * L:hi * L], topology, wires[lo:hi], length, label)
             sums.append(_ordered_sum(view if fuse else view.reshape(hi - lo, L, -1)))
         ranked, cuts = max_ind(_node_stack(sums), K), [0, *accumulate(map(len, sums))]
         return [ranked[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -250,7 +258,7 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
         supports = []
         for (name, lo, hi), part in zip(parts, ranked):
             if name == "dcsp":
-                local = broadcast_all(part, topologies[name], wires[lo:hi], K, "local support")
+                local = broadcast_all(part, topology, wires[lo:hi], K, "local support")
                 part = max_occ(local.reshape(hi - lo, L * K), K)
             supports += list(part)
         return supports
@@ -285,9 +293,9 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
         new_supports = settle(parts, ranked, wires)
 
         new_states = _residual_states(memo, L, draws, new_supports, A, Y)
-        for name, lo, hi in parts:
+        for _, lo, hi in parts:
             broadcast_all([e for state in new_states[lo:hi] for e in state.energies],
-                          topologies[name], wires[lo:hi], 1, "residual norm")
+                          topology, wires[lo:hi], 1, "residual norm")
 
         improved = []
         for j, r in enumerate(live):
@@ -308,16 +316,14 @@ def run_batch(algorithms, instances, max_iters=None, dictionaries=None):
     return {name: results[a * B:(a + 1) * B] for a, name in enumerate(names)}
 
 
-def ssp_run(instance: ProblemInstance, topology: Topology = None,
-            max_iters: int = None) -> RunResult:
+def ssp_run(instance: ProblemInstance, max_iters: int = None) -> RunResult:
     """Simultaneous subspace pursuit over a fully connected network.
 
-    ``topology`` must be fully connected (default ``full_topology(L)``);
     ``max_iters`` caps the iterations (default ``3 * K``), and
     ``hit_max_iters`` marks a cap that fired before the residual stopping
     rule.  The traffic is the ``ssp`` row of :func:`dcsp.costs.cost_table1`.
     """
-    return run_batch({"ssp": topology}, [instance], max_iters)["ssp"][0]
+    return run_batch(("ssp",), [instance], None, max_iters)["ssp"][0]
 
 
 def dcsp_run(instance: ProblemInstance, topology: Topology,
@@ -330,5 +336,5 @@ def dcsp_run(instance: ProblemInstance, topology: Topology,
     :func:`dcsp.costs.cost_dcsp_general`'s; parameters and result
     semantics match :func:`ssp_run`.
     """
-    return run_batch({"dcsp": topology}, [instance], max_iters)["dcsp"][0]
+    return run_batch(("dcsp",), [instance], topology, max_iters)["dcsp"][0]
 

@@ -51,7 +51,7 @@ from dcsp import experiments, pursuit
 from dcsp.cli import main as cli_main
 from dcsp.experiments import FIGURES, ExperimentConfig, run_sweep
 from dcsp.linalg import RankDeficientError
-from dcsp.network import full_topology, ring_topology, topology_from_listing
+from dcsp.network import ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, generate
 from dcsp.pursuit import dcsp_run, ssp_run
 
@@ -147,7 +147,7 @@ def run_instance(params):
     N, M, K, L, g, seed, max_iters, listing = params
     instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
     calls = (
-        lambda: ssp_run(instance, full_topology(L), max_iters),
+        lambda: ssp_run(instance, max_iters),
         lambda: dcsp_run(instance, ring_topology(L, g), max_iters),
         lambda: dcsp_run(instance, ring_topology(L, L), max_iters),
         lambda: dcsp_run(instance, topology_from_listing(listing), max_iters),

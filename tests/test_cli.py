@@ -292,8 +292,7 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     run = dcsp.dcsp_run(instance, None)
 
     def record(*args, **kwargs):
-        for value in (*args, *kwargs.values()):  # an {algorithm: topology} map by its keys
-            received.extend(value if isinstance(value, dict) else [value])
+        received.extend((*args, *kwargs.values()))
         return types.SimpleNamespace(sweep="M", out=None, L=7)  # trial's L for its ring
 
     def record_draw(*args):
@@ -301,7 +300,7 @@ def test_every_option_reaches_the_library(monkeypatch, command):
         return instance  # a real draw and run, for the transcript
 
     def record_run(algorithms, *args):
-        record(algorithms, *args)
+        record(*algorithms, *args)  # the algorithm names one by one
         return {algorithm: [run] for algorithm in algorithms}
 
     for name in ("ExperimentConfig", "ProblemConfig", "CostParams", "cost_table1",

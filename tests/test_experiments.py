@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import os
 import re
 
 import numpy as np
@@ -254,12 +255,21 @@ class TestRunSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
+        cpus = [64]  # the CPUs this process may run on
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus[0])),
+                            raising=False)
         serial = run_sweep(small_l_config(values=(2, 3, 4), trials=2))
         assert run_sweep(small_l_config(values=(2, 3, 4), trials=2, jobs=64)) == serial
         assert started == [3]  # one batch per point
         one = run_sweep(small_l_config(values=(2,), trials=2, jobs=64))
         assert started == [3] and one == serial[:1]  # one batch runs serially
+        cpus[0] = 2  # fewer CPUs than batches
+        assert run_sweep(small_l_config(values=(2, 3, 4), trials=2, jobs=64)) == serial
+        assert started == [3, 2]
+        cpus[0] = 1  # one CPU runs serially
+        assert run_sweep(small_l_config(values=(2, 3, 4), trials=2, jobs=64)) == serial
+        assert started == [3, 2]
 
     def test_wire_exactness_carries_into_means(self):
         # analytic column averages the closed form at each trial's own
@@ -582,7 +592,7 @@ class TestRunSingleTrial:
         # everything `dcsp trial` prints comes from the draw and its run
         cfg = ProblemConfig(N=40, M=20, K=3, L=4, seed=123)
         ia, ib = generate(cfg), generate(cfg)
-        (ta,), (tb,) = (run_batch({"dcsp": ring_topology(4, 3)}, [i])["dcsp"] for i in (ia, ib))
+        (ta,), (tb,) = (run_batch(("dcsp",), [i], ring_topology(4, 3))["dcsp"] for i in (ia, ib))
         assert np.array_equal(ia.true_support, ib.true_support)
         assert [s.tolist() for s in ta.support_trace] == [s.tolist() for s in tb.support_trace]
         assert ta.residual_trace == tb.residual_trace
@@ -630,7 +640,7 @@ class TestRunSingleTrial:
     def test_rejects_non_integer_max_iters_before_running(self, no_pursuit):
         instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
         with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
-            run_batch({"dcsp": None}, [instance], max_iters=2.5)
+            run_batch(("dcsp",), [instance], None, max_iters=2.5)
 
     def test_rejects_non_integer_g_before_running(self, capsys, no_draw):
         with pytest.raises(ValueError, match="need an integer g, got g=2.5"):
@@ -641,18 +651,12 @@ class TestRunSingleTrial:
     def test_silent_without_emit(self, capsys):
         # the transcript is the CLI's: the library prints nothing
         instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
-        (run,) = run_batch({"dcsp": ring_topology(4, 2)}, [instance])["dcsp"]
+        (run,) = run_batch(("dcsp",), [instance], ring_topology(4, 2))["dcsp"]
         assert capsys.readouterr().out == ""
         assert run.wire.total > 0
 
-    def test_rejects_ssp_on_a_partial_topology_before_running(self, capsys, no_draw):
-        argv = ["trial", "--algorithm", "ssp", "--N", "40", "--M", "20", "--K", "4",
-                "--L", "3", "--topology", "1,2;2,3;3,1"]
-        assert main(argv) == 2
-        assert "ssp requires full collaboration" in capsys.readouterr().err
-
     def test_rejects_unknown_algorithm(self, capsys, no_pursuit):
         instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
-        with pytest.raises(ValueError, match="cannot simulate 'somp'"):
-            run_batch({"somp": None}, [instance])
+        with pytest.raises(ValueError, match=re.escape("cannot simulate ['somp']")):
+            run_batch(("somp",), [instance], None)
         assert main(self.ARGS + ["--algorithm", "somp"]) == 2

@@ -36,7 +36,7 @@ class TestRingTopology:
     def test_full_collaboration(self):
         topo = ring_topology(5, 5)
         assert all(g.tolist() == [1, 2, 3, 4, 5] for g in topo.neighbors)
-        assert topo.is_full()
+        assert topo == full_topology(5)
 
     def test_two_nodes(self):
         topo = ring_topology(2, 2)

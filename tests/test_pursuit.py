@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tracemalloc
 
@@ -61,11 +62,6 @@ class TestSspRun:
                 )
                 return
         pytest.fail("no seed produced an immediately correct initialization")
-
-    def test_requires_full_collaboration(self):
-        inst = tiny_instance(1)
-        with pytest.raises(ValueError):
-            ssp_run(inst, topology=ring_topology(3, 2))
 
     def test_rank_deficient_propagates(self):
         cfg = ProblemConfig(N=12, M=8, K=2, L=3, seed=3)
@@ -275,7 +271,7 @@ def test_cached_state_is_read_only(monkeypatch):
 
     monkeypatch.setattr(pursuit, "_residual_states", keeping_states)
     inst = tiny_instance(4)
-    run_batch({"ssp": None, "dcsp": ring_topology(3, 2)}, [inst])
+    run_batch(("ssp", "dcsp"), [inst], ring_topology(3, 2))
     assert states
     for state in states:
         with pytest.raises(ValueError):
@@ -319,7 +315,7 @@ def test_each_miss_state_equals_its_own_round(monkeypatch):
     monkeypatch.setattr(pursuit, "correlate", recording_correlate)
     config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
     draws = [generate(dataclasses.replace(config, seed=s)) for s in range(8)]
-    run_batch({"ssp": None, "dcsp": ring_topology(4, 2)}, draws)
+    run_batch(("ssp", "dcsp"), draws, ring_topology(4, 2))
     monkeypatch.undo()
 
     twice = [fresh for fresh, _, _, _ in rounds
@@ -451,10 +447,11 @@ def _fields_with_split(run):
     return _run_fields(run) + (run.wire.neighbor_scalars, run.wire.broadcast_scalars)
 
 
-# each batch call: ssp alone, and ssp with each dcsp topology in both
-# algorithm orders and alone
-BATCH_CALLS = [("ssp",)] + [
-    call for name in ("ring", "full", "graph") for call in (("ssp", name), (name, "ssp"), (name,))
+# each batch call, (algorithms, topology): ssp alone on every topology, and
+# dcsp on each topology beside ssp in both orders and alone
+BATCH_CALLS = [(("ssp",), name) for name in (None, "ring", "full", "graph")] + [
+    (algorithms, name) for name in ("ring", "full", "graph")
+    for algorithms in (("ssp", "dcsp"), ("dcsp", "ssp"), ("dcsp",))
 ]
 
 
@@ -464,7 +461,7 @@ def test_batch_matches_single_runs(batch):
     config, seeds, g, listing, cap = batch
     L = config.L
     topologies = {
-        "ssp": None,
+        None: None,
         "ring": ring_topology(L, g),
         "full": ring_topology(L, L),
         "graph": topology_from_listing(listing),
@@ -473,16 +470,20 @@ def test_batch_matches_single_runs(batch):
     def draw(seed):
         return generate(dataclasses.replace(config, seed=seed))
 
-    single = {}
-    for name, topology in topologies.items():
-        run = ssp_run if name == "ssp" else dcsp_run
+    def fields(run):  # one run per seed, or None if any is rank deficient
         try:
-            single[name] = {s: _fields_with_split(run(draw(s), topology, cap)) for s in seeds}
+            return {s: _fields_with_split(run(draw(s))) for s in seeds}
         except RankDeficientError:
-            single[name] = None
+            return None
+
+    # ssp's single runs take no topology: every batch's ssp runs equal them
+    ssp = fields(lambda inst: ssp_run(inst, cap))
+    single = {("ssp", name): ssp for name in topologies}
+    single.update({("dcsp", name): fields(lambda inst: dcsp_run(inst, topology, cap))
+                   for name, topology in topologies.items() if name is not None})
 
     for order in (seeds, seeds[::-1]):
-        for call in BATCH_CALLS:
+        for algorithms, name in BATCH_CALLS:
             stack = None
             if order is seeds:  # drawn into one stack, as a sweep draws a batch
                 stack = np.empty((len(order), L, config.M, config.N))
@@ -490,17 +491,16 @@ def test_batch_matches_single_runs(batch):
                     [dataclasses.replace(config, seed=s) for s in order], out=stack)
             else:
                 draws = [draw(s) for s in order]
-            algorithms = {"ssp" if n == "ssp" else "dcsp": topologies[n] for n in call}
-            if any(single[name] is None for name in call):
+            if any(single[a, name] is None for a in algorithms):
                 with pytest.raises(RankDeficientError):
-                    run_batch(algorithms, draws, cap, stack)
+                    run_batch(algorithms, draws, topologies[name], cap, stack)
                 continue
-            runs = run_batch(algorithms, draws, cap, stack)
+            runs = run_batch(algorithms, draws, topologies[name], cap, stack)
             assert list(runs) == list(algorithms)
-            for name, algorithm in zip(call, algorithms):
+            for algorithm in algorithms:
                 assert [_fields_with_split(r) for r in runs[algorithm]] == \
-                    [single[name][s] for s in order]
-            if "full" in call and "ssp" in call:  # dcsp(g=L) beside ssp
+                    [single[algorithm, name][s] for s in order]
+            if name == "full" and len(algorithms) == 2:  # dcsp(g=L) beside ssp
                 for a, b in zip(runs["ssp"], runs["dcsp"]):
                     assert a.residual_trace == b.residual_trace  # exact float equality
                     assert _run_fields(a)[:2] == _run_fields(b)[:2]
@@ -509,8 +509,8 @@ def test_batch_matches_single_runs(batch):
 
 @st.composite
 def reference_cases(draw):
-    """Draws of one config, the algorithms in call order with dcsp's
-    topology, a cap and whether the draws share one stack."""
+    """Draws of one config, the algorithms in call order, dcsp's topology,
+    a cap and whether the draws share one stack."""
     # M near 2K and N well above M, so that nodes disagree and fusion ties
     K = draw(st.integers(1, 3))
     M = 2 * K + draw(st.integers(0, 4))
@@ -521,33 +521,32 @@ def reference_cases(draw):
         None, ring_topology(L, draw(st.integers(2, L))),
         topology_from_listing(draw(irregular_listing(st.just(L)))[0]),
     ]))
-    order = draw(st.sampled_from([("ssp",), ("dcsp",), ("ssp", "dcsp"), ("dcsp", "ssp")]))
-    algorithms = {a: topology if a == "dcsp" else None for a in order}
+    algorithms = draw(st.sampled_from([("ssp",), ("dcsp",), ("ssp", "dcsp"), ("dcsp", "ssp")]))
     cap = draw(st.sampled_from([None, 1, 2, 3]))
-    return config, seeds, algorithms, cap, draw(st.booleans())
+    return config, seeds, algorithms, topology, cap, draw(st.booleans())
 
 
 @given(reference_cases())
 @settings(max_examples=100, deadline=None)
 # a fusion tie at the cut, and a second draw that misses a support
 @example((ProblemConfig(N=17, M=4, K=2, L=3, seed=0), [0],
-          {"dcsp": topology_from_listing("1,3;1,2;2,3")}, None, False))
-@example((ProblemConfig(N=3, M=2, K=1, L=2, seed=0), [0, 3], {"ssp": None}, None, False))
+          ("dcsp",), topology_from_listing("1,3;1,2;2,3"), None, False))
+@example((ProblemConfig(N=3, M=2, K=1, L=2, seed=0), [0, 3], ("ssp",), None, None, False))
 def test_batch_matches_the_reference_pursuit(case):
     # tests/reference.py runs each draw, node and message alone, so every
     # field of every run must come out of the batched loop bit for bit
-    config, seeds, algorithms, cap, stacked = case
+    config, seeds, algorithms, topology, cap, stacked = case
     configs = [dataclasses.replace(config, seed=s) for s in seeds]
     stack = np.empty((len(seeds), config.L, config.M, config.N)) if stacked else None
     draws = generate_batch(configs, out=stack)
     try:
         expected = {a: [_fields_with_split(reference_run(a, d, topology, cap)) for d in draws]
-                    for a, topology in algorithms.items()}
+                    for a in algorithms}
     except RankDeficientError:
         with pytest.raises(RankDeficientError):
-            run_batch(algorithms, draws, cap, stack)
+            run_batch(algorithms, draws, topology, cap, stack)
         return
-    runs = run_batch(algorithms, draws, cap, stack)
+    runs = run_batch(algorithms, draws, topology, cap, stack)
     assert {a: [_fields_with_split(r) for r in rs] for a, rs in runs.items()} == expected
 
 
@@ -565,7 +564,7 @@ def test_support_reached_by_both_algorithms_is_computed_once(monkeypatch, g):
     monkeypatch.setattr(pursuit, "resid", counting_resid)
     config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
     draws = [generate(dataclasses.replace(config, seed=s)) for s in range(8)]
-    runs = run_batch({"ssp": None, "dcsp": ring_topology(4, g)}, draws)
+    runs = run_batch(("ssp", "dcsp"), draws, ring_topology(4, g))
     shared = sum(
         len({s.tobytes() for s in a.support_trace} & {s.tobytes() for s in b.support_trace})
         for a, b in zip(runs["ssp"], runs["dcsp"])
@@ -602,7 +601,7 @@ def test_projections_never_form_q(monkeypatch):
     monkeypatch.setattr(pursuit, "resid", recording("resid", pursuit.resid))
     config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
     draws = [generate(dataclasses.replace(config, seed=s)) for s in range(4)]
-    run_batch({"ssp": None, "dcsp": ring_topology(4, 2)}, draws)
+    run_batch(("ssp", "dcsp"), draws, ring_topology(4, 2))
     assert {name for name, _ in calls} == {"lstsq_augmented", "resid"}
     assert all(modes == ["raw"] for _, modes in calls)
 
@@ -644,7 +643,7 @@ def test_fusion_ranks_every_run_of_a_round_in_one_call(monkeypatch):
     monkeypatch.setattr(pursuit, "max_occ", counting_max_occ)
     config = ProblemConfig(N=40, M=12, K=3, L=4, seed=0)
     draws = [generate(dataclasses.replace(config, seed=s)) for s in range(8)]
-    runs = run_batch({"ssp": None, "dcsp": ring_topology(4, 2)}, draws)["dcsp"]
+    runs = run_batch(("ssp", "dcsp"), draws, ring_topology(4, 2))["dcsp"]
     iterations = [run.iterations for run in runs]
     assert len(stacks) == 1 + max(iterations)
     assert sum(stacks) == len(draws) + sum(iterations)
@@ -653,9 +652,20 @@ def test_fusion_ranks_every_run_of_a_round_in_one_call(monkeypatch):
 def test_batch_rejects_mixed_dimensions():
     draws = [tiny_instance(1), tiny_instance(2, M=9)]
     with pytest.raises(ValueError, match="one N, M, K and L"):
-        run_batch({"ssp": None}, draws)
+        run_batch(("ssp",), draws, None)
     with pytest.raises(ValueError, match="one or more draws"):
-        run_batch({"ssp": None}, [])
+        run_batch(("ssp",), [], None)
+
+
+def test_batch_rejects_a_repeated_algorithm_and_the_old_map_form():
+    draws = [tiny_instance(1)]
+    with pytest.raises(ValueError, match=re.escape("algorithms=('ssp', 'ssp') names one twice")):
+        run_batch(["ssp", "ssp"], draws, None)
+    old_form = {"ssp": None, "dcsp": ring_topology(3, 2)}  # {algorithm: topology}
+    with pytest.raises(TypeError):  # it leaves out the topology
+        run_batch(old_form, draws)
+    with pytest.raises(ValueError, match="need a Topology or None, got topology=2"):
+        run_batch(old_form, draws, 2)  # an old call's cap in the topology's place
 
 
 def test_batch_reads_a_passed_stack_in_place():
@@ -669,7 +679,7 @@ def test_batch_reads_a_passed_stack_in_place():
     def traced(dictionaries):
         tracemalloc.start()
         try:
-            runs = run_batch({"dcsp": topology}, draws, dictionaries=dictionaries)["dcsp"]
+            runs = run_batch(("dcsp",), draws, topology, dictionaries=dictionaries)["dcsp"]
             return [_run_fields(r) for r in runs], tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -681,4 +691,4 @@ def test_batch_reads_a_passed_stack_in_place():
     # the copy is held for the whole run; less would be part of it
     assert copied_peak - in_place_peak > 0.9 * stack.nbytes
     with pytest.raises(ValueError, match=r"need a \(4, L, M, N\) dictionary stack"):
-        run_batch({"dcsp": topology}, draws, dictionaries=stack[:3])
+        run_batch(("dcsp",), draws, topology, dictionaries=stack[:3])
