@@ -89,22 +89,18 @@ def _run_figure(args):
 
 def _cmd_trial(args):
     config = ProblemConfig(N=args.N, M=args.M, K=args.K, L=args.L, seed=args.seed)
-    if args.topology is not None:  # an explicit listing sets every neighborhood
-        if args.g is not None:
-            raise ValueError("need --g or --topology, not both")
-        g, topology = None, topology_from_listing(args.topology)
-    else:  # an unset g is full collaboration
-        g = config.L if args.g is None else args.g
-        topology = ring_topology(config.L, g)  # the check of 2 <= g <= L, for ssp too
-        if args.algorithm == "ssp":  # which ignores it: ssp collaborates fully
-            g = config.L
+    g = config.L if args.g is None else args.g  # an unset g is full collaboration
+    # built and checked for ssp too, which collaborates fully and reads only L
+    topology = (ring_topology(config.L, g) if args.topology is None
+                else topology_from_listing(args.topology))
     algorithms = (args.algorithm,)
     _run_limits(config, algorithms, topology, args.max_iters)  # before the draw
     instance = generate(config)
     run = run_batch(algorithms, [instance], topology, args.max_iters)[args.algorithm][0]
     ok = success(run.support, instance)
     drawn = instance.config
-    shape = f"g={g}" if g is not None else "topology=explicit"
+    shape = (f"g={drawn.L}" if args.algorithm == "ssp" else
+             f"g={g}" if args.topology is None else "topology=explicit")
     print(
         f"trial: algorithm={args.algorithm} N={drawn.N} M={drawn.M} K={drawn.K} "
         f"L={drawn.L} {shape} seed={drawn.seed}"
@@ -162,13 +158,14 @@ def build_parser():
 
     pt = sub.add_parser("trial", help="run one seeded trial with a transcript")
     pt.add_argument("--algorithm", choices=SIMULATED_ALGORITHMS, default="dcsp")
-    _add_ints(pt, "N M K L g seed", **_DEFAULT_PROBLEM)
+    _add_ints(pt, "N M K L seed", **_DEFAULT_PROBLEM)
     pt.add_argument("--max-iters", dest="max_iters", type=int)
-    pt.add_argument(
-        "--topology",
-        help="explicit adjacency listing, per-node groups like '1,3;2,3;1,3' "
-        "(an empty group is the node alone; a trailing ';' is ignored)",
-    )
+    network = pt.add_mutually_exclusive_group()
+    network.add_argument("--g", type=int, help="dcsp's ring neighborhood size (default L, full "
+                         "collaboration); ssp collaborates fully, reading only L")
+    network.add_argument("--topology", help="dcsp's explicit adjacency listing, per-node groups "
+                         "like '1,3;2,3;1,3' (an empty group is the node alone; a trailing ';' "
+                         "is ignored); ssp collaborates fully, reading only L")
     pt.add_argument(
         "--expect-success",
         action="store_true",

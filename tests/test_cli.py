@@ -116,6 +116,11 @@ class TestTrialCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "topology=explicit" in out
+        # ssp collaborates fully whatever the listing, and its header says so
+        code = main(self.ARGS + ["--algorithm", "ssp", "--topology", "1,3,4;2,4;3,1;4,2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[0] == "trial: algorithm=ssp N=40 M=20 K=3 L=4 g=4 seed=5"
 
     def test_bad_topology_token_named(self, capsys):
         code = main(self.ARGS + ["--topology", "1,x;2;3"])
@@ -339,7 +344,9 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     (["fig1", "--M", "22", "--trials", "1", "--g", "9"], "need g <= L, got g=9 and L=6"),
     # ssp runs on full collaboration, but its g obeys the bound, as on `cost`
     (["trial", "--algorithm", "ssp", "--g", "9", "--L", "3"], "need g <= L, got g=9 and L=3"),
-    (["trial", "--g", "2", "--topology", "1,2;2,1", "--L", "2"], "need --g or --topology, not both"),
+    # argparse refuses --g beside --topology, the two being one exclusive group
+    (["trial", "--g", "2", "--topology", "1,2;2,1", "--L", "2"],
+     "argument --topology: not allowed with argument --g"),
 ])
 def test_g_bound_has_one_message_per_violation(capsys, monkeypatch, argv, message):
     # 2 <= g <= L is checked in one place, before any draw
@@ -349,7 +356,11 @@ def test_g_bound_has_one_message_per_violation(capsys, monkeypatch, argv, messag
     monkeypatch.setattr(dcsp.cli, "generate", no_draw)
     monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    out, err = capsys.readouterr()
+    # argparse's own refusal follows the usage line and names the subcommand
+    usage = "" if err.startswith("error: ") else (
+        _subparsers()[argv[0]].format_usage() + f"dcsp {argv[0]}: ")
+    assert (out, err) == ("", f"{usage}error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, sweep", [
