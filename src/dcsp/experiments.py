@@ -230,8 +230,8 @@ def run_sweep(config: ExperimentConfig):
         problem, g = config.point(value)
         topology = ring_topology(problem.L, g)  # built once per point, shared by its trials
         tasks += [(config, value, trials, topology) for trials in _batches(config.trials, problem)]
-    # a fork pool starts every worker at its first submit, needed or not,
-    # so no more than there are batches or CPUs this process may run on
+    # whatever the start method, a worker past the batch count finds no task and
+    # one past the CPUs this process may run on only contends, so start neither
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(config.jobs, len(tasks), cpus or 1)
     if workers > 1:

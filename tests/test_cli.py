@@ -53,9 +53,10 @@ class TestCostCommand:
     def test_all_rows(self, capsys):
         code = main(["cost", "--N", "200", "--K", "10", "--L", "6", "--g", "3", "--T", "3"])
         assert code == 0
-        assert capsys.readouterr().out == (
-            "jsp_jomp: 300\nsomp: 60000\ndcomp: 7290\nssp: 25890\ndcsp: 11610\n"
-        )
+        out = capsys.readouterr().out
+        assert out == "jsp_jomp: 300\nsomp: 60000\ndcomp: 7290\nssp: 25890\ndcsp: 11610\n"
+        assert main(["cost", "--T", "3"]) == 0  # the defaults are those values
+        assert capsys.readouterr().out == out
 
     def test_single_row(self, capsys):
         code = main(["cost", "--algorithm", "ssp", "--N", "200", "--K", "10",
@@ -116,11 +117,25 @@ class TestTrialCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "topology=explicit" in out
-        # ssp collaborates fully whatever the listing, and its header says so
+        # ssp collaborates fully whatever the listing: it prints, header
+        # included, what it prints with none
         code = main(self.ARGS + ["--algorithm", "ssp", "--topology", "1,3,4;2,4;3,1;4,2"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.splitlines()[0] == "trial: algorithm=ssp N=40 M=20 K=3 L=4 g=4 seed=5"
+        assert main(self.ARGS + ["--algorithm", "ssp"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_readme_trial_sends_what_cost_counts(self, capsys):
+        # the README's trial stops after two iterations, and its wire total is
+        # the cost model's at T=2; unlike its pinned transcript, no BLAS
+        # kernel moves this
+        assert main(["cost", "--algorithm", "dcsp", "--N", "200", "--K", "10", "--L", "6",
+                     "--g", "3", "--T", "2"]) == 0
+        cost = capsys.readouterr().out.removeprefix("dcsp: ").strip()
+        assert main(["trial", "--algorithm", "dcsp", "--N", "200", "--M", "50", "--K", "10",
+                     "--L", "6", "--g", "3", "--seed", "7", "--expect-success"]) == 0
+        assert f"\nwire total: {cost} (" in capsys.readouterr().out
 
     def test_bad_topology_token_named(self, capsys):
         code = main(self.ARGS + ["--topology", "1,x;2;3"])
@@ -445,6 +460,21 @@ def test_import_does_not_load_scipy():
         "print(loaded(('concurrent.futures', 'multiprocessing')))"
     )
     assert _run_python(code).stdout.split() == ["[]", "[]"]
+
+
+def test_pooled_sweep_under_forkserver_matches_serial():
+    # forkserver, Python 3.14's default on Linux, starts each worker from a
+    # fresh import rather than a copy of this process; nine batches make two
+    # chunks of the pool's map, so both workers start
+    _run_python(
+        "import multiprocessing, dcsp; multiprocessing.set_start_method('forkserver'); "
+        "config = dict(sweep='L', values=range(2, 11), N=40, K=3, M=20, g=3, trials=2, "
+        "seed=7); "
+        "serial, pooled = (dcsp.run_sweep(dcsp.ExperimentConfig(jobs=jobs, **config)) "
+        "for jobs in (1, 2)); "
+        "assert multiprocessing.get_start_method() == 'forkserver'; "
+        "assert pooled == serial, (pooled, serial)"
+    )
 
 
 def test_runs_never_load_numpy_ma(tmp_path):

@@ -13,6 +13,10 @@ in full for the stored examples); a residual trace entry may differ by
 
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +127,16 @@ def test_work_ledger_calls_match_golden(work):
     got, pinned = work
     on_recorded_kernel(pinned["blas_kernel"])
     assert got["calls"] == pinned["calls"]
+
+
+def test_pins_hold_on_a_second_blas_kernel():
+    # this file again under OpenBLAS's Haswell kernels: the kernel-free pins
+    # hold on every kernel; the round-off pins skip on any kernel but the one
+    # that wrote them, naming both
+    here = Path(__file__).resolve()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider", str(here),
+         "-k", "not test_pins_hold_on_a_second_blas_kernel"],
+        cwd=here.parent.parent, env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
