@@ -127,9 +127,8 @@ class WireCounter:
         return sum(s for _, _, s in self.rounds)
 
 
-def _charge(counter, topology, payloads, kind, label, scalars):
+def _charge(counters, topology, payloads, kind, label, scalars):
     """Charge ``scalars`` to each run's counter; returns the run count."""
-    counters = [counter] if isinstance(counter, WireCounter) else counter
     if len(payloads) != len(counters) * topology.L:
         raise ValueError("need one payload per node")
     for c in counters:
@@ -137,20 +136,19 @@ def _charge(counter, topology, payloads, kind, label, scalars):
     return len(counters)
 
 
-def exchange_neighbors(payloads, topology: Topology, counter, declared_length: int,
-                       label: str = "neighbor"):
+def exchange_neighbors(payloads, topology: Topology, counters, declared_length: int, label: str):
     """Neighborhood exchange: node l receives from every j in G_l \\ {l}.
 
-    ``payloads`` stacks one payload per node along its first axis (row
-    l-1 for node l).  Adds ``topology.neighbor_link_count *
-    declared_length`` scalars to ``counter`` and returns every node's view
-    as one array of shape (L, g_max, ...): row k of node l's view is the
-    payload of its k-th neighbor in ascending order (its own payload
-    included), and pad rows past |G_l| are zero.  With a list of runs'
-    counters, ``payloads`` and the views stack the runs' node rows in turn.
+    ``counters`` holds one WireCounter per run, and ``payloads`` stacks
+    the runs' node payloads in turn along its first axis (row r L + l-1
+    for node l of run r).  Adds ``topology.neighbor_link_count *
+    declared_length`` scalars to each counter and returns every node's view
+    as one array of shape (runs L, g_max, ...): row k of node l's view is
+    the payload of its k-th neighbor in ascending order (its own payload
+    included), and pad rows past |G_l| are zero.
     """
     payloads = np.asarray(payloads)
-    runs = _charge(counter, topology, payloads, "neighbor", label,
+    runs = _charge(counters, topology, payloads, "neighbor", label,
                    topology.neighbor_link_count * declared_length)
     L, rest = topology.L, payloads.shape[1:]
     padded = np.zeros((runs, L + 1) + rest, dtype=payloads.dtype)
@@ -158,14 +156,13 @@ def exchange_neighbors(payloads, topology: Topology, counter, declared_length: i
     return padded[:, topology.index].reshape((-1,) + topology.index.shape[1:] + rest)
 
 
-def broadcast_all(payloads, topology: Topology, counter, declared_length: int,
-                  label: str = "broadcast"):
+def broadcast_all(payloads, topology: Topology, counters, declared_length: int, label: str):
     """Network-wide exchange: node l receives from every other node.
 
-    Adds (L - 1) * L * declared_length scalars to ``counter`` (or to each
-    counter of a list, as in :func:`exchange_neighbors`).  Every node's
+    Adds (L - 1) * L * declared_length scalars to each run's counter of
+    ``counters``, stacked as in :func:`exchange_neighbors`.  Every node's
     view is all L payloads in node order, so the stack is returned as is.
     """
     L = topology.L
-    _charge(counter, topology, payloads, "broadcast", label, (L - 1) * L * declared_length)
+    _charge(counters, topology, payloads, "broadcast", label, (L - 1) * L * declared_length)
     return payloads

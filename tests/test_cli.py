@@ -34,14 +34,11 @@ class TestParseValues:
 
     @pytest.mark.parametrize("command, flag, text", [
         ("fig1", "--M", ""), ("fig1", "--M", "22:x"), ("fig1", "--M", "22,,26"),
-        ("fig1", "--M", "1:2:3:4"), ("fig2", "--L", "5:x:5"),
+        ("fig1", "--M", "1:2:3:4"), ("fig2", "--L", "5:x:5"), ("fig1", "--M", "0:0:0"),
+        ("trial", "--g", "2.5"), ("trial", "--algorithm", "somp"),
     ])
-    def test_bad_values_name_the_flag_and_text(self, capsys, monkeypatch, command, flag, text):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
-        code = main([command, flag, text, "--trials", "1"])
+    def test_bad_values_name_the_flag_and_text(self, capsys, no_draw, command, flag, text):
+        code = main([command, flag, text])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -64,17 +61,13 @@ class TestCostCommand:
         assert code == 0
         assert "ssp: 12630" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--g", "1"], "need g >= 2, got g=1"),
-        (["--K", "300"], "need K <= N, got K=300 and N=200"),
-        (["--g", "9", "--L", "6"], "need g <= L, got g=9 and L=6"),
-    ])
-    def test_out_of_bounds_rejected(self, capsys, flags, message):
-        code = main(["cost", "--T", "3"] + flags)
+    def test_out_of_bounds_rejected(self, capsys):
+        # the g bound's rows are test_g_bound_has_one_message_per_violation's
+        code = main(["cost", "--T", "3", "--K", "300"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert message in captured.err
+        assert "need K <= N, got K=300 and N=200" in captured.err
 
     def test_g_free_row_ignores_the_g_default(self, capsys):
         # ssp never reads g, so L=2 must not trip the g=3 default of the g rows
@@ -99,6 +92,7 @@ class TestTrialCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "true support:" in out
+        assert "t=0:" in out
         assert "wire total:" in out
 
     def test_deterministic_output(self, capsys):
@@ -109,8 +103,19 @@ class TestTrialCommand:
         assert first == second
 
     def test_expect_success_flag(self, capsys):
-        code = main(self.ARGS + ["--algorithm", "ssp", "--expect-success"])
-        assert code == 0
+        assert main(["trial", "--algorithm", "ssp", "--expect-success", "--N", "40",
+                     "--M", "24", "--K", "3", "--L", "5", "--seed", "2"]) == 0
+        assert "L=5 g=5 seed=2" in capsys.readouterr().out
+
+    def test_ssp_matches_dcsp_at_full_collaboration(self, capsys):
+        args = ["--N", "30", "--M", "16", "--K", "3", "--L", "4", "--seed", "77"]
+        supports = []
+        for algorithm in ("ssp", "dcsp"):  # dcsp's g defaults to L
+            assert main(["trial", "--algorithm", algorithm] + args) == 0
+            out = capsys.readouterr().out
+            assert "L=4 g=4" in out
+            supports.append(out.split("recovered support: ")[1])
+        assert supports[0] == supports[1]
 
     def test_explicit_topology_flag(self, capsys):
         code = main(self.ARGS + ["--topology", "1,3,4;2,4;3,1;4,2"])
@@ -137,32 +142,28 @@ class TestTrialCommand:
                      "--L", "6", "--g", "3", "--seed", "7", "--expect-success"]) == 0
         assert f"\nwire total: {cost} (" in capsys.readouterr().out
 
-    def test_bad_topology_token_named(self, capsys):
+    def test_bad_topology_token_named(self, capsys, no_draw):
         code = main(self.ARGS + ["--topology", "1,x;2;3"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "bad node id 'x' in listing '1,x;2;3'" in captured.err
 
-    def test_m_below_2k_rejected(self, capsys):
+    def test_m_below_2k_rejected(self, capsys, no_draw):
         code = main(["trial", "--N", "50", "--M", "15", "--K", "10", "--L", "4"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "error: need M >= 2K, got M=15 and K=10" in captured.err
 
-    def test_negative_seed_rejected(self, capsys):
+    def test_negative_seed_rejected(self, capsys, no_draw):
         code = main(["trial", "--seed", "-5", "--N", "40", "--M", "20", "--K", "4", "--L", "3"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "need 0 <= seed < 2**64, got seed=-5" in captured.err
 
-    def test_seed_past_64_bits_rejected_before_any_draw(self, capsys, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
+    def test_seed_past_64_bits_rejected_before_any_draw(self, capsys, no_draw):
         code = main(["fig1", "--M", "20", "--N", "40", "--K", "4", "--L", "3",
                      "--trials", "1", "--seed", str(2**64 + 1)])
         captured = capsys.readouterr()
@@ -170,27 +171,22 @@ class TestTrialCommand:
         assert captured.out == ""
         assert f"need 0 <= seed < 2**64, got seed={2**64 + 1}" in captured.err
 
-    def test_topology_size_mismatch_rejected_before_any_draw(self, capsys, monkeypatch):
-        def no_draw(config):
-            raise AssertionError("drew an instance")
+    def test_topology_size_mismatch_rejected_before_any_draw(self, capsys, no_draw):
+        # ssp, which reads only the topology's L, checks it all the same
+        for algorithm in ("ssp", "dcsp"):
+            code = main(["trial", "--algorithm", algorithm, "--topology", "1,2;2,3;3,1"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "topology has 3 nodes, problem has L=6" in captured.err
 
-        monkeypatch.setattr(dcsp.cli, "generate", no_draw)
-        code = main(["trial", "--topology", "1,2;2,3;3,1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "topology has 3 nodes, problem has L=6" in captured.err
-
-    def test_max_iters_below_1_rejected_before_any_draw(self, capsys, monkeypatch):
-        def no_draw(config):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(dcsp.cli, "generate", no_draw)
-        code = main(self.ARGS + ["--max-iters", "0"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "need max_iters >= 1, got max_iters=0" in captured.err
+    def test_max_iters_below_1_rejected_before_any_draw(self, capsys, no_draw):
+        for algorithm in ("ssp", "dcsp"):
+            code = main(self.ARGS + ["--algorithm", algorithm, "--max-iters", "0"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "need max_iters >= 1, got max_iters=0" in captured.err
 
 
 class TestFigureCommands:
@@ -205,32 +201,7 @@ class TestFigureCommands:
         assert captured.out == ""
         assert "error: M=20 trial 0: all 6 draws were rank deficient" in captured.err
 
-    def test_fig1_tiny(self, capsys, tmp_path):
-        out = tmp_path / "f1"
-        code = main([
-            "fig1", "--M", "16,20", "--N", "40", "--K", "3", "--L", "4",
-            "--trials", "3", "--seed", "2", "--out", str(out),
-        ])
-        assert code == 0
-        assert (tmp_path / "f1.csv").exists()
-        assert (tmp_path / "f1.dat").exists()
-        assert "M=16" in capsys.readouterr().out
-
-    def test_fig2_tiny(self, capsys, tmp_path):
-        out = tmp_path / "f2"
-        code = main([
-            "fig2", "--L", "2,4", "--N", "40", "--K", "3", "--M", "20",
-            "--trials", "2", "--seed", "3", "--out", str(out),
-        ])
-        assert code == 0
-        text = (tmp_path / "f2.csv").read_text()
-        assert "somp_analytic_messages" in text
-
-    def test_validation_error_exit_code(self, capsys):
-        code = main(["fig1", "--M", "0:0:0", "--trials", "1"])
-        assert code == 2
-
-    def test_sweep_below_2k_rejected(self, capsys):
+    def test_sweep_below_2k_rejected(self, capsys, no_draw):
         code = main([
             "fig1", "--M", "15", "--N", "50", "--K", "10", "--L", "4", "--trials", "1",
         ])
@@ -245,7 +216,7 @@ class TestFigureCommands:
         (["--K", "0"], "need K >= 1, got K=0"),
         (["--N", "8", "--K", "10"], "need K <= N, got K=10 and N=8"),
     ])
-    def test_bad_sweep_rejected(self, capsys, flags, message):
+    def test_bad_sweep_rejected(self, capsys, no_draw, flags, message):
         code = main(["fig2", "--L", "5", "--N", "40", "--K", "3", "--M", "20",
                      "--trials", "1"] + flags)
         captured = capsys.readouterr()
@@ -253,11 +224,7 @@ class TestFigureCommands:
         assert captured.out == ""
         assert message in captured.err
 
-    def test_repeated_sweep_value_rejected(self, capsys, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
+    def test_repeated_sweep_value_rejected(self, capsys, no_draw):
         code = main(["fig1", "--M", "20,20", "--N", "40", "--K", "4", "--L", "3",
                      "--trials", "1"])
         captured = capsys.readouterr()
@@ -265,11 +232,7 @@ class TestFigureCommands:
         assert captured.out == ""
         assert "values=(20, 20) names 20 twice" in captured.err
 
-    def test_missing_out_directory_rejected_before_any_draw(self, capsys, tmp_path, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("drew an instance")
-
-        monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
+    def test_missing_out_directory_rejected_before_any_draw(self, capsys, tmp_path, no_draw):
         missing = tmp_path / "missing" / "x"
         code = main(["fig1", "--M", "20:24:2", "--N", "40", "--K", "4", "--L", "3",
                      "--trials", "30", "--out", str(missing)])
@@ -363,13 +326,8 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     (["trial", "--g", "2", "--topology", "1,2;2,1", "--L", "2"],
      "argument --topology: not allowed with argument --g"),
 ])
-def test_g_bound_has_one_message_per_violation(capsys, monkeypatch, argv, message):
+def test_g_bound_has_one_message_per_violation(capsys, no_draw, argv, message):
     # 2 <= g <= L is checked in one place, before any draw
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew an instance")
-
-    monkeypatch.setattr(dcsp.cli, "generate", no_draw)
-    monkeypatch.setattr(dcsp.experiments, "generate_batch", no_draw)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     # argparse's own refusal follows the usage line and names the subcommand
@@ -405,8 +363,12 @@ def test_figure_commands_follow_their_row(capsys, tmp_path, sweep):
     out = tmp_path / row.name
     assert main([row.name, f"--{sweep}", str(tiny[sweep]), f"--{row.fixed}", str(tiny[row.fixed]),
                  "--N", "40", "--K", "3", "--trials", "1", "--out", str(out)]) == 0
-    lines = (tmp_path / f"{row.name}.csv").read_text().splitlines()
-    assert f"# figure: {row.name}" in lines
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith(f"{sweep}={tiny[sweep]}  ")
+    assert printed[-1] == f"wrote {out}.csv and {out}.dat"
+    dat, lines = ((tmp_path / f"{row.name}{suffix}").read_text().splitlines()
+                  for suffix in (".dat", ".csv"))
+    assert f"# figure: {row.name}" in lines and f"# figure: {row.name}" in dat
     (fixed,) = [line.split() for line in lines if line.startswith("# fixed: ")]
     assert f"{row.fixed}={tiny[row.fixed]}" in fixed
     columns = next(line for line in lines if not line.startswith("#")).split(",")

@@ -243,13 +243,13 @@ class TestExchangeNeighbors:
     def test_full_mesh_count(self):
         topo = full_topology(3)
         counter = WireCounter()
-        exchange_neighbors(np.zeros((3, 5)), topo, counter, 5)
+        exchange_neighbors(np.zeros((3, 5)), topo, [counter], 5, "correlation")
         assert counter.total == 2 * 3 * 5 == 30
 
     def test_ring_count_matches_cost_term(self):
         topo = ring_topology(6, 3)
         counter = WireCounter()
-        exchange_neighbors(np.zeros((6, 200)), topo, counter, 200)
+        exchange_neighbors(np.zeros((6, 200)), topo, [counter], 200, "correlation")
         assert counter.neighbor_scalars == 200 * 6 * 2 == 2400
 
     def test_inbox_holds_own_neighborhood(self):
@@ -258,7 +258,7 @@ class TestExchangeNeighbors:
         for topo in (ring_topology(6, 3), topology_from_listing("2,3; 1; 1,2")):
             L = topo.L
             payloads = np.repeat(np.arange(1.0, L + 1)[:, None], 2, axis=1)
-            view = exchange_neighbors(payloads, topo, WireCounter(), 2)
+            view = exchange_neighbors(payloads, topo, [WireCounter()], 2, "projection")
             assert view.shape == (L, 3, 2)
             for l in range(1, L + 1):
                 g = topo.neighbors[l - 1]
@@ -270,7 +270,7 @@ class TestExchangeNeighbors:
         for topo in (ring_topology(7, 4), topology_from_listing("2,3,4; 1; 5; 1,2,3,5; 2")):
             L = topo.L
             counter = WireCounter()
-            exchange_neighbors(np.arange(3.0 * L).reshape(L, 3), topo, counter, 3)
+            exchange_neighbors(np.arange(3.0 * L).reshape(L, 3), topo, [counter], 3, "projection")
             received = sum(
                 1 for l in range(L) for j in topo.index[l] if j not in (l, L)
             )
@@ -280,17 +280,17 @@ class TestExchangeNeighbors:
 class TestBroadcastAll:
     def test_support_frame(self):
         counter = WireCounter()
-        broadcast_all([np.arange(10)] * 6, full_topology(6), counter, 10)
+        broadcast_all([np.arange(10)] * 6, full_topology(6), [counter], 10, "local support")
         assert counter.broadcast_scalars == 10 * 5 * 6 == 300
 
     def test_two_node_scalar(self):
         counter = WireCounter()
-        broadcast_all([1.0, 2.0], full_topology(2), counter, 1)
+        broadcast_all([1.0, 2.0], full_topology(2), [counter], 1, "residual norm")
         assert counter.total == 2
 
     def test_residual_norm_round(self):
         counter = WireCounter()
-        broadcast_all([0.0] * 6, full_topology(6), counter, 1)
+        broadcast_all([0.0] * 6, full_topology(6), [counter], 1, "residual norm")
         assert counter.total == 30
 
     def test_everyone_hears_everyone(self):
@@ -298,7 +298,7 @@ class TestBroadcastAll:
         # charged for the L - 1 that are not its own
         counter = WireCounter()
         payloads = np.arange(4.0)
-        view = broadcast_all(payloads, full_topology(4), counter, 1)
+        view = broadcast_all(payloads, full_topology(4), [counter], 1, "residual norm")
         assert np.array_equal(view, payloads)
         assert 4 * (4 - 1) == counter.total
 
@@ -307,9 +307,9 @@ def test_counter_breakdown_and_determinism():
     def run():
         topo = ring_topology(5, 3)
         counter = WireCounter()
-        exchange_neighbors(np.zeros((5, 4)), topo, counter, 4, "correlation")
-        broadcast_all([np.zeros(2)] * 5, topo, counter, 2, "local support")
-        broadcast_all([0.0] * 5, topo, counter, 1, "residual norm")
+        exchange_neighbors(np.zeros((5, 4)), topo, [counter], 4, "correlation")
+        broadcast_all([np.zeros(2)] * 5, topo, [counter], 2, "local support")
+        broadcast_all([0.0] * 5, topo, [counter], 1, "residual norm")
         return counter
 
     a, b = run(), run()

@@ -65,12 +65,7 @@ class TestGenerate:
             assert np.array_equal(small.signals[l], large.signals[l])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ProblemConfig(N=10, M=5, K=0, L=2, seed=0)
-        with pytest.raises(ValueError):
-            ProblemConfig(N=10, M=5, K=2, L=1, seed=0)
-        with pytest.raises(ValueError):
-            ProblemConfig(N=4, M=5, K=5, L=2, seed=0)
+        # the K, L and K <= N bounds are test_bound_messages_name_the_values'
         with pytest.raises(ValueError, match=re.escape("need 0 <= seed < 2**64, got seed=-5")):
             ProblemConfig(N=10, M=5, K=2, L=2, seed=-5)
         with pytest.raises(ValueError, match="need M >= 2K, got M=3 and K=2"):

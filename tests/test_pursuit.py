@@ -100,30 +100,20 @@ class TestDcspRun:
                 assert len(sizes) == 5
                 assert all(K <= s <= 2 * K for s in sizes)
 
-    def test_full_collaboration_matches_ssp(self):
-        # separate draws of one config, so no cached state is shared
-        for seed in range(25):
-            a = ssp_run(tiny_instance(seed, N=24, M=14, K=3, L=4))
-            b = dcsp_run(tiny_instance(seed, N=24, M=14, K=3, L=4), ring_topology(4, 4))
-            assert np.array_equal(a.support, b.support)
-            assert a.iterations == b.iterations
-            assert len(a.support_trace) == len(b.support_trace)
-            for sa, sb in zip(a.support_trace, b.support_trace):
-                assert np.array_equal(sa, sb)
-
-    def test_local_support_states_are_k_sets(self):
-        inst = tiny_instance(11, N=30, M=16, K=3, L=5)
-        result = dcsp_run(inst, ring_topology(5, 3))
-        assert result.support.size == 3
-
     def test_deterministic_repeat(self):
-        # a fresh draw per run, so the second run recomputes everything
-        topo = ring_topology(3, 2)
-        a = dcsp_run(tiny_instance(5), topo)
-        b = dcsp_run(tiny_instance(5), topo)
-        assert np.array_equal(a.support, b.support)
-        assert a.residual_trace == b.residual_trace
-        assert a.wire.total == b.wire.total
+        # a fresh draw per run, so the second run recomputes everything;
+        # every field compares, support trace, candidate sizes and wire
+        # rounds included
+        for dims, topo in ((dict(), ring_topology(3, 2)),
+                           (dict(N=40, M=20, K=3, L=4), ring_topology(4, 3))):
+            a, b = (dcsp_run(tiny_instance(5, **dims), topo) for _ in range(2))
+            assert _run_fields(a) == _run_fields(b)
+
+    def test_prints_nothing(self, capsys):
+        # the transcript is the CLI's: the library prints nothing
+        run = dcsp_run(tiny_instance(9), ring_topology(3, 2))
+        assert capsys.readouterr().out == ""
+        assert run.wire.total > 0
 
 
 @given(
@@ -135,6 +125,7 @@ class TestDcspRun:
 )
 @example(K=1, extra_m=0, extra_n=1, L=2, seed=0)  # M = 2K, K = 1, L = 2
 @example(K=3, extra_m=0, extra_n=10, L=2, seed=1)
+@example(K=3, extra_m=8, extra_n=10, L=4, seed=0)  # N=24, M=14
 @settings(max_examples=60, deadline=None)
 def test_full_collaboration_bit_identical_to_ssp(K, extra_m, extra_n, L, seed):
     M = 2 * K + extra_m
@@ -381,7 +372,7 @@ def test_padded_view_sum_equals_per_node_sum(listing, seed):
     text, groups = listing
     topo = topology_from_listing(text)
     payloads = np.abs(np.random.default_rng(seed).standard_normal((len(groups), 7)))
-    view = exchange_neighbors(payloads, topo, WireCounter(), 7)
+    view = exchange_neighbors(payloads, topo, [WireCounter()], 7, "correlation")
     sums = _ordered_sum(view)
     for l, g in enumerate(groups):
         members = sorted(g)
@@ -413,7 +404,8 @@ def test_ordered_sum_adds_neighbor_views_in_sender_order(listing, runs, width, s
     # dcsp's views: each node's neighbors in ascending order, then zero pads
     topo = topology_from_listing(listing[0])
     payloads = _magnitudes(seed, (runs * topo.L, width))
-    view = exchange_neighbors(payloads, topo, [WireCounter() for _ in range(runs)], width)
+    view = exchange_neighbors(payloads, topo, [WireCounter() for _ in range(runs)], width,
+                              "correlation")
     assert np.array_equal(_ordered_sum(view), _sender_loop(view))
 
 
@@ -655,6 +647,18 @@ def test_batch_rejects_mixed_dimensions():
         run_batch(("ssp",), draws, None)
     with pytest.raises(ValueError, match="one or more draws"):
         run_batch(("ssp",), [], None)
+
+
+def test_batch_rejects_bad_arguments_before_running(monkeypatch):
+    def no_pursuit(*args):
+        raise AssertionError("ran the pursuit")
+
+    monkeypatch.setattr(pursuit, "correlate", no_pursuit)
+    draws = [tiny_instance(9)]
+    with pytest.raises(ValueError, match=re.escape("cannot simulate ['somp']")):
+        run_batch(("somp",), draws, None)
+    with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
+        run_batch(("dcsp",), draws, None, max_iters=2.5)
 
 
 def test_batch_rejects_a_repeated_algorithm_and_the_old_map_form():
