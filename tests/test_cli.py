@@ -61,13 +61,17 @@ class TestCostCommand:
         assert code == 0
         assert "ssp: 12630" in capsys.readouterr().out
 
-    def test_out_of_bounds_rejected(self, capsys):
-        # the g bound's rows are test_g_bound_has_one_message_per_violation's
-        code = main(["cost", "--T", "3", "--K", "300"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--g", "1"], "need g >= 2, got g=1"),
+        (["--K", "300"], "need K <= N, got K=300 and N=200"),
+        (["--g", "9", "--L", "6"], "need g <= L, got g=9 and L=6"),
+    ])
+    def test_out_of_bounds_rejected(self, capsys, flags, message):
+        code = main(["cost", "--T", "3"] + flags)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "need K <= N, got K=300 and N=200" in captured.err
+        assert message in captured.err
 
     def test_g_free_row_ignores_the_g_default(self, capsys):
         # ssp never reads g, so L=2 must not trip the g=3 default of the g rows
@@ -103,9 +107,8 @@ class TestTrialCommand:
         assert first == second
 
     def test_expect_success_flag(self, capsys):
-        assert main(["trial", "--algorithm", "ssp", "--expect-success", "--N", "40",
-                     "--M", "24", "--K", "3", "--L", "5", "--seed", "2"]) == 0
-        assert "L=5 g=5 seed=2" in capsys.readouterr().out
+        code = main(self.ARGS + ["--algorithm", "ssp", "--expect-success"])
+        assert code == 0
 
     def test_ssp_matches_dcsp_at_full_collaboration(self, capsys):
         args = ["--N", "30", "--M", "16", "--K", "3", "--L", "4", "--seed", "77"]
@@ -200,6 +203,27 @@ class TestFigureCommands:
         assert code == 2
         assert captured.out == ""
         assert "error: M=20 trial 0: all 6 draws were rank deficient" in captured.err
+
+    def test_fig1_tiny(self, capsys, tmp_path):
+        out = tmp_path / "f1"
+        code = main([
+            "fig1", "--M", "16,20", "--N", "40", "--K", "3", "--L", "4",
+            "--trials", "3", "--seed", "2", "--out", str(out),
+        ])
+        assert code == 0
+        assert (tmp_path / "f1.csv").exists()
+        assert (tmp_path / "f1.dat").exists()
+        assert "M=16" in capsys.readouterr().out
+
+    def test_fig2_tiny(self, capsys, tmp_path):
+        out = tmp_path / "f2"
+        code = main([
+            "fig2", "--L", "2,4", "--N", "40", "--K", "3", "--M", "20",
+            "--trials", "2", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 0
+        text = (tmp_path / "f2.csv").read_text()
+        assert "somp_analytic_messages" in text
 
     def test_sweep_below_2k_rejected(self, capsys, no_draw):
         code = main([

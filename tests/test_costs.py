@@ -109,8 +109,20 @@ def test_dcsp_cheaper_than_ssp_on_figure_range():
 
 
 class TestWireExactness:
-    # totals equal to cost_table1 are test_acceptance.py's criterion 3 and
-    # test_problems.py's test_config_is_rejected_or_runs_to_exact_wire_totals
+    def test_ssp_counter_equals_formula(self):
+        for seed in range(10):
+            inst = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=seed))
+            result = ssp_run(inst)
+            expected = cost_table1("ssp", CostParams(N=30, K=3, L=4, T=result.iterations))
+            assert result.wire.total == expected
+
+    def test_dcsp_counter_equals_formula(self):
+        for seed in range(10):
+            inst = generate(ProblemConfig(N=30, M=16, K=3, L=5, seed=seed))
+            result = dcsp_run(inst, ring_topology(5, 3))
+            expected = cost_table1("dcsp", CostParams(N=30, K=3, L=5, g=3, T=result.iterations))
+            assert result.wire.total == expected
+
     def test_dcsp_split_by_message_class(self):
         inst = generate(ProblemConfig(N=30, M=16, K=3, L=5, seed=1))
         result = dcsp_run(inst, ring_topology(5, 3))

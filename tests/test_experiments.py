@@ -8,9 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsp import experiments, pursuit
+from dcsp.cli import main
 from dcsp.experiments import FIGURES, ExperimentConfig, derive_trial_seed, run_sweep
 from dcsp.linalg import RankDeficientError
-from dcsp.problems import ProblemConfig
+from dcsp.network import ring_topology
+from dcsp.problems import ProblemConfig, generate
+from dcsp.pursuit import run_batch
 
 
 def small_m_config(**kw):
@@ -285,30 +288,6 @@ class TestRunSweep:
         for s in rows[0].stats.values():
             assert s.mean_messages > 0
 
-    @pytest.mark.parametrize("make, figure, references", [
-        (small_m_config, "fig1", []), (small_l_config, "fig2", ["jsp_jomp", "somp", "dcomp"]),
-    ], ids=("fig1", "fig2"))
-    def test_writes_tables_named_by_the_sweep(self, tmp_path, make, figure, references):
-        config = make(out=str(tmp_path / "table"))
-        rows = run_sweep(config)
-        csv_lines, dat_lines = ((tmp_path / f"table{suffix}").read_text().splitlines()
-                                for suffix in (".csv", ".dat"))
-        assert csv_lines[0] == dat_lines[0] == f"# figure: {figure}"
-        columns, *data = [line.split(",") for line in csv_lines if not line.startswith("#")]
-        assert [line.split() for line in dat_lines if not line.startswith("#")] == data
-        assert columns[0] == config.sweep and len(data) == len(rows)
-        for cells, row in zip(data, rows):
-            cell = dict(zip(columns, cells))
-            assert (cell[config.sweep], cell["trials"]) == (str(row.value), str(row.trials))
-            for a, s in row.stats.items():
-                assert cell[f"{a}_success"] == f"{s.success_rate:.6g}"
-                assert cell[f"{a}_mean_iterations"] == f"{s.mean_iterations:.6g}"
-                assert cell[f"{a}_mean_messages"] == f"{s.mean_messages:.6g}"
-                assert cell[f"{a}_aborted"] == str(s.aborted)
-            assert list(row.references) == references
-            for name, cost in row.references.items():
-                assert cell[f"{name}_analytic_messages"] == str(cost)
-
     def test_without_out_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_sweep(small_l_config(trials=1))
@@ -543,3 +522,118 @@ def test_algorithm_choice_does_not_change_a_column(sweep, values):
     for runs in stats.values():
         assert all(s.aborted == 0 for s in runs[0])  # no redraw moves a column
         assert all(run == runs[0] for run in runs[1:])
+
+
+class TestFigureWrappers:
+    """The tables ``run_sweep`` writes for fig1 and fig2 under ``out``."""
+
+    @pytest.mark.parametrize("make, figure, references", [
+        (small_m_config, "fig1", []), (small_l_config, "fig2", ["jsp_jomp", "somp", "dcomp"]),
+    ], ids=("fig1", "fig2"))
+    def test_run_sweep_writes_tables_named_by_the_sweep(self, tmp_path, make, figure, references):
+        config = make(out=str(tmp_path / "table"))
+        rows = run_sweep(config)
+        csv_lines, dat_lines = ((tmp_path / f"table{suffix}").read_text().splitlines()
+                                for suffix in (".csv", ".dat"))
+        assert csv_lines[0] == dat_lines[0] == f"# figure: {figure}"
+        columns, *data = [line.split(",") for line in csv_lines if not line.startswith("#")]
+        assert [line.split() for line in dat_lines if not line.startswith("#")] == data
+        assert columns[0] == config.sweep and len(data) == len(rows)
+        for cells, row in zip(data, rows):
+            cell = dict(zip(columns, cells))
+            assert (cell[config.sweep], cell["trials"]) == (str(row.value), str(row.trials))
+            for a, s in row.stats.items():
+                assert cell[f"{a}_success"] == f"{s.success_rate:.6g}"
+                assert cell[f"{a}_mean_iterations"] == f"{s.mean_iterations:.6g}"
+                assert cell[f"{a}_mean_messages"] == f"{s.mean_messages:.6g}"
+                assert cell[f"{a}_aborted"] == str(s.aborted)
+            assert list(row.references) == references
+            for name, cost in row.references.items():
+                assert cell[f"{name}_analytic_messages"] == str(cost)
+
+    def test_fig2_emits_reference_columns(self, tmp_path):
+        out = tmp_path / "fig2"
+        rows = run_sweep(small_l_config(out=str(out)))
+        assert set(rows[0].references) == {"jsp_jomp", "somp", "dcomp"}
+        csv_text = (tmp_path / "fig2.csv").read_text()
+        header = [l for l in csv_text.splitlines() if not l.startswith("#")][0]
+        assert "dcsp_mean_messages" in header
+        assert "somp_analytic_messages" in header
+        data = [l for l in csv_text.splitlines() if not l.startswith("#")][1:]
+        assert len(data) == 2
+        dat_text = (tmp_path / "fig2.dat").read_text()
+        assert len([l for l in dat_text.splitlines() if not l.startswith("#")]) == 2
+
+    def test_fig1_csv_round_numbers(self, tmp_path):
+        out = tmp_path / "fig1"
+        rows = run_sweep(small_m_config(out=str(out)))
+        lines = (tmp_path / "fig1.csv").read_text().splitlines()
+        data = [l for l in lines if not l.startswith("#")]
+        header = data[0].split(",")
+        first = dict(zip(header, data[1].split(",")))
+        assert float(first["ssp_success"]) == rows[0].stats["ssp"].success_rate
+        assert first["M"] == "16"
+
+
+class TestRunSingleTrial:
+    """One seeded trial: ``dcsp trial``, which runs ``run_batch`` on one
+    ``generate`` draw once every argument has passed."""
+
+    ARGS = ["trial", "--N", "30", "--M", "16", "--K", "3", "--L", "6", "--seed", "9"]
+
+    @pytest.fixture
+    def no_pursuit(self, monkeypatch):
+        def no_pursuit(*args):
+            raise AssertionError("ran the pursuit")
+
+        monkeypatch.setattr(pursuit, "correlate", no_pursuit)
+
+    def test_transcript_deterministic(self):
+        # everything `dcsp trial` prints comes from the draw and its run
+        cfg = ProblemConfig(N=40, M=20, K=3, L=4, seed=123)
+        ia, ib = generate(cfg), generate(cfg)
+        (ta,), (tb,) = (run_batch(("dcsp",), [i], ring_topology(4, 3))["dcsp"] for i in (ia, ib))
+        assert np.array_equal(ia.true_support, ib.true_support)
+        assert [s.tolist() for s in ta.support_trace] == [s.tolist() for s in tb.support_trace]
+        assert ta.residual_trace == tb.residual_trace
+        assert ta.candidate_sizes == tb.candidate_sizes
+        assert ta.wire.rounds == tb.wire.rounds
+
+    def test_known_success_params(self, capsys):
+        assert main(["trial", "--algorithm", "ssp", "--expect-success", "--N", "40",
+                     "--M", "24", "--K", "3", "--L", "5", "--seed", "2"]) == 0
+        assert "L=5 g=5 seed=2" in capsys.readouterr().out
+
+    def test_transcript_contains_wire_summary(self, capsys):
+        assert main(["trial", "--N", "30", "--M", "16", "--K", "3", "--L", "4",
+                     "--seed", "9", "--g", "2"]) == 0
+        text = capsys.readouterr().out
+        assert "wire total:" in text
+        assert "true support:" in text
+        assert "t=0:" in text
+
+    def test_rejects_m_below_2k_before_running(self):
+        # no trial can draw such a problem: its config is not built
+        with pytest.raises(ValueError, match="need M >= 2K, got M=15 and K=10"):
+            ProblemConfig(N=50, M=15, K=10, L=4, seed=1)
+
+    @pytest.mark.parametrize("algorithm", ["ssp", "dcsp"])
+    def test_rejects_topology_size_mismatch_before_running(self, capsys, no_draw, algorithm):
+        argv = self.ARGS + ["--algorithm", algorithm, "--topology", "1,2;2,3;3,1"]
+        assert main(argv) == 2
+        assert "topology has 3 nodes, problem has L=6" in capsys.readouterr().err
+
+    def test_rejects_max_iters_below_1_before_running(self, capsys, no_draw):
+        assert main(self.ARGS + ["--algorithm", "ssp", "--max-iters", "0"]) == 2
+        assert "need max_iters >= 1, got max_iters=0" in capsys.readouterr().err
+
+    def test_rejects_non_integer_max_iters_before_running(self, no_pursuit):
+        instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
+        with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
+            run_batch(("dcsp",), [instance], None, max_iters=2.5)
+
+    def test_rejects_unknown_algorithm(self, capsys, no_pursuit):
+        instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
+        with pytest.raises(ValueError, match=re.escape("cannot simulate ['somp']")):
+            run_batch(("somp",), [instance], None)
+        assert main(self.ARGS + ["--algorithm", "somp"]) == 2

@@ -100,6 +100,22 @@ class TestDcspRun:
                 assert len(sizes) == 5
                 assert all(K <= s <= 2 * K for s in sizes)
 
+    def test_full_collaboration_matches_ssp(self):
+        # separate draws of one config, so no cached state is shared
+        for seed in range(25):
+            a = ssp_run(tiny_instance(seed, N=24, M=14, K=3, L=4))
+            b = dcsp_run(tiny_instance(seed, N=24, M=14, K=3, L=4), ring_topology(4, 4))
+            assert np.array_equal(a.support, b.support)
+            assert a.iterations == b.iterations
+            assert len(a.support_trace) == len(b.support_trace)
+            for sa, sb in zip(a.support_trace, b.support_trace):
+                assert np.array_equal(sa, sb)
+
+    def test_local_support_states_are_k_sets(self):
+        inst = tiny_instance(11, N=30, M=16, K=3, L=5)
+        result = dcsp_run(inst, ring_topology(5, 3))
+        assert result.support.size == 3
+
     def test_deterministic_repeat(self):
         # a fresh draw per run, so the second run recomputes everything;
         # every field compares, support trace, candidate sizes and wire
@@ -647,18 +663,6 @@ def test_batch_rejects_mixed_dimensions():
         run_batch(("ssp",), draws, None)
     with pytest.raises(ValueError, match="one or more draws"):
         run_batch(("ssp",), [], None)
-
-
-def test_batch_rejects_bad_arguments_before_running(monkeypatch):
-    def no_pursuit(*args):
-        raise AssertionError("ran the pursuit")
-
-    monkeypatch.setattr(pursuit, "correlate", no_pursuit)
-    draws = [tiny_instance(9)]
-    with pytest.raises(ValueError, match=re.escape("cannot simulate ['somp']")):
-        run_batch(("somp",), draws, None)
-    with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
-        run_batch(("dcsp",), draws, None, max_iters=2.5)
 
 
 def test_batch_rejects_a_repeated_algorithm_and_the_old_map_form():
