@@ -3,15 +3,8 @@
 
 import numpy as np
 
-from dcsp import (
-    ProblemConfig,
-    correlate,
-    generate,
-    lstsq_augmented,
-    max_ind,
-    max_occ,
-    resid,
-)
+from dcsp import ProblemConfig, generate
+from dcsp.linalg import correlate, lstsq_augmented, max_ind, max_occ, resid
 
 # The selection operators work on magnitudes and break ties toward the
 # smaller index, so repeated runs always agree.

@@ -23,20 +23,9 @@ from .experiments import (
     derive_trial_seed,
     run_sweep,
 )
-from .linalg import (
-    RankDeficientError,
-    as_index_set,
-    correlate,
-    lstsq_augmented,
-    max_ind,
-    max_occ,
-    resid,
-)
+from .linalg import RankDeficientError
 from .network import (
     Topology,
-    WireCounter,
-    broadcast_all,
-    exchange_neighbors,
     full_topology,
     ring_topology,
     topology_from_listing,
@@ -62,21 +51,12 @@ __all__ = [
     "RunResult",
     "SweepRow",
     "Topology",
-    "WireCounter",
-    "as_index_set",
-    "broadcast_all",
-    "correlate",
     "cost_dcsp_general",
     "cost_table1",
     "dcsp_run",
     "derive_trial_seed",
-    "exchange_neighbors",
     "full_topology",
     "generate",
-    "lstsq_augmented",
-    "max_ind",
-    "max_occ",
-    "resid",
     "ring_topology",
     "run_sweep",
     "ssp_run",

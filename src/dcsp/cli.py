@@ -132,8 +132,8 @@ def _cmd_cost(args):
     g = _DEFAULT_G if args.g is None and args.algorithm in ("all", "dcomp", "dcsp") else args.g
     params = CostParams(N=args.N, K=args.K, L=args.L, g=g, T=args.T)
     names = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
-    for name in names:
-        print(f"{name}: {cost_table1(name, params)}")
+    # every row before the first print, so that a rejected table prints none
+    print("\n".join(f"{name}: {cost_table1(name, params)}" for name in names))
     return 0
 
 

@@ -15,3 +15,26 @@ def no_draw(monkeypatch):
 
     monkeypatch.setattr(dcsp.cli, "generate", drew)
     monkeypatch.setattr(dcsp.experiments, "generate_batch", drew)
+
+
+@pytest.fixture
+def rejected(capsys):
+    """``rejected(argv)`` runs ``dcsp argv``, requires the CLI's rejection
+    (exit 2, nothing on stdout, one error line on stderr) and returns the
+    error's message.  The library's errors read ``error: <message>``;
+    argparse's own follow the subcommand's usage line and read
+    ``dcsp <command>: error: <message>``."""
+
+    def rejected(argv):
+        code = dcsp.cli.main(argv)
+        out, err = capsys.readouterr()
+        lead = "error: "
+        if not err.startswith(lead):
+            (commands,) = [action.choices for action in dcsp.cli.build_parser()._actions
+                           if isinstance(action.choices, dict)]
+            lead = f"{commands[argv[0]].format_usage()}dcsp {argv[0]}: error: "
+        message = err.removeprefix(lead).removesuffix("\n")
+        assert (code, out, err) == (2, "", f"{lead}{message}\n") and "\n" not in message
+        return message
+
+    return rejected

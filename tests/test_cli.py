@@ -37,13 +37,9 @@ class TestParseValues:
         ("fig1", "--M", "1:2:3:4"), ("fig2", "--L", "5:x:5"), ("fig1", "--M", "0:0:0"),
         ("trial", "--g", "2.5"), ("trial", "--algorithm", "somp"),
     ])
-    def test_bad_values_name_the_flag_and_text(self, capsys, no_draw, command, flag, text):
-        code = main([command, flag, text])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert f"argument {flag}: " in captured.err
-        assert repr(text) in captured.err
+    def test_bad_values_name_the_flag_and_text(self, rejected, no_draw, command, flag, text):
+        message = rejected([command, flag, text])
+        assert message.startswith(f"argument {flag}: ") and repr(text) in message
 
 
 class TestCostCommand:
@@ -66,26 +62,21 @@ class TestCostCommand:
         (["--K", "300"], "need K <= N, got K=300 and N=200"),
         (["--g", "9", "--L", "6"], "need g <= L, got g=9 and L=6"),
     ])
-    def test_out_of_bounds_rejected(self, capsys, flags, message):
-        code = main(["cost", "--T", "3"] + flags)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert message in captured.err
+    def test_out_of_bounds_rejected(self, rejected, flags, message):
+        assert rejected(["cost", "--T", "3"] + flags) == message
 
-    def test_g_free_row_ignores_the_g_default(self, capsys):
+    def test_g_free_row_ignores_the_g_default(self, capsys, rejected):
         # ssp never reads g, so L=2 must not trip the g=3 default of the g rows
         code = main(["cost", "--algorithm", "ssp", "--L", "2", "--T", "3"])
         assert code == 0
         assert capsys.readouterr().out == "ssp: 1726\n"
-        code = main(["cost", "--algorithm", "dcsp", "--L", "2", "--T", "3"])
-        assert code == 2
-        assert "need g <= L, got g=3 and L=2" in capsys.readouterr().err
+        assert rejected(["cost", "--algorithm", "dcsp", "--L", "2", "--T", "3"]) == (
+            "need g <= L, got g=3 and L=2")
 
-    def test_missing_T_fails_cleanly(self, capsys):
-        code = main(["cost", "--algorithm", "ssp"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+    def test_missing_T_fails_cleanly(self, rejected):
+        # the whole table fails, before any row is printed
+        for argv in (["cost"], ["cost", "--algorithm", "ssp"]):
+            assert rejected(argv) == "this cost formula needs T"
 
 
 class TestTrialCommand:
@@ -145,64 +136,45 @@ class TestTrialCommand:
                      "--L", "6", "--g", "3", "--seed", "7", "--expect-success"]) == 0
         assert f"\nwire total: {cost} (" in capsys.readouterr().out
 
-    def test_bad_topology_token_named(self, capsys, no_draw):
-        code = main(self.ARGS + ["--topology", "1,x;2;3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "bad node id 'x' in listing '1,x;2;3'" in captured.err
+    def test_bad_topology_token_named(self, rejected, no_draw):
+        assert rejected(self.ARGS + ["--topology", "1,x;2;3"]) == (
+            "bad node id 'x' in listing '1,x;2;3'")
 
-    def test_m_below_2k_rejected(self, capsys, no_draw):
-        code = main(["trial", "--N", "50", "--M", "15", "--K", "10", "--L", "4"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "error: need M >= 2K, got M=15 and K=10" in captured.err
+    def test_m_below_2k_rejected(self, rejected, no_draw):
+        assert rejected(["trial", "--N", "50", "--M", "15", "--K", "10", "--L", "4"]) == (
+            "need M >= 2K, got M=15 and K=10")
 
-    def test_negative_seed_rejected(self, capsys, no_draw):
-        code = main(["trial", "--seed", "-5", "--N", "40", "--M", "20", "--K", "4", "--L", "3"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "need 0 <= seed < 2**64, got seed=-5" in captured.err
+    def test_negative_seed_rejected(self, rejected, no_draw):
+        assert rejected(["trial", "--seed", "-5", "--N", "40", "--M", "20", "--K", "4",
+                         "--L", "3"]) == "need 0 <= seed < 2**64, got seed=-5"
 
-    def test_seed_past_64_bits_rejected_before_any_draw(self, capsys, no_draw):
-        code = main(["fig1", "--M", "20", "--N", "40", "--K", "4", "--L", "3",
-                     "--trials", "1", "--seed", str(2**64 + 1)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert f"need 0 <= seed < 2**64, got seed={2**64 + 1}" in captured.err
+    def test_seed_past_64_bits_rejected_before_any_draw(self, rejected, no_draw):
+        assert rejected(["fig1", "--M", "20", "--N", "40", "--K", "4", "--L", "3",
+                         "--trials", "1", "--seed", str(2**64 + 1)]) == (
+            f"M=20: need 0 <= seed < 2**64, got seed={2**64 + 1}")
 
-    def test_topology_size_mismatch_rejected_before_any_draw(self, capsys, no_draw):
+    def test_topology_size_mismatch_rejected_before_any_draw(self, rejected, no_draw):
         # ssp, which reads only the topology's L, checks it all the same
         for algorithm in ("ssp", "dcsp"):
-            code = main(["trial", "--algorithm", algorithm, "--topology", "1,2;2,3;3,1"])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert "topology has 3 nodes, problem has L=6" in captured.err
+            assert rejected(["trial", "--algorithm", algorithm, "--topology", "1,2;2,3;3,1"]) == (
+                "topology has 3 nodes, problem has L=6")
 
-    def test_max_iters_below_1_rejected_before_any_draw(self, capsys, no_draw):
+    def test_max_iters_below_1_rejected_before_any_draw(self, rejected, no_draw):
         for algorithm in ("ssp", "dcsp"):
-            code = main(self.ARGS + ["--algorithm", algorithm, "--max-iters", "0"])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert "need max_iters >= 1, got max_iters=0" in captured.err
+            assert rejected(self.ARGS + ["--algorithm", algorithm, "--max-iters", "0"]) == (
+                "need max_iters >= 1, got max_iters=0")
 
 
 class TestFigureCommands:
-    def test_exhausted_redraws_exit_2_naming_the_trial(self, capsys, monkeypatch):
+    def test_exhausted_redraws_exit_2_naming_the_trial(self, rejected, monkeypatch):
         def always_deficient(algorithms, instances, *args, **kwargs):
             raise RankDeficientError("forced")
 
         monkeypatch.setattr(dcsp.experiments, "run_batch", always_deficient)
-        code = main(["fig1", "--M", "20", "--N", "40", "--K", "4", "--L", "3", "--trials", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "error: M=20 trial 0: all 6 draws were rank deficient" in captured.err
+        seeds = [dcsp.derive_trial_seed(1, 20, 0, attempt) for attempt in range(6)]
+        assert rejected(["fig1", "--M", "20", "--N", "40", "--K", "4", "--L", "3",
+                         "--trials", "1", "--seed", "1"]) == (
+            f"M=20 trial 0: all 6 draws were rank deficient (seeds {seeds})")
 
     def test_fig1_tiny(self, capsys, tmp_path):
         out = tmp_path / "f1"
@@ -225,45 +197,34 @@ class TestFigureCommands:
         text = (tmp_path / "f2.csv").read_text()
         assert "somp_analytic_messages" in text
 
-    def test_sweep_below_2k_rejected(self, capsys, no_draw):
-        code = main([
-            "fig1", "--M", "15", "--N", "50", "--K", "10", "--L", "4", "--trials", "1",
-        ])
-        assert code == 2
-        assert "M=15: need M >= 2K" in capsys.readouterr().err
+    def test_sweep_below_2k_rejected(self, rejected, no_draw):
+        assert rejected(["fig1", "--M", "15", "--N", "50", "--K", "10", "--L", "4",
+                         "--trials", "1"]) == "M=15: need M >= 2K, got M=15 and K=10"
 
+    # each id names its message's last words
     @pytest.mark.parametrize("flags, message", [
         (["--g", "1"], "need g >= 2, got g=1"),
         (["--L", "1,5"], "L=1: need L >= 2, got L=1"),
         (["--algorithms", "ssp,ssp"], "algorithms=('ssp', 'ssp') names one twice"),
-        (["--algorithms", ""], "got algorithms=()"),
-        (["--K", "0"], "need K >= 1, got K=0"),
-        (["--N", "8", "--K", "10"], "need K <= N, got K=10 and N=8"),
+        pytest.param(["--algorithms", ""], "need at least one algorithm, got algorithms=()",
+                     id="flags3-got algorithms=()"),
+        pytest.param(["--K", "0"], "L=5: need K >= 1, got K=0", id="flags4-need K >= 1, got K=0"),
+        pytest.param(["--N", "8", "--K", "10"], "L=5: need K <= N, got K=10 and N=8",
+                     id="flags5-need K <= N, got K=10 and N=8"),
     ])
-    def test_bad_sweep_rejected(self, capsys, no_draw, flags, message):
-        code = main(["fig2", "--L", "5", "--N", "40", "--K", "3", "--M", "20",
-                     "--trials", "1"] + flags)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert message in captured.err
+    def test_bad_sweep_rejected(self, rejected, no_draw, flags, message):
+        assert rejected(["fig2", "--L", "5", "--N", "40", "--K", "3", "--M", "20",
+                         "--trials", "1"] + flags) == message
 
-    def test_repeated_sweep_value_rejected(self, capsys, no_draw):
-        code = main(["fig1", "--M", "20,20", "--N", "40", "--K", "4", "--L", "3",
-                     "--trials", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "values=(20, 20) names 20 twice" in captured.err
+    def test_repeated_sweep_value_rejected(self, rejected, no_draw):
+        assert rejected(["fig1", "--M", "20,20", "--N", "40", "--K", "4", "--L", "3",
+                         "--trials", "1"]) == "values=(20, 20) names 20 twice"
 
-    def test_missing_out_directory_rejected_before_any_draw(self, capsys, tmp_path, no_draw):
+    def test_missing_out_directory_rejected_before_any_draw(self, rejected, tmp_path, no_draw):
         missing = tmp_path / "missing" / "x"
-        code = main(["fig1", "--M", "20:24:2", "--N", "40", "--K", "4", "--L", "3",
-                     "--trials", "30", "--out", str(missing)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert f"directory {tmp_path / 'missing'} does not exist" in captured.err
+        assert rejected(["fig1", "--M", "20:24:2", "--N", "40", "--K", "4", "--L", "3",
+                         "--trials", "30", "--out", str(missing)]) == (
+            f"out={missing}: directory {missing.parent} does not exist")
 
 
 # Every option of every subcommand, set to a value that no default takes,
@@ -284,12 +245,6 @@ EVERY_OPTION = {
     "cost": {"--algorithm": ("ssp", "ssp"), "--N": ("201", 201), "--K": ("11", 11),
              "--L": ("7", 7), "--g": ("4", 4), "--T": ("9", 9)},
 }
-
-
-def _subparsers():
-    parser = build_parser()
-    (choices,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
-    return choices
 
 
 @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
@@ -317,8 +272,9 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     monkeypatch.setattr(dcsp.cli, "run_batch", record_run)
     monkeypatch.setattr(dcsp.experiments, "run_sweep", lambda config: [])
     options = EVERY_OPTION[command]
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
     flags = {
-        flag for action in _subparsers()[command]._actions for flag in action.option_strings
+        flag for action in commands[command]._actions for flag in action.option_strings
     } - {"-h", "--help"}
     if command == "trial":
         flags.remove("--expect-success")
@@ -350,14 +306,9 @@ def test_every_option_reaches_the_library(monkeypatch, command):
     (["trial", "--g", "2", "--topology", "1,2;2,1", "--L", "2"],
      "argument --topology: not allowed with argument --g"),
 ])
-def test_g_bound_has_one_message_per_violation(capsys, no_draw, argv, message):
+def test_g_bound_has_one_message_per_violation(rejected, no_draw, argv, message):
     # 2 <= g <= L is checked in one place, before any draw
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    # argparse's own refusal follows the usage line and names the subcommand
-    usage = "" if err.startswith("error: ") else (
-        _subparsers()[argv[0]].format_usage() + f"dcsp {argv[0]}: ")
-    assert (out, err) == ("", f"{usage}error: {message}\n")
+    assert rejected(argv) == message
 
 
 @pytest.mark.parametrize("argv, sweep", [
