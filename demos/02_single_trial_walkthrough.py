@@ -3,7 +3,7 @@
 # wire.  `dcsp trial --algorithm ssp --seed 42` prints the full transcript
 # of one such run.
 
-from dcsp import ProblemConfig, dcsp_run, generate, ring_topology, ssp_run, success
+from dcsp import ProblemConfig, generate, ring_topology, run_batch, success
 
 instance = generate(ProblemConfig(N=200, M=50, K=10, L=6, seed=42))
 
@@ -17,11 +17,11 @@ def show(run):
 
 
 print("=== fully collaborative subspace pursuit ===")
-ssp = ssp_run(instance)
+ssp = run_batch(("ssp",), [instance], None)["ssp"][0]
 show(ssp)
 
 print("\n=== neighborhood-collaborative variant, g=3 ===")
-dcsp = dcsp_run(instance, ring_topology(6, 3))
+dcsp = run_batch(("dcsp",), [instance], ring_topology(6, 3))["dcsp"][0]
 show(dcsp)
 
 ssp_scalars, dcsp_scalars = ssp.wire.total, dcsp.wire.total
@@ -31,5 +31,5 @@ print("dcsp saves a factor of", round(ssp_scalars / dcsp_scalars, 2))
 # With g = L the collaborative variant degenerates into the full version:
 # identical supports, iteration for iteration.
 print("\n=== same instance, g=L (degenerates into the full version) ===")
-full = dcsp_run(instance, ring_topology(6, 6))
+full = run_batch(("dcsp",), [instance], ring_topology(6, 6))["dcsp"][0]
 print("g=L support equals ssp support:", (full.support == ssp.support).all())

@@ -6,17 +6,16 @@ from dcsp import (
     CostParams,
     ProblemConfig,
     cost_table1,
-    dcsp_run,
     generate,
     ring_topology,
-    ssp_run,
+    run_batch,
 )
 
 # 1) The wire counter reproduces the closed forms to the integer, once T
 #    is set to the executed iteration count.
 inst = generate(ProblemConfig(N=60, M=30, K=4, L=6, seed=11))
-s = ssp_run(inst)
-d = dcsp_run(inst, ring_topology(6, 3))
+s = run_batch(("ssp",), [inst], None)["ssp"][0]
+d = run_batch(("dcsp",), [inst], ring_topology(6, 3))["dcsp"][0]
 print("ssp : counted", s.wire.total, "| formula",
       cost_table1("ssp", CostParams(N=60, K=4, L=6, T=s.iterations)))
 print("dcsp: counted", d.wire.total, "| formula",

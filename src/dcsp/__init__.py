@@ -2,9 +2,9 @@
 
 Greedy subspace-pursuit recovery of a support set shared by all nodes of a
 network, under exact per-scalar communication accounting.  One pursuit
-loop runs as a fully collaborative variant (``ssp_run``) or as a
-neighborhood-collaborative variant with majority-rule fusion
-(``dcsp_run``).  Closed-form cost models cover both plus the standard
+loop, ``run_batch``, runs a fully collaborative variant (ssp) and a
+neighborhood-collaborative variant with majority-rule fusion (dcsp) on a
+batch of draws.  Closed-form cost models cover both plus the standard
 comparison baselines, and a Monte Carlo harness, ``run_sweep``, sweeps
 measurement count (figure fig1) or network scale (figure fig2, whose table
 gives both the message and the iteration view).
@@ -36,7 +36,7 @@ from .problems import (
     generate,
     success,
 )
-from .pursuit import RunResult, dcsp_run, ssp_run
+from .pursuit import RunResult, run_batch
 
 __version__ = "0.1.0"
 
@@ -53,13 +53,12 @@ __all__ = [
     "Topology",
     "cost_dcsp_general",
     "cost_table1",
-    "dcsp_run",
     "derive_trial_seed",
     "full_topology",
     "generate",
     "ring_topology",
+    "run_batch",
     "run_sweep",
-    "ssp_run",
     "success",
     "topology_from_listing",
 ]

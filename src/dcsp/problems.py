@@ -77,8 +77,8 @@ class ProblemInstance:
     """One generated problem: data for all L nodes plus the ground truth.
 
     The node data are stacked along a leading node axis, so that node l
-    (1-based) owns row ``l - 1`` of each array and the pursuit drivers can
-    run one stacked linear-algebra call over all nodes:
+    (1-based) owns row ``l - 1`` of each array and the pursuit can run one
+    stacked linear-algebra call over all nodes:
 
     * ``dictionaries``: float64 array of shape (L, M, N);
     * ``signals``: float64 array of shape (L, N);

@@ -2,11 +2,11 @@
 
 One pursuit loop, :func:`run_batch`, runs ssp (full collaboration) and
 dcsp (collaboration within one topology's neighborhoods) on a batch of
-draws; :func:`ssp_run` and :func:`dcsp_run` run one algorithm on one
-draw.  Each iteration merges the support with the K strongest summed
-residual correlations into each node's candidate set, projects onto it,
-and ranks the K largest summed coefficient magnitudes, scattered into an
-(L, N) stack, as the next support.  ssp broadcasts both rounds and ranks
+draws; one algorithm on one draw is a batch of one.  Each iteration
+merges the support with the K strongest summed residual correlations
+into each node's candidate set, projects onto it, and ranks the K
+largest summed coefficient magnitudes, scattered into an (L, N) stack,
+as the next support.  ssp broadcasts both rounds and ranks
 one shared K-set; dcsp exchanges them with neighbors, each node ranks its
 own K-set, and a broadcast of the local K-sets is fused by majority
 (``max_occ``).  A run stops, keeping its previous support, once the
@@ -48,7 +48,6 @@ from .network import (
     exchange_neighbors,
     full_topology,
 )
-from .problems import ProblemInstance
 
 SIMULATED_ALGORITHMS = ("ssp", "dcsp")
 
@@ -202,11 +201,17 @@ def _run_limits(config, algorithms, topology, max_iters):
 
 def run_batch(algorithms, instances, topology, max_iters=None, dictionaries=None):
     """Run each of ``algorithms``, distinct names "ssp" or "dcsp", on each
-    of ``instances``, draws of one N, M, K and L, under one cap: the pursuit
-    loop of the module docstring.  dcsp collaborates within ``topology``'s
-    neighborhoods (``None``: full); ssp reads only its L.  Returns
-    {algorithm: one :class:`RunResult` per instance}, each equal to the
-    run on its draw alone; raises RankDeficientError if any run does.
+    of ``instances``, draws of one N, M, K and L, under one cap,
+    ``max_iters`` (default ``3 * K``): the pursuit loop of the module
+    docstring.  dcsp collaborates within ``topology``'s neighborhoods
+    (``None``: full); ssp reads only its L.  Returns {algorithm: one
+    :class:`RunResult` per instance}, each equal to the run on its draw
+    alone, its ``hit_max_iters`` set if the cap fired before the residual
+    stopping rule; raises RankDeficientError if any run does.
+
+    A projection message carries the sender's candidate set beside its
+    coefficients, which are meaningless without their positions, and is
+    charged at the 2K frame, as :mod:`dcsp.costs` prices it.
 
     ``dictionaries`` is the (B, L, M, N) array that holds the instances'
     dictionaries in order, if the caller drew them into one (as a sweep
@@ -314,27 +319,3 @@ def run_batch(algorithms, instances, topology, max_iters=None, dictionaries=None
     for r, run in enumerate(results):
         run.iterations, run.hit_max_iters = len(run.residual_trace) - 1, r in live
     return {name: results[a * B:(a + 1) * B] for a, name in enumerate(names)}
-
-
-def ssp_run(instance: ProblemInstance, max_iters: int = None) -> RunResult:
-    """Simultaneous subspace pursuit over a fully connected network.
-
-    ``max_iters`` caps the iterations (default ``3 * K``), and
-    ``hit_max_iters`` marks a cap that fired before the residual stopping
-    rule.  The traffic is the ``ssp`` row of :func:`dcsp.costs.cost_table1`.
-    """
-    return run_batch(("ssp",), [instance], None, max_iters)["ssp"][0]
-
-
-def dcsp_run(instance: ProblemInstance, topology: Topology,
-             max_iters: int = None) -> RunResult:
-    """Collaborative subspace pursuit with neighborhood-limited traffic.
-
-    A projection message carries the sender's candidate set beside its
-    coefficients, which are meaningless without their positions, and is
-    charged at the 2K frame.  The traffic is
-    :func:`dcsp.costs.cost_dcsp_general`'s; parameters and result
-    semantics match :func:`ssp_run`.
-    """
-    return run_batch(("dcsp",), [instance], topology, max_iters)["dcsp"][0]
-

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import dcsp.cli
 import dcsp.experiments
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -38,3 +45,25 @@ def rejected(capsys):
         return message
 
     return rejected
+
+
+@pytest.fixture
+def run_python(tmp_path):
+    """``run_python(args)`` runs ``python *args`` in a fresh interpreter
+    that imports this checkout's dcsp from ``src/``, in the test's
+    ``tmp_path``, and returns the completed process.  A non-zero exit
+    fails the test with the process's stderr; a run past 300 s fails it
+    too."""
+
+    def run_python(args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, *args], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        return out
+
+    return run_python

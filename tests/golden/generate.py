@@ -53,7 +53,7 @@ from dcsp.experiments import FIGURES, ExperimentConfig, run_sweep
 from dcsp.linalg import RankDeficientError
 from dcsp.network import ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, generate
-from dcsp.pursuit import dcsp_run, ssp_run
+from dcsp.pursuit import run_batch
 
 PATH = Path(__file__).with_name("runs.json")
 INSTANCES = 300
@@ -147,10 +147,11 @@ def run_instance(params):
     N, M, K, L, g, seed, max_iters, listing = params
     instance = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
     calls = (
-        lambda: ssp_run(instance, max_iters),
-        lambda: dcsp_run(instance, ring_topology(L, g), max_iters),
-        lambda: dcsp_run(instance, ring_topology(L, L), max_iters),
-        lambda: dcsp_run(instance, topology_from_listing(listing), max_iters),
+        lambda: run_batch(("ssp",), [instance], None, max_iters)["ssp"][0],
+        lambda: run_batch(("dcsp",), [instance], ring_topology(L, g), max_iters)["dcsp"][0],
+        lambda: run_batch(("dcsp",), [instance], ring_topology(L, L), max_iters)["dcsp"][0],
+        lambda: run_batch(("dcsp",), [instance], topology_from_listing(listing),
+                          max_iters)["dcsp"][0],
     )
     runs = []
     for call in calls:

@@ -12,7 +12,7 @@ from dcsp.experiments import FIGURES, ExperimentConfig, run_sweep
 from dcsp.linalg import lstsq_augmented, max_ind, max_occ, resid
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate, success
-from dcsp.pursuit import dcsp_run, ssp_run
+from dcsp.pursuit import run_batch
 from oracle import exhaustive_decoder
 
 BASE_SEED = 20240810
@@ -35,7 +35,9 @@ def degeneration_runs():
     for trial in range(100):
         config = ProblemConfig(N=200, M=50, K=10, L=6, seed=BASE_SEED + trial)
         inst = generate(config)
-        pairs.append((inst, ssp_run(inst), dcsp_run(generate(config), ring_topology(6, 6))))
+        ssp = run_batch(("ssp",), [inst], None)["ssp"][0]
+        dcsp = run_batch(("dcsp",), [generate(config)], ring_topology(6, 6))["dcsp"][0]
+        pairs.append((inst, ssp, dcsp))
     return pairs
 
 
@@ -45,7 +47,8 @@ def desk_scale_runs():
     runs = []
     for trial in range(200):
         inst = generate(ProblemConfig(N=12, M=8, K=2, L=3, seed=BASE_SEED + 1000 + trial))
-        runs.append((inst, dcsp_run(inst, ring_topology(3, 3)), exhaustive_decoder(inst)))
+        run = run_batch(("dcsp",), [inst], ring_topology(3, 3))["dcsp"][0]
+        runs.append((inst, run, exhaustive_decoder(inst)))
     return runs
 
 
@@ -114,11 +117,11 @@ def test_criterion_3_wire_exactness():
                 for trial in range(14):
                     cfg = ProblemConfig(N=N, M=M, K=K, L=L, seed=BASE_SEED + checked)
                     inst = generate(cfg)
-                    s = ssp_run(inst)
+                    s = run_batch(("ssp",), [inst], None)["ssp"][0]
                     exact &= s.wire.total == cost_table1(
                         "ssp", CostParams(N=N, K=K, L=L, T=s.iterations)
                     )
-                    d = dcsp_run(inst, ring_topology(L, g))
+                    d = run_batch(("dcsp",), [inst], ring_topology(L, g))["dcsp"][0]
                     exact &= d.wire.total == cost_table1(
                         "dcsp", CostParams(N=N, K=K, L=L, g=g, T=d.iterations)
                     )
@@ -224,8 +227,8 @@ def test_criterion_7_property_suites(degeneration_runs, desk_scale_runs):
     ).tolist() == [1, 5]
     determinism = True
     config = ProblemConfig(N=30, M=16, K=3, L=4, seed=BASE_SEED)
-    first = dcsp_run(generate(config), ring_topology(4, 2))
-    second = dcsp_run(generate(config), ring_topology(4, 2))
+    first = run_batch(("dcsp",), [generate(config)], ring_topology(4, 2))["dcsp"][0]
+    second = run_batch(("dcsp",), [generate(config)], ring_topology(4, 2))["dcsp"][0]
     determinism &= np.array_equal(first.support, second.support)
     determinism &= first.residual_trace == second.residual_trace
 

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import types
 from pathlib import Path
 
@@ -98,8 +95,9 @@ class TestTrialCommand:
         assert first == second
 
     def test_expect_success_flag(self, capsys):
-        code = main(self.ARGS + ["--algorithm", "ssp", "--expect-success"])
-        assert code == 0
+        assert main(["trial", "--algorithm", "ssp", "--expect-success", "--N", "40",
+                     "--M", "24", "--K", "3", "--L", "5", "--seed", "2"]) == 0
+        assert "L=5 g=5 seed=2" in capsys.readouterr().out
 
     def test_ssp_matches_dcsp_at_full_collaboration(self, capsys):
         args = ["--N", "30", "--M", "16", "--K", "3", "--L", "4", "--seed", "77"]
@@ -203,9 +201,10 @@ class TestFigureCommands:
 
     # each id names its message's last words
     @pytest.mark.parametrize("flags, message", [
-        (["--g", "1"], "need g >= 2, got g=1"),
-        (["--L", "1,5"], "L=1: need L >= 2, got L=1"),
-        (["--algorithms", "ssp,ssp"], "algorithms=('ssp', 'ssp') names one twice"),
+        pytest.param(["--L", "1,5"], "L=1: need L >= 2, got L=1",
+                     id="flags1-L=1: need L >= 2, got L=1"),
+        pytest.param(["--algorithms", "ssp,ssp"], "algorithms=('ssp', 'ssp') names one twice",
+                     id="flags2-algorithms=('ssp', 'ssp') names one twice"),
         pytest.param(["--algorithms", ""], "need at least one algorithm, got algorithms=()",
                      id="flags3-got algorithms=()"),
         pytest.param(["--K", "0"], "L=5: need K >= 1, got K=0", id="flags4-need K >= 1, got K=0"),
@@ -251,7 +250,7 @@ EVERY_OPTION = {
 def test_every_option_reaches_the_library(monkeypatch, command):
     received = []
     instance = dcsp.generate(dcsp.ProblemConfig(N=12, M=8, K=2, L=3, seed=0))
-    run = dcsp.dcsp_run(instance, None)
+    run = dcsp.run_batch(("dcsp",), [instance], None)["dcsp"][0]
 
     def record(*args, **kwargs):
         received.extend((*args, *kwargs.values()))
@@ -370,19 +369,7 @@ def test_readme_commands_parse():
     assert commands == {"fig1", "fig2", "trial", "cost"}
 
 
-def _run_python(code):
-    """``python -c code`` in a fresh interpreter that imports this
-    checkout's dcsp; its completed process, checked."""
-    src = str(Path(dcsp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-
-
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(run_python):
     # keeps package import, and with it sweep start-up, free of scipy, of
     # the process pool, which only a jobs > 1 sweep loads, and of
     # numpy.random (about 25 ms), which the first draw loads; a serial
@@ -396,14 +383,14 @@ def test_import_does_not_load_scipy():
         "g=2, trials=1, jobs=1)); "
         "print(loaded(('concurrent.futures', 'multiprocessing')))"
     )
-    assert _run_python(code).stdout.split() == ["[]", "[]"]
+    assert run_python(["-c", code]).stdout.split() == ["[]", "[]"]
 
 
-def test_pooled_sweep_under_forkserver_matches_serial():
+def test_pooled_sweep_under_forkserver_matches_serial(run_python):
     # forkserver, Python 3.14's default on Linux, starts each worker from a
     # fresh import rather than a copy of this process; nine batches make two
     # chunks of the pool's map, so both workers start
-    _run_python(
+    run_python(["-c",
         "import multiprocessing, dcsp; multiprocessing.set_start_method('forkserver'); "
         "config = dict(sweep='L', values=range(2, 11), N=40, K=3, M=20, g=3, trials=2, "
         "seed=7); "
@@ -411,10 +398,10 @@ def test_pooled_sweep_under_forkserver_matches_serial():
         "for jobs in (1, 2)); "
         "assert multiprocessing.get_start_method() == 'forkserver'; "
         "assert pooled == serial, (pooled, serial)"
-    )
+    ])
 
 
-def test_runs_never_load_numpy_ma(tmp_path):
+def test_runs_never_load_numpy_ma(tmp_path, run_python):
     # numpy 2's np.unique imports numpy.ma on its first call (about 1.6 MB
     # resident and 13 ms): no trial or sweep may reach it
     small = ["--N", "40", "--M", "20", "--K", "4"]
@@ -431,7 +418,7 @@ def test_runs_never_load_numpy_ma(tmp_path):
         "loaded.append('numpy.ma' in sys.modules); "
         f"json.dump([codes, loaded], open({str(report)!r}, 'w'))"
     )
-    _run_python(code)
+    run_python(["-c", code])
     codes, loaded = json.loads(report.read_text())
     if loaded[0]:
         pytest.skip("this numpy imports numpy.ma with numpy")  # numpy 1.x does

@@ -3,7 +3,7 @@ import pytest
 from dcsp.costs import CostParams, cost_dcsp_general, cost_table1
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate
-from dcsp.pursuit import dcsp_run, ssp_run
+from dcsp.pursuit import run_batch
 
 
 class TestCostSsp:
@@ -112,20 +112,20 @@ class TestWireExactness:
     def test_ssp_counter_equals_formula(self):
         for seed in range(10):
             inst = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=seed))
-            result = ssp_run(inst)
+            result = run_batch(("ssp",), [inst], None)["ssp"][0]
             expected = cost_table1("ssp", CostParams(N=30, K=3, L=4, T=result.iterations))
             assert result.wire.total == expected
 
     def test_dcsp_counter_equals_formula(self):
         for seed in range(10):
             inst = generate(ProblemConfig(N=30, M=16, K=3, L=5, seed=seed))
-            result = dcsp_run(inst, ring_topology(5, 3))
+            result = run_batch(("dcsp",), [inst], ring_topology(5, 3))["dcsp"][0]
             expected = cost_table1("dcsp", CostParams(N=30, K=3, L=5, g=3, T=result.iterations))
             assert result.wire.total == expected
 
     def test_dcsp_split_by_message_class(self):
         inst = generate(ProblemConfig(N=30, M=16, K=3, L=5, seed=1))
-        result = dcsp_run(inst, ring_topology(5, 3))
+        result = run_batch(("dcsp",), [inst], ring_topology(5, 3))["dcsp"][0]
         T = result.iterations
         assert result.wire.neighbor_scalars == (30 + T * (30 + 6)) * 5 * 2
         assert result.wire.broadcast_scalars == (3 + T * 4) * 4 * 5
@@ -133,7 +133,7 @@ class TestWireExactness:
     def test_ssp_round_order_and_classes(self):
         for seed in range(5):
             inst = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=seed))
-            result = ssp_run(inst)
+            result = run_batch(("ssp",), [inst], None)["ssp"][0]
             assert result.wire.neighbor_scalars == 0
             assert {kind for _, kind, _ in result.wire.rounds} == {"broadcast"}
             labels = [label for label, _, _ in result.wire.rounds]
@@ -144,7 +144,7 @@ class TestWireExactness:
     def test_dcsp_round_order_and_classes(self):
         for seed in range(5):
             inst = generate(ProblemConfig(N=30, M=16, K=3, L=5, seed=seed))
-            result = dcsp_run(inst, ring_topology(5, 3))
+            result = run_batch(("dcsp",), [inst], ring_topology(5, 3))["dcsp"][0]
             labels = [label for label, _, _ in result.wire.rounds]
             assert labels == ["correlation", "local support"] + [
                 "correlation", "projection", "local support", "residual norm"

@@ -8,12 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcsp import experiments, pursuit
-from dcsp.cli import main
 from dcsp.experiments import FIGURES, ExperimentConfig, derive_trial_seed, run_sweep
 from dcsp.linalg import RankDeficientError
-from dcsp.network import ring_topology
-from dcsp.problems import ProblemConfig, generate
-from dcsp.pursuit import run_batch
+from dcsp.problems import ProblemConfig
 
 
 def small_m_config(**kw):
@@ -547,49 +544,3 @@ def test_algorithm_choice_does_not_change_a_column(sweep, values):
         assert all(s.aborted == 0 for s in runs[0])  # no redraw moves a column
         assert all(run == runs[0] for run in runs[1:])
 
-
-class TestRunSingleTrial:
-    """One seeded trial: ``dcsp trial``, which runs ``run_batch`` on one
-    ``generate`` draw once every argument has passed."""
-
-    ARGS = ["trial", "--N", "30", "--M", "16", "--K", "3", "--L", "6", "--seed", "9"]
-
-    @pytest.fixture
-    def no_pursuit(self, monkeypatch):
-        def no_pursuit(*args):
-            raise AssertionError("ran the pursuit")
-
-        monkeypatch.setattr(pursuit, "correlate", no_pursuit)
-
-    def test_transcript_deterministic(self):
-        # everything `dcsp trial` prints comes from the draw and its run
-        cfg = ProblemConfig(N=40, M=20, K=3, L=4, seed=123)
-        ia, ib = generate(cfg), generate(cfg)
-        (ta,), (tb,) = (run_batch(("dcsp",), [i], ring_topology(4, 3))["dcsp"] for i in (ia, ib))
-        assert np.array_equal(ia.true_support, ib.true_support)
-        assert [s.tolist() for s in ta.support_trace] == [s.tolist() for s in tb.support_trace]
-        assert ta.residual_trace == tb.residual_trace
-        assert ta.candidate_sizes == tb.candidate_sizes
-        assert ta.wire.rounds == tb.wire.rounds
-
-    def test_known_success_params(self, capsys):
-        assert main(["trial", "--algorithm", "ssp", "--expect-success", "--N", "40",
-                     "--M", "24", "--K", "3", "--L", "5", "--seed", "2"]) == 0
-        assert "L=5 g=5 seed=2" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("algorithm", ["ssp", "dcsp"])
-    def test_rejects_topology_size_mismatch_before_running(self, rejected, no_draw, algorithm):
-        argv = self.ARGS + ["--algorithm", algorithm, "--topology", "1,2;2,3;3,1"]
-        assert rejected(argv) == "topology has 3 nodes, problem has L=6"
-
-    def test_rejects_non_integer_max_iters_before_running(self, no_pursuit):
-        instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
-        with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
-            run_batch(("dcsp",), [instance], None, max_iters=2.5)
-
-    def test_rejects_unknown_algorithm(self, rejected, no_pursuit):
-        instance = generate(ProblemConfig(N=30, M=16, K=3, L=4, seed=9))
-        with pytest.raises(ValueError, match=re.escape("cannot simulate ['somp']")):
-            run_batch(("somp",), [instance], None)
-        message = rejected(self.ARGS + ["--algorithm", "somp"])
-        assert message.startswith("argument --algorithm: invalid choice")

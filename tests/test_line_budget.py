@@ -1,6 +1,7 @@
 """The line budget: ``src/dcsp`` holds at most 1,800 lines, the ceiling
-that ROADMAP.md sets for every change.  No scope of ``tests/`` defines a
-name twice.
+that ROADMAP.md sets for every change.  ``dcsp.__all__`` names every
+public binding of the package.  No scope of ``tests/`` defines a name
+twice.
 
     PYTHONPATH=src python3 tests/test_line_budget.py
 
@@ -11,6 +12,7 @@ have no ceiling.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import dcsp
@@ -53,6 +55,16 @@ def report():
         *(f"{n:5d} {name}" for name, n in tests.items()),
         f"tests: {sum(tests.values())} lines (no ceiling)",
     ])
+
+
+def test_all_names_every_public_binding():
+    # a stale name left in __all__ would break only `from dcsp import *`
+    public = {name for name, value in vars(dcsp).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(dcsp.__all__) == sorted(public)
+    namespace = {}
+    exec("from dcsp import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
 
 
 def repeated_names(text):

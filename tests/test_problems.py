@@ -8,7 +8,7 @@ from dcsp.costs import CostParams, cost_table1
 from dcsp.linalg import RankDeficientError, resid
 from dcsp.network import ring_topology
 from dcsp.problems import ProblemConfig, generate, generate_batch, success
-from dcsp.pursuit import RunResult, dcsp_run, ssp_run
+from dcsp.pursuit import RunResult, run_batch
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +177,10 @@ def test_config_is_rejected_or_runs_to_exact_wire_totals(N, M, K, L, seed):
     except ValueError:
         return
     inst = generate(config)
-    for run, g, algorithm in ((ssp_run, None, "ssp"), (dcsp_run, 2, "dcsp")):
+    for g, algorithm in ((None, "ssp"), (2, "dcsp")):
+        topology = None if g is None else ring_topology(L, g)
         try:
-            result = run(inst) if g is None else run(inst, ring_topology(L, g))
+            result = run_batch((algorithm,), [inst], topology)[algorithm][0]
         except RankDeficientError:
             continue
         assert isinstance(result, RunResult)

@@ -13,7 +13,7 @@ from dcsp.linalg import RankDeficientError, correlate, max_occ, resid
 from dcsp.network import WireCounter, exchange_neighbors, ring_topology, topology_from_listing
 from dcsp.problems import ProblemConfig, ProblemInstance, generate, generate_batch, success
 from dcsp.pursuit import (
-    _ordered_sum, _residual_states, dcsp_run, run_batch, ssp_run,
+    _ordered_sum, _residual_states, run_batch,
 )
 from oracle import TooLargeError, exhaustive_decoder
 from reference import reference_run
@@ -40,20 +40,20 @@ class TestSspRun:
             cfg, np.array([A1, A2]), np.array([x, x]), np.array([A1 @ x, A2 @ x]),
             np.array([1], dtype=np.int64),
         )
-        result = ssp_run(inst)
+        result = run_batch(("ssp",), [inst], None)["ssp"][0]
         assert result.support.tolist() == [1]
         assert result.iterations == 1
 
     def test_recovers_generously_sampled_instance(self):
         inst = generate(ProblemConfig(N=60, M=30, K=4, L=4, seed=42))
-        result = ssp_run(inst)
+        result = run_batch(("ssp",), [inst], None)["ssp"][0]
         assert success(result.support, inst)
 
     def test_immediate_fit_stops_at_one_iteration(self):
         # pick a seed where the initialization already selects the truth
         for seed in range(100):
             inst = generate(ProblemConfig(N=40, M=30, K=3, L=4, seed=seed))
-            probe = ssp_run(inst)
+            probe = run_batch(("ssp",), [inst], None)["ssp"][0]
             if np.array_equal(probe.support_trace[0], inst.true_support):
                 assert probe.iterations == 1
                 assert np.array_equal(probe.support, probe.support_trace[0])
@@ -69,11 +69,11 @@ class TestSspRun:
         inst.dictionaries[1][:, :] = 0.0  # force a degenerate projection
         inst.measurements[1] = inst.dictionaries[1] @ inst.signals[1]
         with pytest.raises(RankDeficientError):
-            ssp_run(inst)
+            run_batch(("ssp",), [inst], None)["ssp"][0]
 
     def test_trace_is_strictly_decreasing_before_stop(self):
         for seed in range(20):
-            result = ssp_run(tiny_instance(seed))
+            result = run_batch(("ssp",), [tiny_instance(seed)], None)["ssp"][0]
             trace = result.residual_trace
             for a, b in zip(trace[:-2], trace[1:-1]):
                 assert b < a
@@ -84,18 +84,18 @@ class TestSspRun:
 class TestDcspRun:
     def test_recovers_with_neighborhood_collaboration(self):
         inst = generate(ProblemConfig(N=60, M=30, K=4, L=6, seed=7))
-        result = dcsp_run(inst, ring_topology(6, 3))
+        result = run_batch(("dcsp",), [inst], ring_topology(6, 3))["dcsp"][0]
         assert success(result.support, inst)
 
     def test_topology_size_mismatch_names_both_sizes(self):
         with pytest.raises(ValueError, match="topology has 4 nodes, problem has L=3"):
-            dcsp_run(tiny_instance(1), ring_topology(4, 2))
+            run_batch(("dcsp",), [tiny_instance(1)], ring_topology(4, 2))["dcsp"][0]
 
     def test_candidate_sizes_bounded(self):
         K = 3
         for seed in range(15):
             inst = generate(ProblemConfig(N=30, M=16, K=K, L=5, seed=seed))
-            result = dcsp_run(inst, ring_topology(5, 3))
+            result = run_batch(("dcsp",), [inst], ring_topology(5, 3))["dcsp"][0]
             for sizes in result.candidate_sizes:
                 assert len(sizes) == 5
                 assert all(K <= s <= 2 * K for s in sizes)
@@ -103,8 +103,9 @@ class TestDcspRun:
     def test_full_collaboration_matches_ssp(self):
         # separate draws of one config, so no cached state is shared
         for seed in range(25):
-            a = ssp_run(tiny_instance(seed, N=24, M=14, K=3, L=4))
-            b = dcsp_run(tiny_instance(seed, N=24, M=14, K=3, L=4), ring_topology(4, 4))
+            dims = dict(N=24, M=14, K=3, L=4)
+            a = run_batch(("ssp",), [tiny_instance(seed, **dims)], None)["ssp"][0]
+            b = run_batch(("dcsp",), [tiny_instance(seed, **dims)], ring_topology(4, 4))["dcsp"][0]
             assert np.array_equal(a.support, b.support)
             assert a.iterations == b.iterations
             assert len(a.support_trace) == len(b.support_trace)
@@ -113,21 +114,25 @@ class TestDcspRun:
 
     def test_local_support_states_are_k_sets(self):
         inst = tiny_instance(11, N=30, M=16, K=3, L=5)
-        result = dcsp_run(inst, ring_topology(5, 3))
+        result = run_batch(("dcsp",), [inst], ring_topology(5, 3))["dcsp"][0]
         assert result.support.size == 3
 
     def test_deterministic_repeat(self):
         # a fresh draw per run, so the second run recomputes everything;
-        # every field compares, support trace, candidate sizes and wire
-        # rounds included
-        for dims, topo in ((dict(), ring_topology(3, 2)),
-                           (dict(N=40, M=20, K=3, L=4), ring_topology(4, 3))):
-            a, b = (dcsp_run(tiny_instance(5, **dims), topo) for _ in range(2))
+        # the draws' truths and every run field compare, support trace,
+        # candidate sizes and wire rounds included
+        wide = dict(N=40, M=20, K=3, L=4)
+        for seed, dims, topo in ((5, dict(), ring_topology(3, 2)),
+                                 (5, wide, ring_topology(4, 3)),
+                                 (123, wide, ring_topology(4, 3))):
+            draws = [tiny_instance(seed, **dims) for _ in range(2)]
+            a, b = (run_batch(("dcsp",), [i], topo)["dcsp"][0] for i in draws)
+            assert np.array_equal(draws[0].true_support, draws[1].true_support)
             assert _run_fields(a) == _run_fields(b)
 
     def test_prints_nothing(self, capsys):
         # the transcript is the CLI's: the library prints nothing
-        run = dcsp_run(tiny_instance(9), ring_topology(3, 2))
+        run = run_batch(("dcsp",), [tiny_instance(9)], ring_topology(3, 2))["dcsp"][0]
         assert capsys.readouterr().out == ""
         assert run.wire.total > 0
 
@@ -146,15 +151,15 @@ class TestDcspRun:
 def test_full_collaboration_bit_identical_to_ssp(K, extra_m, extra_n, L, seed):
     M = 2 * K + extra_m
     config = ProblemConfig(N=M + extra_n, M=M, K=K, L=L, seed=seed)
-    # each driver gets its own draw of the config, so the two runs share no
+    # each algorithm gets its own draw of the config, so the two runs share no
     # cached residual state and the comparison tests the arithmetic
     try:
-        a = ssp_run(generate(config))
+        a = run_batch(("ssp",), [generate(config)], None)["ssp"][0]
     except RankDeficientError:
         with pytest.raises(RankDeficientError):
-            dcsp_run(generate(config), ring_topology(L, L))
+            run_batch(("dcsp",), [generate(config)], ring_topology(L, L))["dcsp"][0]
         return
-    b = dcsp_run(generate(config), ring_topology(L, L))
+    b = run_batch(("dcsp",), [generate(config)], ring_topology(L, L))["dcsp"][0]
     assert np.array_equal(a.support, b.support)
     assert a.iterations == b.iterations
     assert a.residual_trace == b.residual_trace  # exact float equality
@@ -169,7 +174,7 @@ class TestStoppingRule:
         # the last strictly improving one
         for seed in range(20):
             inst = tiny_instance(seed, N=20, M=10, K=2, L=3)
-            result = ssp_run(inst)
+            result = run_batch(("ssp",), [inst], None)["ssp"][0]
             if result.hit_max_iters:
                 continue
             best_t = int(np.argmin(result.residual_trace))
@@ -179,7 +184,7 @@ class TestStoppingRule:
 
     def test_successful_final_support_fits_exactly(self):
         inst = generate(ProblemConfig(N=60, M=30, K=4, L=4, seed=17))
-        result = ssp_run(inst)
+        result = run_batch(("ssp",), [inst], None)["ssp"][0]
         assert success(result.support, inst)
         total = sum(
             float(np.linalg.norm(resid(np.column_stack([A[:, result.support - 1], y])[None])) ** 2)
@@ -208,7 +213,7 @@ class TestExhaustiveDecoder:
         agree = 0
         for seed in range(30):
             inst = tiny_instance(seed)
-            result = dcsp_run(inst, ring_topology(3, 3))
+            result = run_batch(("dcsp",), [inst], ring_topology(3, 3))["dcsp"][0]
             if success(result.support, inst):
                 assert np.array_equal(result.support, exhaustive_decoder(inst))
                 agree += 1
@@ -238,9 +243,9 @@ def _run_fields(run):
     )
 
 
-def _outcome(driver, inst):
+def _outcome(algorithm, topology, inst):
     try:
-        return _run_fields(driver(inst))
+        return _run_fields(run_batch((algorithm,), [inst], topology)[algorithm][0])
     except RankDeficientError:
         return "rank deficient"
 
@@ -256,16 +261,16 @@ def _outcome(driver, inst):
 @example(K=1, extra_m=0, extra_n=1, L=2, g_offset=0, seed=0)  # M = 2K, K = 1, L = 2
 @settings(max_examples=60, deadline=None)
 def test_shared_draw_matches_fresh_draws(K, extra_m, extra_n, L, g_offset, seed):
-    # the per-draw memo must not let one driver's run change another's
+    # the per-draw memo must not let one algorithm's run change another's
     M = 2 * K + extra_m
     config = ProblemConfig(N=M + extra_n, M=M, K=K, L=L, seed=seed)
     g = 2 + g_offset % (L - 1)
-    drivers = (ssp_run, lambda inst: dcsp_run(inst, ring_topology(L, g)))
-    fresh = [_outcome(driver, generate(config)) for driver in drivers]
-    for order in ((0, 1), (1, 0)):
+    topologies = {"ssp": None, "dcsp": ring_topology(L, g)}
+    fresh = {a: _outcome(a, t, generate(config)) for a, t in topologies.items()}
+    for order in (("ssp", "dcsp"), ("dcsp", "ssp")):
         shared = generate(config)
-        for i in order:
-            assert _outcome(drivers[i], shared) == fresh[i]
+        for a in order:
+            assert _outcome(a, topologies[a], shared) == fresh[a]
 
 
 def test_cached_state_is_read_only(monkeypatch):
@@ -374,7 +379,7 @@ def test_irregular_topology_wire_matches_closed_form(listing, K, extra_m, extra_
     N = M + extra_n
     inst = generate(ProblemConfig(N=N, M=M, K=K, L=L, seed=seed))
     try:
-        run = dcsp_run(inst, topo)
+        run = run_batch(("dcsp",), [inst], topo)["dcsp"][0]
     except RankDeficientError:
         return
     T = run.iterations
@@ -478,16 +483,18 @@ def test_batch_matches_single_runs(batch):
     def draw(seed):
         return generate(dataclasses.replace(config, seed=seed))
 
-    def fields(run):  # one run per seed, or None if any is rank deficient
+    def fields(algorithm, topology):  # one run per seed, or None if any is rank deficient
         try:
-            return {s: _fields_with_split(run(draw(s))) for s in seeds}
+            return {s: _fields_with_split(
+                        run_batch((algorithm,), [draw(s)], topology, cap)[algorithm][0])
+                    for s in seeds}
         except RankDeficientError:
             return None
 
     # ssp's single runs take no topology: every batch's ssp runs equal them
-    ssp = fields(lambda inst: ssp_run(inst, cap))
+    ssp = fields("ssp", None)
     single = {("ssp", name): ssp for name in topologies}
-    single.update({("dcsp", name): fields(lambda inst: dcsp_run(inst, topology, cap))
+    single.update({("dcsp", name): fields("dcsp", topology)
                    for name, topology in topologies.items() if name is not None})
 
     for order in (seeds, seeds[::-1]):
@@ -674,6 +681,27 @@ def test_batch_rejects_a_repeated_algorithm_and_the_old_map_form():
         run_batch(old_form, draws)
     with pytest.raises(ValueError, match="need a Topology or None, got topology=2"):
         run_batch(old_form, draws, 2)  # an old call's cap in the topology's place
+
+
+@pytest.fixture
+def no_pursuit(monkeypatch):
+    """Fail the test if a pursuit starts: for run arguments that must be
+    rejected before the first round."""
+
+    def no_pursuit(*args):
+        raise AssertionError("ran the pursuit")
+
+    monkeypatch.setattr(pursuit, "correlate", no_pursuit)
+
+
+def test_batch_rejects_non_integer_max_iters_before_running(no_pursuit):
+    with pytest.raises(ValueError, match="need an integer max_iters, got max_iters=2.5"):
+        run_batch(("dcsp",), [tiny_instance(1)], None, max_iters=2.5)
+
+
+def test_batch_rejects_unknown_algorithm_before_running(no_pursuit):
+    with pytest.raises(ValueError, match=re.escape("cannot simulate ['somp']")):
+        run_batch(("somp",), [tiny_instance(1)], None)
 
 
 def test_batch_reads_a_passed_stack_in_place():
