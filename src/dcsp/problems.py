@@ -175,6 +175,10 @@ def generate_batch(configs, out=None) -> list:
         raise ValueError("a batch needs configs of one N, M, K and L")
     N, M, K, L = configs[0].N, configs[0].M, configs[0].K, configs[0].L
     B = len(configs)
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == (B, L, M, N)):
+        raise ValueError(f"need out of shape {(B, L, M, N)} and dtype float64, got shape "
+                         f"{np.shape(out)} and dtype {getattr(out, 'dtype', type(out).__name__)}")
     keys = [(0, 0)] + [(c, l) for c in (1, 2) for l in range(1, L + 1)]
 
     dictionaries = np.empty((B, L, M, N)) if out is None else out

@@ -339,19 +339,6 @@ def test_max_ind_permutation_invariant(seed, n, data):
     assert np.array_equal(mapped_back, base)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 12), st.data())
-@settings(max_examples=150, deadline=None)
-def test_stacked_max_ind_matches_rows(seed, n, N, data):
-    rng = np.random.default_rng(seed)
-    # few distinct magnitudes with both signs, so exact ties are common
-    v = rng.integers(-3, 4, size=(n, N)).astype(float)
-    K = data.draw(st.integers(1, N))
-    stacked = max_ind(v, K)
-    assert stacked.shape == (n, K)
-    for row, picked in zip(v, stacked):
-        assert np.array_equal(picked, max_ind(row, K))
-
-
 def stable_max_ind(v, K):
     # reference: one stable argsort of -|v| per row, smaller index first on ties
     order = np.argsort(-np.abs(np.asarray(v, dtype=float)), axis=-1, kind="stable")
@@ -372,17 +359,8 @@ def test_max_ind_matches_stable_argsort(rows, N, tied, data):
     expected = stable_max_ind(v, K)
     assert np.array_equal(max_ind(v, K), expected)
     assert max_ind(v, K).dtype == np.int64
-    assert np.array_equal(max_ind(v[0], K), expected[0])
-
-
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=40), st.integers(1, 5))
-@settings(max_examples=150, deadline=None)
-def test_selection_operators_deterministic(values, k):
-    v = np.array(values, dtype=float)
-    if k <= v.size:
-        assert np.array_equal(max_ind(v, k), max_ind(v.copy(), k))
-    if np.unique(values).size >= k:
-        assert np.array_equal(max_occ(values, k), max_occ(list(values), k))
+    for row, picked in zip(v, expected):  # a stack ranks as its rows do
+        assert np.array_equal(max_ind(row, K), picked)
 
 
 def unique_max_occ(m, K):
@@ -427,15 +405,6 @@ def test_stacked_max_occ_matches_row_calls(pool, data):
             return
     assert np.array_equal(max_occ(m, K), np.array(rows).reshape(n, K))
     assert max_occ(m, K).dtype == np.int64
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_correlate_nonnegative(seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((5, 7))
-    r = rng.standard_normal(5)
-    assert np.all(correlate(A, r) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +460,7 @@ def test_stacked_calls_match_each_slice(system):
     # lstsq_augmented and resid write only into arrays of their own
     assert Ay.tobytes() == Ay0.tobytes()
     corr = correlate(D, y)
-    assert corr.shape == (D.shape[0], D.shape[2])
+    assert corr.shape == (D.shape[0], D.shape[2]) and np.all(corr >= 0.0)
     for i in range(D.shape[0]):
         assert np.array_equal(corr[i], correlate(D[i], y[i]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dcsp import problems
 from dcsp.costs import CostParams, cost_table1
 from dcsp.linalg import RankDeficientError, resid
 from dcsp.network import ring_topology
@@ -157,10 +158,19 @@ def test_generate_batch_matches_spawn_key_streams(seeds, L):
         assert_matches_spawn_keys(config, inst)
 
 
-def test_generate_batch_needs_one_shape():
+def test_generate_batch_needs_one_shape(monkeypatch):
     configs = [ProblemConfig(N=20, M=8, K=3, L=2, seed=1), ProblemConfig(N=20, M=9, K=3, L=2, seed=1)]
     with pytest.raises(ValueError, match="a batch needs configs of one N, M, K and L"):
         generate_batch(configs)
+    # an out of another shape or dtype is rejected before any stream is seeded
+    monkeypatch.setattr(problems, "_streams", None)
+    config = ProblemConfig(N=30, M=12, K=3, L=3, seed=1)
+    for shape, dtype in (((1, 3, 14, 30), np.float64), ((2, 3, 12, 30), np.float64),
+                         ((1, 3, 12, 30), np.float32)):
+        with pytest.raises(ValueError, match=re.escape(
+                "need out of shape (1, 3, 12, 30) and dtype float64, "
+                f"got shape {shape} and dtype {np.dtype(dtype)}")):
+            generate_batch([config], out=np.empty(shape, dtype))
 
 
 @given(N=st.integers(1, 12), M=st.integers(1, 12), K=st.integers(1, 4), L=st.integers(2, 5),
