@@ -174,27 +174,6 @@ class TestFigureCommands:
                          "--trials", "1", "--seed", "1"]) == (
             f"M=20 trial 0: all 6 draws were rank deficient (seeds {seeds})")
 
-    def test_fig1_tiny(self, capsys, tmp_path):
-        out = tmp_path / "f1"
-        code = main([
-            "fig1", "--M", "16,20", "--N", "40", "--K", "3", "--L", "4",
-            "--trials", "3", "--seed", "2", "--out", str(out),
-        ])
-        assert code == 0
-        assert (tmp_path / "f1.csv").exists()
-        assert (tmp_path / "f1.dat").exists()
-        assert "M=16" in capsys.readouterr().out
-
-    def test_fig2_tiny(self, capsys, tmp_path):
-        out = tmp_path / "f2"
-        code = main([
-            "fig2", "--L", "2,4", "--N", "40", "--K", "3", "--M", "20",
-            "--trials", "2", "--seed", "3", "--out", str(out),
-        ])
-        assert code == 0
-        text = (tmp_path / "f2.csv").read_text()
-        assert "somp_analytic_messages" in text
-
     def test_sweep_below_2k_rejected(self, rejected, no_draw):
         assert rejected(["fig1", "--M", "15", "--N", "50", "--K", "10", "--L", "4",
                          "--trials", "1"]) == "M=15: need M >= 2K, got M=15 and K=10"

@@ -8,7 +8,8 @@ twice.
 prints what ROADMAP.md reports beside each line count: the size by file,
 the split by kind (a docstring's inner blank lines count as docstring) and
 the size of ``dcsp.__all__``, then the lines of ``tests/`` by file, which
-have no ceiling.
+have no ceiling, each with the test functions and test classes that
+``ast`` finds in it (a parametrized test counts once).
 """
 
 import ast
@@ -45,15 +46,29 @@ def kinds():
     return counts
 
 
+def defined_tests(text):
+    """``(functions, classes)``: the test functions (methods included)
+    and test classes that pytest collects from a module ``text``."""
+    tree = ast.parse(text)
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name.startswith("Test")]
+    functions = [f for scope in (tree, *classes) for f in scope.body
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and f.name.startswith("test")]
+    return len(functions), len(classes)
+
+
 def report():
     by_file, tests = sizes(), sizes(TESTS)
+    counts = {name: defined_tests((TESTS / name).read_text()) for name in tests}
     return "\n".join([
         *(f"{n:5d} {name}" for name, n in by_file.items()),
         f"src/dcsp: {sum(by_file.values())} lines (ceiling {CEILING:,})",
         "src/dcsp by kind: " + ", ".join(f"{n} {kind}" for kind, n in kinds().items()),
         f"dcsp.__all__: {len(dcsp.__all__)} names",
-        *(f"{n:5d} {name}" for name, n in tests.items()),
-        f"tests: {sum(tests.values())} lines (no ceiling)",
+        *(f"{n:5d} {name}  ({counts[name][0]} test functions, {counts[name][1]} test classes)"
+          for name, n in tests.items()),
+        f"tests: {sum(tests.values())} lines (no ceiling); "
+        "{} test functions, {} test classes".format(*map(sum, zip(*counts.values()))),
     ])
 
 

@@ -29,10 +29,6 @@ class TestRingTopology:
         for l in range(1, 7):
             assert topo.neighbors[l - 1].tolist() == offset_formula_neighbors(6, 3, l)
 
-    def test_degree_equals_size(self):
-        topo = ring_topology(6, 3)
-        assert all(len(g) == 3 for g in topo.neighbors)
-
     def test_full_collaboration(self):
         topo = ring_topology(5, 5)
         assert all(g.tolist() == [1, 2, 3, 4, 5] for g in topo.neighbors)

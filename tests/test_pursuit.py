@@ -29,7 +29,7 @@ def _residual_state(instance, support, memo=None):
                             instance.dictionaries, instance.measurements)[0]
 
 
-class TestSspRun:
+class TestSspOnOneDraw:
     def test_hand_built_two_column_case(self):
         # K=1, N=2, M=2, L=2; support {1} dominates both correlation votes
         A1 = np.array([[1.0, 0.2], [0.0, 1.0]])
@@ -81,7 +81,7 @@ class TestSspRun:
                 assert trace[-1] >= trace[-2] or len(trace) == 1
 
 
-class TestDcspRun:
+class TestDcspOnOneDraw:
     def test_recovers_with_neighborhood_collaboration(self):
         inst = generate(ProblemConfig(N=60, M=30, K=4, L=6, seed=7))
         result = run_batch(("dcsp",), [inst], ring_topology(6, 3))["dcsp"][0]
